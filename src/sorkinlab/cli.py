@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -48,10 +47,8 @@ from .models import (
     build_quantum_model,
     build_real_quantum_model,
     classical_subset_filters,
-    effect_from_matrix,
     measurement_from_matrices,
     spin1_feynman_setup,
-    state_from_matrix,
     subset_filters,
 )
 from .experiment import ExperimentPlan, estimate_i3, record_from_table, run_experiment
@@ -60,15 +57,6 @@ from .tomography import tomography_roundtrip
 
 class InputError(Exception):
     pass
-
-
-def thread_cap() -> int:
-    """Worker cap from SORKIN_LAB_THREADS (0 = auto).  The current
-    implementation is single-process; the cap is recorded, not enforced."""
-    try:
-        return int(os.environ.get("SORKIN_LAB_THREADS", "0"))
-    except ValueError:
-        return 0
 
 
 def _load_json(path: str) -> dict:
@@ -153,9 +141,33 @@ def _parse_vec3(text: str) -> np.ndarray:
     return v / norm
 
 
+def _coords_from_file(spec: str, model: ModelSpace) -> np.ndarray:
+    """Coordinates from a JSON file holding 'coords' or a matrix 're'/'im'."""
+    d = _load_json(spec)
+    try:
+        if "coords" in d:
+            return np.array(d["coords"], dtype=float)
+        if "re" in d:
+            return model.embed(serialize.hermitian_from_dict(d))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"bad file {spec}: {exc}") from exc
+    raise InputError(f"file {spec} needs 'coords' or 're'/'im'")
+
+
+def _require_dimension(coords: np.ndarray, model: ModelSpace, spec: str) -> np.ndarray:
+    if coords.shape != (model.dimension,):
+        raise InputError(
+            f"{spec!r} has shape {coords.shape}; model {model.label} needs "
+            f"{model.dimension} coordinates"
+        )
+    return coords
+
+
 def resolve_state(spec: str, model: ModelSpace) -> State:
     if spec == "fixture:qutrit":
-        return fixtures.qutrit_fixture()[2]
+        s = fixtures.qutrit_fixture()[2]
+        _require_dimension(s.coords, model, spec)
+        return s
     if spec == "uniform":
         if model.cone.kind != "classical":
             raise InputError("'uniform' is a classical fixture")
@@ -163,30 +175,28 @@ def resolve_state(spec: str, model: ModelSpace) -> State:
     if spec.startswith("random:"):
         return random_state(model, seed=int(spec.split(":", 1)[1]))
     if spec.endswith(".json"):
-        d = _load_json(spec)
-        if "coords" in d:
-            return State(model, np.array(d["coords"], dtype=float))
-        if "re" in d:
-            return state_from_matrix(serialize.hermitian_from_dict(d), model)
-        raise InputError(f"state file {spec} needs 'coords' or 're'/'im'")
+        return State(model, _require_dimension(_coords_from_file(spec, model), model, spec))
     raise InputError(f"unknown state spec {spec!r}")
 
 
 def resolve_effect(spec: str, model: ModelSpace) -> Effect:
     if spec == "fixture:qutrit":
-        return fixtures.qutrit_fixture()[3]
+        e = fixtures.qutrit_fixture()[3]
+        _require_dimension(e.coords, model, spec)
+        return e
     if spec.startswith("random:"):
         return random_effect(model, seed=int(spec.split(":", 1)[1]))
     if spec == "order-unit":
         return Effect(model, model.order_unit.copy())
     if spec.endswith(".json"):
-        d = _load_json(spec)
-        if "coords" in d:
-            return Effect(model, np.array(d["coords"], dtype=float))
-        if "re" in d:
-            return effect_from_matrix(serialize.hermitian_from_dict(d), model)
-        raise InputError(f"effect file {spec} needs 'coords' or 're'/'im'")
+        return Effect(model, _require_dimension(_coords_from_file(spec, model), model, spec))
     raise InputError(f"unknown effect spec {spec!r}")
+
+
+def resolve_shots(shots: int) -> int:
+    if shots < 0:
+        raise InputError(f"--shots must be >= 0, got {shots}")
+    return shots
 
 
 def resolve_table(spec: str):
@@ -281,16 +291,17 @@ def cmd_tomography(args) -> int:
     ss = resolve_slits(args.slits, model, named)
     s = resolve_state(args.state, model)
     result = tomography_roundtrip(
-        model, ss, s, mode=args.mode, shots=args.shots, seed=args.seed
+        model, ss, s, mode=args.mode, shots=resolve_shots(args.shots), seed=args.seed
     )
     emit(result.to_dict(), args)
     return 0
 
 
 def cmd_experiment(args) -> int:
+    shots = resolve_shots(args.shots)
     if args.table:
         t = resolve_table(args.table)
-        record = record_from_table(t, args.shots, args.seed)
+        record = record_from_table(t, shots, args.seed)
         est = estimate_i3(record)
         payload = {"estimate": est.to_dict(), "record": serialize.record_to_dict(record)}
         _write_record_csv(args, record)
@@ -322,7 +333,7 @@ def cmd_experiment(args) -> int:
         slits=ss,
         detector_measurement=detector,
         source_state=s,
-        shots_per_setting=args.shots,
+        shots_per_setting=shots,
         seed=args.seed,
     )
     record = run_experiment(plan)
@@ -349,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--slits", default="basis")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out")
-        sp.add_argument("--format", choices=["json", "csv"], default="json")
 
     sp = sub.add_parser("validate", help="check filter axioms and product relations")
     common(sp)
@@ -391,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _ = thread_cap()
     try:
         return args.func(args)
     except InputError as exc:

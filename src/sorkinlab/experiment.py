@@ -130,7 +130,8 @@ def record_from_table(
         row[0] = hit
         row[-1] = shots - hit
         counts[J] = row
-    h = hashlib.sha256(str((sorted(map(subset_key, table.entries)), shots, seed)).encode())
+    entries = sorted((subset_key(J), p) for J, p in table.entries.items())
+    h = hashlib.sha256(str((entries, shots, seed)).encode())
     return ExperimentRecord(counts, shots, seed, h.hexdigest()[:16])
 
 

@@ -79,10 +79,3 @@ def table_06() -> ProbabilityTable:
     }
     return ProbabilityTable(3, entries)
 
-
-SHIPPED_SYSTEMS = {
-    "quantum:3": lambda: qutrit_fixture()[:2],
-    "quantum:4": lambda: quantum4_subspace_fixture()[:2],
-    "real_quantum:3": lambda: real_qutrit_fixture()[:2],
-    "classical:3": lambda: classical_fixture()[:2],
-}

@@ -119,26 +119,108 @@ def build_classical_model(n: int) -> ModelSpace:
     )
 
 
+# Elements of C per chunk of projectors (256 KB of float64; the largest
+# intermediates hold ~2.5x as many): chunking keeps a chunk's arrays near the
+# per-core L2 cache and keeps peak memory independent of the stack size.  At
+# d = 16 a chunk is one projector.
+_CHUNK_ELEMENTS = 1 << 15
+
+
+def _cmul(xr, xi, yr, yi):
+    """Complex product from separately rounded real products, as numpy's
+    einsum forms it (numpy's complex multiply may fuse them)."""
+    return xr * yr - xi * yi, xr * yi + xi * yr
+
+
+def _conjugation_matrices(pis: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Real matrices of rho -> Pi rho Pi for a stack of projectors, (n, m, m).
+
+    Entry (j, k) is Re Tr(B_j Pi B_k Pi).  Both contractions run over the
+    nonzero entries of the basis only (about 2.5 d^2 of them), so a matrix
+    costs O(d^4) instead of the dense O(d^6).
+
+    Every sum adds its terms to zero in np.nonzero order of its basis
+    element, which is the order of numpy's dense einsum over complex
+    operands; the zero entries the dense sum also visits add exact zeros.
+    So for complex operands the result is byte-identical to the dense
+    formula, which matters because experiment.plan_hash hashes filter bytes.
+    With real operands the dense einsum reduces in SIMD lanes, so results
+    can differ from it in the last bit.
+    """
+    n, d, _ = pis.shape
+    m = basis.shape[0]
+    # Entries sorted by (position within their element, element): step p of
+    # every element's sequential sum is then one contiguous slice, and step 0
+    # holds every element in order.
+    k, row, col = np.nonzero(basis)
+    pos = np.arange(k.size) - np.searchsorted(k, k)
+    order = np.lexsort((k, pos))
+    k, row, col, pos = k[order], row[order], col[order], pos[order]
+    vr, vi = basis.real[k, row, col], np.imag(basis)[k, row, col]
+    bounds = np.searchsorted(pos, np.arange(1, pos[-1] + 2))
+    later = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+    out = np.empty((n, m, m))
+    chunk = max(1, _CHUNK_ELEMENTS // (d * d * m))
+    for lo in range(0, n, chunk):
+        p = pis[lo : lo + chunk]
+        pr, pim = p.real, np.imag(p)
+        # C_k[a, b] = sum_e (Pi[a, row_e] B_e) Pi[col_e, b], stored (chunk, a, b, k)
+        xr, xi = _cmul(pr[:, :, row], pim[:, :, row], vr, vi)
+        yr, yi = pr.transpose(0, 2, 1)[:, :, col], pim.transpose(0, 2, 1)[:, :, col]
+        tr, ti = _cmul(xr[:, :, None], xi[:, :, None], yr[:, None], yi[:, None])
+        # step 0 covers every element in order; later steps read columns >= m
+        cr, ci = tr[..., :m], ti[..., :m]
+        for s in later:
+            cr[..., k[s]] += tr[..., s]
+            ci[..., k[s]] += ti[..., s]
+        # M[j, k] = sum_e Re(B_e C_k[col_e, row_e]), e over the entries of B_j
+        terms = vr[:, None] * cr[:, col, row] - vi[:, None] * ci[:, col, row]
+        mats = out[lo : lo + chunk]
+        # start from +0.0 as the dense sum does, so no zero entry comes out as
+        # -0.0 (the signs of zeros in C cannot reach the output past this)
+        np.add(terms[:, :m], 0.0, out=mats)
+        for s in later:
+            mats[:, k[s]] += terms[:, s]
+    return out
+
+
+def _check_projectors(pis: np.ndarray, model: ModelSpace) -> None:
+    if model.basis is None:
+        raise ValueError(f"model {model.label!r} has no matrix embedding")
+    d = model.basis.shape[1]
+    if pis.shape[1:] != (d, d):
+        raise DimensionMismatch(f"projectors are {pis.shape[1:]}, model needs {(d, d)}")
+    idem = np.linalg.norm(pis @ pis - pis, axis=(1, 2))
+    scale = np.maximum(1.0, np.linalg.norm(pis, axis=(1, 2)))
+    herm = np.linalg.norm(pis - pis.conj().transpose(0, 2, 1), axis=(1, 2))
+    if np.any(idem > _ORTHO_TOL * scale) or np.any(herm > _ORTHO_TOL):
+        raise NotAProjection("matrix is not an orthogonal projector")
+
+
 def conjugation_superoperator(pi: np.ndarray, model: ModelSpace) -> Transformation:
     """The real matrix of rho -> Pi rho Pi in embedded coordinates."""
-    pi = np.asarray(pi)
-    if np.linalg.norm(pi @ pi - pi, "fro") > _ORTHO_TOL * max(
-        1.0, np.linalg.norm(pi, "fro")
-    ) or np.linalg.norm(pi - pi.conj().T, "fro") > _ORTHO_TOL:
-        raise NotAProjection("matrix is not an orthogonal projector")
-    basis = model.basis
-    conjugated = np.einsum("ab,kbc,cd->kad", pi, basis, pi)
-    mat = np.real(np.einsum("jdc,kcd->jk", basis, conjugated))
-    return Transformation(mat)
+    pis = np.asarray(pi)[None]
+    _check_projectors(pis, model)
+    return Transformation(_conjugation_matrices(pis, model.basis)[0])
+
+
+def _lueders_filters(pis, model: ModelSpace) -> list[Filter]:
+    """Filter pairs for a list of projectors, built in one kernel call."""
+    pis = np.asarray(pis)
+    stack = np.concatenate([pis, np.eye(pis.shape[-1]) - pis])
+    _check_projectors(stack, model)
+    mats = _conjugation_matrices(stack, model.basis)
+    n = len(pis)
+    return [
+        Filter(projection=Transformation(mats[i]), complement=Transformation(mats[n + i]))
+        for i in range(n)
+    ]
 
 
 def lueders_filter(pi: np.ndarray, model: ModelSpace) -> Filter:
     """Filter pair (conjugation by Pi, conjugation by I - Pi)."""
-    d = pi.shape[0]
-    return Filter(
-        projection=conjugation_superoperator(pi, model),
-        complement=conjugation_superoperator(np.eye(d) - pi, model),
-    )
+    return _lueders_filters([pi], model)[0]
 
 
 def classical_filter(mask: np.ndarray, model: ModelSpace) -> Filter:
@@ -160,12 +242,9 @@ def subset_filters(pis, model: ModelSpace) -> dict[frozenset, Filter]:
         for j in range(i + 1, k):
             if np.linalg.norm(pis[i] @ pis[j], "fro") > _ORTHO_TOL:
                 raise ValueError("slits not pairwise orthogonal")
-    out: dict[frozenset, Filter] = {}
-    for r in range(1, k + 1):
-        for J in combinations(range(1, k + 1), r):
-            pi = np.sum([pis[i - 1] for i in J], axis=0)
-            out[frozenset(J)] = lueders_filter(pi, model)
-    return out
+    subsets = [J for r in range(1, k + 1) for J in combinations(range(1, k + 1), r)]
+    joins = [np.sum([pis[i - 1] for i in J], axis=0) for J in subsets]
+    return dict(zip(map(frozenset, subsets), _lueders_filters(joins, model)))
 
 
 def classical_subset_filters(blocks, model: ModelSpace) -> dict[frozenset, Filter]:

@@ -50,6 +50,31 @@ class TestValidate:
         assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["interference", "--model", "quantum:4"],
+        ["tomography", "--model", "classical:3"],
+        ["experiment", "--shots", "-5"],
+        ["experiment", "--table", "fixture:0.6", "--shots", "-5"],
+    ],
+    ids=["state-dimension", "classical-state-dimension", "negative-shots",
+         "table-negative-shots"],
+)
+def test_bad_arguments_are_input_errors(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("kind", ["state", "effect"])
+def test_coords_file_of_wrong_dimension_is_input_error(capsys, tmp_path, kind):
+    path = tmp_path / "coords.json"
+    path.write_text(json.dumps({"coords": [1.0, 0.0, 0.0]}))
+    code, _ = run(capsys, "interference", "--model", "quantum:3", f"--{kind}", str(path))
+    assert code == 2
+
+
 class TestInterference:
     def test_qutrit_fixture_values(self, capsys):
         code, out = run(capsys, "interference")

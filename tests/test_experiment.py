@@ -76,6 +76,16 @@ class TestRunExperiment:
                 assert abs(f - p) < 5 * sigma + 1e-9
 
 
+class TestRecordFromTable:
+    def test_plan_hash_covers_entries(self):
+        tables = [
+            sl.ProbabilityTable(3, {J: p for J in SETTING_ORDER}) for p in (0.1, 0.9)
+        ]
+        a, b = (sl.record_from_table(t, 1000, 5) for t in tables)
+        assert a.plan_hash != b.plan_hash
+        assert sl.record_from_table(tables[0], 1000, 5).plan_hash == a.plan_hash
+
+
 class TestEstimateI3:
     def test_quantum_consistent_with_zero(self, qutrit_plan):
         est = sl.estimate_i3(sl.run_experiment(qutrit_plan))

@@ -23,6 +23,20 @@ PSI = np.ones(3, dtype=complex) / np.sqrt(3.0)
 PSI_PROJ = np.outer(PSI, PSI.conj())
 
 
+def dense_superoperator(pi, model):
+    """Reference: the dense O(d^6) two-einsum formula for rho -> Pi rho Pi."""
+    conjugated = np.einsum("ab,kbc,cd->kad", pi, model.basis, pi)
+    return np.real(np.einsum("jdc,kcd->jk", model.basis, conjugated))
+
+
+def random_projector(d, rank, rng, complex_=True):
+    g = rng.standard_normal((d, d))
+    if complex_:
+        g = g + 1j * rng.standard_normal((d, d))
+    q, _ = np.linalg.qr(g)
+    return q[:, :rank] @ q[:, :rank].conj().T
+
+
 class TestBuilders:
     @pytest.mark.parametrize("d,m", [(2, 4), (3, 9), (4, 16)])
     def test_quantum_dimension(self, d, m):
@@ -105,6 +119,81 @@ class TestConjugation:
             [model.embed(pi @ model.basis[k] @ pi) for k in range(9)]
         )
         np.testing.assert_allclose(t.matrix, rebuilt, atol=1e-12)
+
+
+class TestConjugationKernel:
+    """The sparse kernel against the dense formula, byte for byte: experiment
+    plan hashes cover the filter bytes."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6, 10])
+    def test_quantum_byte_identical_to_dense(self, d):
+        model = build_quantum_model(d)
+        rng = np.random.default_rng(d)
+        for rank in range(d + 1):
+            pi = random_projector(d, rank, rng)
+            f = lueders_filter(pi, model)
+            assert np.array_equal(f.projection.matrix, dense_superoperator(pi, model))
+            assert np.array_equal(
+                f.complement.matrix, dense_superoperator(np.eye(d) - pi, model)
+            )
+
+    def test_quantum16_byte_identical_to_dense(self):
+        model = build_quantum_model(16)
+        pi = random_projector(16, 5, np.random.default_rng(16))
+        t = sl.conjugation_superoperator(pi, model)
+        assert np.array_equal(t.matrix, dense_superoperator(pi, model))
+
+    @pytest.mark.parametrize("axis", [[0.48, -0.6, 0.64], [0, 0, 1]])
+    def test_spin1_family_byte_identical_to_dense(self, axis):
+        model = build_quantum_model(3)
+        setup = sl.spin1_feynman_setup(axis, [0, 0, 1])
+        filters = subset_filters(list(setup.slit_projectors), model)
+        assert len(filters) == 7
+        for J, f in filters.items():
+            pi = np.sum([setup.slit_projectors[i - 1] for i in sorted(J)], axis=0)
+            assert np.array_equal(f.projection.matrix, dense_superoperator(pi, model))
+            assert np.array_equal(
+                f.complement.matrix, dense_superoperator(np.eye(3) - pi, model)
+            )
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_real_quantum_within_reordering_bound(self, d):
+        # With real operands numpy's einsum sums the d diagonal terms of the
+        # identity and diagonal basis elements in SIMD lanes, the kernel in
+        # index order.  Those terms have absolute sum <= 1 (Cauchy-Schwarz on
+        # unit-norm basis elements), so two summation orders of d terms differ
+        # by at most (d - 1) eps.  Observed: 0 at odd d, 1.1e-16 at d = 4, 6.
+        model = build_real_quantum_model(d)
+        rng = np.random.default_rng(d)
+        bound = (d - 1) * np.finfo(float).eps
+        for rank in range(d + 1):
+            pi = random_projector(d, rank, rng, complex_=False)
+            f = lueders_filter(pi, model)
+            for mat, ref in (
+                (f.projection.matrix, dense_superoperator(pi, model)),
+                (f.complement.matrix, dense_superoperator(np.eye(d) - pi, model)),
+            ):
+                assert np.max(np.abs(mat - ref)) <= bound
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda pis, model: lueders_filter(pis[0], model), subset_filters],
+        ids=["lueders_filter", "subset_filters"],
+    )
+    def test_batched_calls_reject_non_projector(self, build):
+        model = build_quantum_model(3)
+        pis = basis_projectors(3)
+        with pytest.raises(sl.NotAProjection):
+            build([2.0 * pis[0], pis[1], pis[2]], model)
+
+    def test_matrices_are_plain_contiguous_arrays(self):
+        model = build_quantum_model(4)
+        filters = subset_filters(basis_projectors(4), model)
+        mats = [t.matrix for f in filters.values() for t in (f.projection, f.complement)]
+        mats.append(sl.conjugation_superoperator(basis_projectors(4)[0], model).matrix)
+        for mat in mats:
+            assert mat.dtype == np.float64
+            assert mat.flags.c_contiguous
 
 
 class TestSlitSystemConstruction:
