@@ -26,6 +26,7 @@ from .gpt import (
     probability,
     random_effect,
     random_state,
+    sample_states,
     validate_filter,
 )
 from .interference import (
@@ -163,6 +164,15 @@ def _require_dimension(coords: np.ndarray, model: ModelSpace, spec: str) -> np.n
     return coords
 
 
+def _random_seed(spec: str) -> int:
+    """The seed of a 'random:<seed>' spec."""
+    try:
+        seed = int(spec.split(":", 1)[1])
+    except ValueError:
+        raise InputError(f"bad seed in {spec!r}: expected an integer")
+    return resolve_count(seed, "random:<seed>")
+
+
 def resolve_state(spec: str, model: ModelSpace) -> State:
     if spec == "fixture:qutrit":
         s = fixtures.qutrit_fixture()[2]
@@ -173,7 +183,7 @@ def resolve_state(spec: str, model: ModelSpace) -> State:
             raise InputError("'uniform' is a classical fixture")
         return State(model, np.full(model.dimension, 1.0 / model.dimension))
     if spec.startswith("random:"):
-        return random_state(model, seed=int(spec.split(":", 1)[1]))
+        return random_state(model, seed=_random_seed(spec))
     if spec.endswith(".json"):
         return State(model, _require_dimension(_coords_from_file(spec, model), model, spec))
     raise InputError(f"unknown state spec {spec!r}")
@@ -185,7 +195,7 @@ def resolve_effect(spec: str, model: ModelSpace) -> Effect:
         _require_dimension(e.coords, model, spec)
         return e
     if spec.startswith("random:"):
-        return random_effect(model, seed=int(spec.split(":", 1)[1]))
+        return random_effect(model, seed=_random_seed(spec))
     if spec == "order-unit":
         return Effect(model, model.order_unit.copy())
     if spec.endswith(".json"):
@@ -193,10 +203,10 @@ def resolve_effect(spec: str, model: ModelSpace) -> Effect:
     raise InputError(f"unknown effect spec {spec!r}")
 
 
-def resolve_shots(shots: int) -> int:
-    if shots < 0:
-        raise InputError(f"--shots must be >= 0, got {shots}")
-    return shots
+def resolve_count(n: int, name: str) -> int:
+    if n < 0:
+        raise InputError(f"{name} must be >= 0, got {n}")
+    return n
 
 
 def resolve_table(spec: str):
@@ -218,6 +228,7 @@ def emit(payload: dict, args) -> None:
 
 
 def cmd_validate(args) -> int:
+    n_samples = resolve_count(args.samples, "--samples")
     model, named = resolve_model(args.model)
     try:
         ss = resolve_slits(args.slits, model, named)
@@ -225,9 +236,10 @@ def cmd_validate(args) -> int:
         # constructed but invalid filters: a validation failure, not bad input
         print(serialize.dumps({"passed": False, "error": str(exc)}))
         return 1
+    states = sample_states(model, n_samples, args.seed)
     reports = [ss.validate().to_dict()]
     for J in SINGLES + PAIRS + (TRIPLE,):
-        rep = validate_filter(ss.derived[J], model, n_samples=args.samples, seed=args.seed)
+        rep = validate_filter(ss.derived[J], model, states=states)
         d = rep.to_dict()
         d["subject"] = f"filter_{subset_key(J)}"
         reports.append(d)
@@ -250,7 +262,7 @@ def cmd_interference(args) -> int:
     if args.sweep:
         sup_i3 = 0.0
         max_i2 = 0.0
-        for i in range(args.sweep):
+        for i in range(resolve_count(args.sweep, "--sweep")):
             s = random_state(model, seed=[args.seed, i, 0])
             r = random_effect(model, seed=[args.seed, i, 1])
             t = table_from_system(r, ss, s)
@@ -279,9 +291,10 @@ def cmd_interference(args) -> int:
 
 
 def cmd_prop1(args) -> int:
+    n_samples = resolve_count(args.samples, "--samples")
     model, named = resolve_model(args.model)
     ss = resolve_slits(args.slits, model, named)
-    report = prop1_verify(ss, n_samples=args.samples, seed=args.seed)
+    report = prop1_verify(ss, n_samples=n_samples, seed=args.seed)
     emit(report.to_dict(), args)
     return 0 if report.consistent else 1
 
@@ -291,14 +304,14 @@ def cmd_tomography(args) -> int:
     ss = resolve_slits(args.slits, model, named)
     s = resolve_state(args.state, model)
     result = tomography_roundtrip(
-        model, ss, s, mode=args.mode, shots=resolve_shots(args.shots), seed=args.seed
+        model, ss, s, mode=args.mode, shots=resolve_count(args.shots, "--shots"), seed=args.seed
     )
     emit(result.to_dict(), args)
     return 0
 
 
 def cmd_experiment(args) -> int:
-    shots = resolve_shots(args.shots)
+    shots = resolve_count(args.shots, "--shots")
     if args.table:
         t = resolve_table(args.table)
         record = record_from_table(t, shots, args.seed)
@@ -391,17 +404,26 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--state", default="random:0")
     sp.add_argument("--shots", type=int, default=100000)
     sp.add_argument("--spin1", action="store_true")
-    sp.add_argument("--b", default="0,0,1", help="filter axis bx,by,bz")
-    sp.add_argument("--d", default="0,0,1", help="detector axis dx,dy,dz")
+    sp.add_argument("--b", default="0,0,1",
+                    help="filter axis bx,by,bz; write a leading minus as --b=-0.5,0,1")
+    sp.add_argument("--d", default="0,0,1",
+                    help="detector axis dx,dy,dz; write a leading minus as --d=-0.5,0,1")
     sp.add_argument("--table", help="synthetic record from a raw table")
     sp.add_argument("--csv-out", dest="csv_out")
     sp.set_defaults(func=cmd_experiment)
     return p
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:  # built on the first call, then reused
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
+        resolve_count(args.seed, "--seed")  # numpy seeds must be >= 0
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -123,12 +123,35 @@ class Transformation:
         return Transformation(self.matrix @ other.matrix)
 
 
+class _BuiltOnFirstRead:
+    """A dataclass field that holds its value or a zero-argument builder of
+    it; the builder runs on the first read, and its result replaces it."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)  # no class default: the field stays required
+        value = obj.__dict__[self.name]
+        if callable(value):
+            value = obj.__dict__[self.name] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True, eq=False)
 class Filter:
-    """An idempotent, neutral, complemented transformation and its complement."""
+    """An idempotent, neutral, complemented transformation and its complement.
+
+    ``complement`` may be given as a zero-argument function returning the
+    Transformation; it is then called on the first read of the attribute.
+    """
 
     projection: Transformation
-    complement: Transformation
+    complement: Transformation = _BuiltOnFirstRead()
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,26 +247,39 @@ def _rel_fro(mat: np.ndarray, ref: np.ndarray) -> float:
     return float(np.linalg.norm(mat, "fro") / max(1.0, np.linalg.norm(ref, "fro")))
 
 
+def sample_states(model: ModelSpace, n_samples: int, seed: int) -> list[State]:
+    """The random states validate_filter samples: substreams [seed, i]."""
+    return [random_state(model, seed=[seed, i]) for i in range(n_samples)]
+
+
 def validate_filter(
-    f: Filter, model: ModelSpace, n_samples: int = 200, seed: int = 0
+    f: Filter,
+    model: ModelSpace,
+    n_samples: int = 200,
+    seed: int = 0,
+    *,
+    states: list[State] | None = None,
 ) -> ValidationReport:
     """Check the three filter axioms: idempotence, neutrality, complementation.
 
     Neutrality and the pass/block equivalences are sampled over random cone
     states (plus their filtered images, which exercise the fixed-point sets);
-    the algebraic identities are checked exactly on the matrices.
+    the algebraic identities are checked exactly on the matrices.  The states
+    are ``sample_states(model, n_samples, seed)`` unless ``states`` is given,
+    so several filters can be checked on one draw.
     """
     P = f.projection.matrix
     Pc = f.complement.matrix
     u = model.order_unit
+    if states is None:
+        states = sample_states(model, n_samples, seed)
 
     idem = max(_rel_fro(P @ P - P, P), _rel_fro(Pc @ Pc - Pc, Pc))
     prod = max(_rel_fro(P @ Pc, P), _rel_fro(Pc @ P, P))
 
     neutral_worst = 0.0
     equiv_worst = 0.0
-    for i in range(n_samples):
-        s = random_state(model, seed=[seed, i])
+    for s in states:
         for t in (s.coords, P @ s.coords, Pc @ s.coords):
             nt = float(u @ t)
             if nt <= EPS_TOL:

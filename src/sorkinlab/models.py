@@ -10,6 +10,7 @@ orthant with the all-ones order unit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -205,16 +206,37 @@ def conjugation_superoperator(pi: np.ndarray, model: ModelSpace) -> Transformati
     return Transformation(_conjugation_matrices(pis, model.basis)[0])
 
 
+class _Complements:
+    """Conjugation by I - Pi for a stack of projectors, all built in one
+    kernel call on the first request for any of them."""
+
+    def __init__(self, pis: np.ndarray, model: ModelSpace):
+        self.pis, self.model, self.mats = pis, model, None
+
+    def __call__(self, i: int) -> Transformation:
+        if self.mats is None:
+            stack = np.eye(self.pis.shape[-1]) - self.pis
+            _check_projectors(stack, self.model)
+            self.mats = _conjugation_matrices(stack, self.model.basis)
+        return Transformation(self.mats[i])
+
+
 def _lueders_filters(pis, model: ModelSpace) -> list[Filter]:
-    """Filter pairs for a list of projectors, built in one kernel call."""
+    """Filter pairs for a list of projectors.
+
+    The projections are built in one kernel call.  The complements are built
+    in one more, for the whole list, on the first read of any of them: the
+    interference checks, tomography and experiments use only projections.
+    The kernel works on each projector separately, so splitting the stack
+    leaves every matrix byte-identical.
+    """
     pis = np.asarray(pis)
-    stack = np.concatenate([pis, np.eye(pis.shape[-1]) - pis])
-    _check_projectors(stack, model)
-    mats = _conjugation_matrices(stack, model.basis)
-    n = len(pis)
+    _check_projectors(pis, model)
+    mats = _conjugation_matrices(pis, model.basis)
+    complements = _Complements(pis, model)
     return [
-        Filter(projection=Transformation(mats[i]), complement=Transformation(mats[n + i]))
-        for i in range(n)
+        Filter(projection=Transformation(mat), complement=partial(complements, i))
+        for i, mat in enumerate(mats)
     ]
 
 

@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from sorkinlab import serialize
-from sorkinlab.cli import main
+from sorkinlab import cli, serialize
+from sorkinlab.cli import main, resolve_model, resolve_slits
 from sorkinlab.fixtures import qutrit_fixture
+from sorkinlab.gpt import validate_filter
+from sorkinlab.interference import PAIRS, SINGLES, TRIPLE, subset_key
 
 
 def run(capsys, *argv):
@@ -21,6 +23,20 @@ class TestValidate:
         code, out = run(capsys, "validate", "--model", "quantum:3", "--slits", "basis")
         assert code == 0
         assert json.loads(out)["passed"] is True
+
+    @pytest.mark.parametrize("slits", ["basis", "spin1:0.48,-0.6,0.64"])
+    def test_reports_equal_independent_filter_checks(self, capsys, slits):
+        code, out = run(capsys, "validate", "--slits", slits, "--samples", "20",
+                        "--seed", "5")
+        assert code == 0
+        model, named = resolve_model("quantum:3")
+        ss = resolve_slits(slits, model, named)
+        expected = []
+        for J in SINGLES + PAIRS + (TRIPLE,):
+            d = validate_filter(ss.derived[J], model, 20, 5).to_dict()
+            d["subject"] = f"filter_{subset_key(J)}"
+            expected.append(d)
+        assert json.loads(out)["reports"][1:] == expected
 
     def test_bad_filter_json_fails(self, capsys, tmp_path):
         model, ss, _, _ = qutrit_fixture()
@@ -57,9 +73,19 @@ class TestValidate:
         ["tomography", "--model", "classical:3"],
         ["experiment", "--shots", "-5"],
         ["experiment", "--table", "fixture:0.6", "--shots", "-5"],
+        ["interference", "--state", "random:abc"],
+        ["interference", "--effect", "random:x"],
+        ["interference", "--state", "random:-2"],
+        ["validate", "--samples", "-3"],
+        ["prop1", "--samples", "-1"],
+        ["interference", "--sweep", "-3"],
+        ["tomography", "--mode", "sampled", "--seed", "-1"],
     ],
     ids=["state-dimension", "classical-state-dimension", "negative-shots",
-         "table-negative-shots"],
+         "table-negative-shots", "state-seed-not-integer",
+         "effect-seed-not-integer", "state-seed-negative",
+         "validate-negative-samples", "prop1-negative-samples",
+         "negative-sweep", "negative-seed"],
 )
 def test_bad_arguments_are_input_errors(capsys, argv):
     code, out = run(capsys, *argv)
@@ -196,3 +222,48 @@ class TestExperiment:
             )
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestParserReuse:
+    """main builds its parser once per process; reusing it changes no output."""
+
+    SEQUENCE = [
+        ["interference", "--sweep", "5", "--seed", "3"],
+        ["interference"],
+        ["tomography", "--mode", "sampled", "--shots", "1000", "--seed", "4"],
+        ["tomography"],
+        ["validate", "--model", "classical:3", "--samples", "5", "--seed", "2"],
+        ["interference", "--state", "random:abc"],
+        ["validate", "--samples", "5"],
+        ["prop1", "--model", "real_quantum:3", "--samples", "5", "--seed", "6"],
+        ["prop1", "--samples", "5"],
+        ["experiment", "--spin1", "--b=-0.6,0,0.8", "--d", "1,0,0",
+         "--state", "random:1", "--shots", "1000", "--seed", "2"],
+        ["experiment", "--shots", "1000"],
+    ]
+
+    def test_sequence_matches_fresh_parsers(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        monkeypatch.setattr(cli, "_parser", None)
+        reused = [run(capsys, *argv) for argv in self.SEQUENCE]
+        assert built == [1]
+        fresh = []
+        for argv in self.SEQUENCE:
+            monkeypatch.setattr(cli, "_parser", None)
+            fresh.append(run(capsys, *argv))
+        assert len(built) == 1 + len(self.SEQUENCE)
+        assert reused == fresh
+        assert [code for code, _ in reused] == [0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0]
+
+    def test_out_then_default_prints(self, capsys, tmp_path):
+        path, csv = tmp_path / "a.json", tmp_path / "a.csv"
+        argv = ["experiment", "--shots", "100", "--state", "random:1"]
+        code, out = run(capsys, *argv, "--out", str(path), "--csv-out", str(csv))
+        assert code == 0 and out == ""
+        csv.unlink()
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert out.encode() == path.read_bytes()
+        assert not csv.exists()

@@ -173,6 +173,32 @@ class TestValidateFilter:
         rep = sl.validate_filter(f, c3, n_samples=50, seed=2)
         assert rep.passed
 
+    def test_given_states_match_own_draws(self, q3):
+        states = sl.gpt.sample_states(q3, 20, 5)
+        for pi in (PSI_PROJ, np.diag([1.0, 1.0, 0.0]).astype(complex)):
+            f = lueders_filter(pi, q3)
+            own = sl.validate_filter(f, q3, n_samples=20, seed=5)
+            shared = sl.validate_filter(f, q3, states=states)
+            assert shared.to_dict() == own.to_dict()
+
+
+class TestFilterComplement:
+    def test_builder_runs_once_on_first_read(self):
+        built = []
+
+        def build():
+            built.append(1)
+            return sl.Transformation(np.zeros((2, 2)))
+
+        f = sl.Filter(projection=sl.Transformation(np.eye(2)), complement=build)
+        assert built == []
+        assert f.complement is f.complement
+        assert built == [1]
+
+    def test_complement_is_required(self):
+        with pytest.raises(TypeError):
+            sl.Filter(projection=sl.Transformation(np.eye(2)))
+
 
 class TestValidateMeasurement:
     def test_basis_projectors_pass(self, q3):

@@ -1,6 +1,8 @@
 """Model builders, embeddings, conjugation superoperators, and the spin-1
 geometry."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,63 @@ class TestConjugationKernel:
         for mat in mats:
             assert mat.dtype == np.float64
             assert mat.flags.c_contiguous
+
+
+class TestLazyComplements:
+    """Projections are built with the family; complements on first read."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from sorkinlab import models
+
+        calls = []
+        kernel = models._conjugation_matrices
+
+        def counted(pis, basis):
+            calls.append(len(pis))
+            return kernel(pis, basis)
+
+        monkeypatch.setattr(models, "_conjugation_matrices", counted)
+        return calls
+
+    def test_complements_built_once_for_the_family(self, calls):
+        model = build_quantum_model(4)
+        filters = subset_filters(basis_projectors(4)[:3], model)
+        assert calls == [7]
+        first = filters[frozenset({2})].complement
+        assert calls == [7, 7]
+        for f in filters.values():
+            f.complement.matrix
+        assert filters[frozenset({2})].complement is first
+        assert calls == [7, 7]
+
+    def test_unread_complements_survive_pickling(self, calls):
+        model = build_quantum_model(3)
+        filters = subset_filters(basis_projectors(3), model)
+        copies = pickle.loads(pickle.dumps(filters))
+        for J, f in filters.items():
+            assert np.array_equal(copies[J].complement.matrix, f.complement.matrix)
+
+    def test_lueders_filter_complement_on_read(self, calls):
+        model = build_quantum_model(3)
+        f = lueders_filter(PSI_PROJ, model)
+        assert calls == [1]
+        f.complement
+        f.complement
+        assert calls == [1, 1]
+
+    def test_paper_checks_use_projections_only(self, calls):
+        model = build_quantum_model(3)
+        setup = sl.spin1_feynman_setup([0.48, -0.6, 0.64], [0, 0, 1])
+        ss = slit_system(model, subset_filters(list(setup.slit_projectors), model))
+        s = sl.random_state(model, seed=1)
+        r = sl.random_effect(model, seed=2)
+        sl.prop1_verify(ss, n_samples=5, seed=0)
+        sl.table_from_system(r, ss, s)
+        sl.tomography_roundtrip(model, ss, s, mode="sampled", shots=1000, seed=3)
+        detector = sl.models.measurement_from_matrices(list(setup.detector_effects), model)
+        sl.run_experiment(sl.ExperimentPlan(model, ss, detector, s, 1000, 4))
+        assert calls == [7]
 
 
 class TestSlitSystemConstruction:
