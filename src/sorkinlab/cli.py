@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -259,7 +260,7 @@ def cmd_interference(args) -> int:
         return 0
     model, named = resolve_model(args.model)
     ss = resolve_slits(args.slits, model, named)
-    if args.sweep:
+    if args.sweep is not None:
         sup_i3 = 0.0
         max_i2 = 0.0
         for i in range(resolve_count(args.sweep, "--sweep")):
@@ -404,10 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--state", default="random:0")
     sp.add_argument("--shots", type=int, default=100000)
     sp.add_argument("--spin1", action="store_true")
-    sp.add_argument("--b", default="0,0,1",
-                    help="filter axis bx,by,bz; write a leading minus as --b=-0.5,0,1")
-    sp.add_argument("--d", default="0,0,1",
-                    help="detector axis dx,dy,dz; write a leading minus as --d=-0.5,0,1")
+    sp.add_argument("--b", default="0,0,1", help="filter axis bx,by,bz")
+    sp.add_argument("--d", default="0,0,1", help="detector axis dx,dy,dz")
     sp.add_argument("--table", help="synthetic record from a raw table")
     sp.add_argument("--csv-out", dest="csv_out")
     sp.set_defaults(func=cmd_experiment)
@@ -416,12 +415,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 _parser: argparse.ArgumentParser | None = None
 
+_NUMBER = r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"
+_TRIPLE = re.compile(rf"{_NUMBER},{_NUMBER},{_NUMBER}")
+
+
+def _join_axes(argv: list[str]) -> list[str]:
+    """Write '--b x,y,z' and '--d x,y,z' as '--b=x,y,z': argparse reads a
+    value with a leading minus, as in '--b -0.5,0,1', as an option."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in ("--b", "--d") and _TRIPLE.fullmatch(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
 
 def main(argv=None) -> int:
     global _parser
     if _parser is None:  # built on the first call, then reused
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+    args = _parser.parse_args(_join_axes(sys.argv[1:] if argv is None else list(argv)))
     try:
         resolve_count(args.seed, "--seed")  # numpy seeds must be >= 0
         return args.func(args)

@@ -22,6 +22,11 @@ EPS_CONE = 1e-10   # eigenvalue / coordinate floor for cone membership
 EPS_RANK_REL = 1e-8  # singular-value cutoff, relative to the largest
 EPS_PROP = 1e-8    # verdict tolerance for the three-way equivalence check
 
+# Elements per batch of a batched computation's intermediates (256 KB of
+# float64): batching in chunks keeps a chunk's arrays near the per-core L2
+# cache and keeps peak memory independent of the number of matrices.
+CHUNK_ELEMENTS = 1 << 15
+
 
 class DimensionMismatch(ValueError):
     """Operands belong to spaces of different dimension."""
@@ -346,12 +351,30 @@ def validate_measurement(ms: Measurement, model: ModelSpace) -> ValidationReport
     )
 
 
+def support_mask(mats: np.ndarray) -> np.ndarray:
+    """Mask of the indices i where row i or column i of some matrix in a
+    stack (n, k, k) is nonzero.  Off it every matrix of the stack, and every
+    product of them, is exactly zero."""
+    nonzero = mats != 0
+    return nonzero.any(axis=(0, 1)) | nonzero.any(axis=(0, 2))
+
+
 def orthonormal_column_basis(mat: np.ndarray, rtol: float = EPS_RANK_REL) -> np.ndarray:
-    """Orthonormal basis for the column space of mat (SVD with relative cutoff)."""
-    u_, s_, _ = np.linalg.svd(mat, full_matrices=False)
+    """Orthonormal basis for the column space of mat (SVD with relative cutoff).
+
+    The SVD runs on the block of nonzero rows and columns; the basis vectors
+    are zero on the other rows, which no column of mat reaches.
+    """
+    nonzero = mat != 0
+    rows = np.flatnonzero(nonzero.any(axis=1))
+    cols = np.flatnonzero(nonzero.any(axis=0))
+    u_, s_, _ = np.linalg.svd(mat[rows[:, None], cols], full_matrices=False)
     if s_.size == 0 or s_[0] == 0.0:
         return np.zeros((mat.shape[0], 0))
-    return u_[:, s_ > rtol * s_[0]]
+    keep = s_ > rtol * s_[0]
+    basis = np.zeros((mat.shape[0], int(keep.sum())))
+    basis[rows] = u_[:, keep]
+    return basis
 
 
 def face_of(f: Filter) -> Face:
@@ -393,7 +416,8 @@ def random_effect(model: ModelSpace, seed) -> Effect:
     """A random valid effect, deterministic in the seed.
 
     Matrix models use a Haar-random eigenbasis with eigenvalues uniform in
-    [0, 1]; classical models draw coordinates uniform in [0, 1].
+    [0, 1]; classical models draw coordinates uniform in [0, 1]; custom cones
+    draw coordinates uniform in [0, 1] and map them into [0, u].
     """
     rng = np.random.default_rng(seed)
     kind = model.cone.kind
@@ -409,12 +433,14 @@ def random_effect(model: ModelSpace, seed) -> Effect:
         return Effect(model, model.embed(mat))
     if kind == "classical":
         return Effect(model, rng.uniform(0.0, 1.0, size=model.cone.n))
-    # custom cones: rescale a random functional so it stays in [0, u]
+    # custom cones: map a random functional affinely, e -> (e - lo u) / (hi - lo),
+    # so that g.e / g.u lies in [0, 1] on every generator g; a draw already
+    # in [0, u] is kept as it is
     coords = rng.uniform(0.0, 1.0, size=model.dimension)
     gens = model.cone.generators
     norms = gens @ model.order_unit
     vals = (gens @ coords) / norms
-    hi = float(vals.max())
-    if hi > 1.0:
-        coords = coords / hi
+    lo, hi = min(float(vals.min()), 0.0), max(float(vals.max()), 1.0)
+    if (lo, hi) != (0.0, 1.0):
+        coords = (coords - lo * model.order_unit) / (hi - lo)
     return Effect(model, coords)

@@ -11,6 +11,7 @@ from itertools import combinations
 import numpy as np
 
 from .gpt import (
+    CHUNK_ELEMENTS,
     EPS_PROJ,
     EPS_PROP,
     CheckResult,
@@ -25,6 +26,7 @@ from .gpt import (
     apply,
     random_effect,
     random_state,
+    support_mask,
 )
 
 PAIRS = (frozenset({1, 2}), frozenset({1, 3}), frozenset({2, 3}))
@@ -58,25 +60,42 @@ class SlitSystem:
         return self.derived[frozenset(J)]
 
     def validate(self) -> ValidationReport:
-        """Pairwise orthogonality plus the product relations P_J P_K = P_{J&K}."""
-        mats = {J: f.projection.matrix for J, f in self.derived.items()}
-        # each product P_J P_K is formed once: the single-slit pairs feed the
-        # orthogonality check and the squares the idempotence check
-        single_pairs = set(combinations(SINGLES, 2))
-        ortho = prod = idem = 0.0
-        m = self.model.dimension
-        for J in self.derived:
-            for K in self.derived:
-                pjk = mats[J] @ mats[K]
-                if (J, K) in single_pairs:
-                    ortho = max(ortho, np.linalg.norm(pjk, "fro"))
-                if J == K:
-                    rel = np.linalg.norm(pjk - mats[J], "fro") / max(
-                        1.0, np.linalg.norm(mats[J], "fro")
-                    )
-                    idem = max(idem, rel)
-                target = mats.get(J & K, np.zeros((m, m)))
-                prod = max(prod, np.linalg.norm(pjk - target, "fro"))
+        """Pairwise orthogonality plus the product relations P_J P_K = P_{J&K}.
+
+        The products are formed in batched matmuls on the joint support of
+        the filters, the rows and columns where some P_J is nonzero: outside
+        that block every product and its target are exactly zero.
+        """
+        keys = list(self.derived)
+        n = len(keys)
+        pos = {J: i for i, J in enumerate(keys)}
+        mats = np.stack([self.derived[J].projection.matrix for J in keys])
+        on = np.flatnonzero(support_mask(mats))
+        block = np.take(np.take(mats, on, axis=1), on, axis=2)
+        # resid[J, K] = ||P_J P_K - P_{J&K}||, the target being the zero matrix
+        # appended after the n filters when J & K is empty: its J = K entries
+        # give idempotence, its single-slit pairs orthogonality.  Rows J go in
+        # batches of CHUNK_ELEMENTS product entries.
+        targets = np.concatenate([block, np.zeros((1,) + block.shape[1:])])
+        target = np.array([[pos.get(J & K, n) for K in keys] for J in keys])
+        resid = np.empty((n, n))
+        rows = max(1, CHUNK_ELEMENTS // max(1, n * on.size**2))
+        for lo in range(0, n, rows):
+            diff = np.matmul(block[lo : lo + rows, None], block[None])
+            diff -= targets[target[lo : lo + rows]]
+            flat = diff.reshape(diff.shape[0], n, -1)
+            resid[lo : lo + rows] = np.sqrt(np.einsum("jki,jki->jk", flat, flat))
+        prod = resid.max()
+        norms = np.linalg.norm(block.reshape(n, -1), axis=1)
+        idem = (np.diagonal(resid) / np.maximum(1.0, norms)).max()
+        ortho = max(
+            (
+                resid[pos[J], pos[K]]
+                for J, K in combinations(SINGLES, 2)
+                if J in pos and K in pos
+            ),
+            default=0.0,
+        )
         return ValidationReport(
             "slit_system",
             (

@@ -16,6 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from .gpt import (
+    CHUNK_ELEMENTS,
     ConeDescriptor,
     DimensionMismatch,
     Effect,
@@ -27,6 +28,7 @@ from .gpt import (
     Transformation,
     probability,
     apply,
+    support_mask,
 )
 
 _ORTHO_TOL = 1e-10
@@ -120,13 +122,6 @@ def build_classical_model(n: int) -> ModelSpace:
     )
 
 
-# Elements of C per chunk of projectors (256 KB of float64; the largest
-# intermediates hold ~2.5x as many): chunking keeps a chunk's arrays near the
-# per-core L2 cache and keeps peak memory independent of the stack size.  At
-# d = 16 a chunk is one projector.
-_CHUNK_ELEMENTS = 1 << 15
-
-
 def _cmul(xr, xi, yr, yi):
     """Complex product from separately rounded real products, as numpy's
     einsum forms it (numpy's complex multiply may fuse them)."""
@@ -138,31 +133,54 @@ def _conjugation_matrices(pis: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
     Entry (j, k) is Re Tr(B_j Pi B_k Pi).  Both contractions run over the
     nonzero entries of the basis only (about 2.5 d^2 of them), so a matrix
-    costs O(d^4) instead of the dense O(d^6).
+    costs O(d^4) instead of the dense O(d^6).  They also skip the entries on
+    a row or column of Pi that is zero in every projector of the stack: all
+    their terms are exact zeros.  The support is read off the numbers, so a
+    dense stack keeps every entry, and a stack of basis projectors touches
+    a few rows of each m x m matrix.
 
     Every sum adds its terms to zero in np.nonzero order of its basis
     element, which is the order of numpy's dense einsum over complex
-    operands; the zero entries the dense sum also visits add exact zeros.
-    So for complex operands the result is byte-identical to the dense
-    formula, which matters because experiment.plan_hash hashes filter bytes.
-    With real operands the dense einsum reduces in SIMD lanes, so results
-    can differ from it in the last bit.
+    operands; the zero entries the dense sum also visits, skipped ones
+    included, add exact zeros.  So for complex operands the result is
+    byte-identical to the dense formula, which matters because
+    experiment.plan_hash hashes filter bytes.  With real operands the dense
+    einsum reduces in SIMD lanes, so results can differ from it in the last
+    bit.
     """
     n, d, _ = pis.shape
     m = basis.shape[0]
+    on = support_mask(pis)
+    k, row, col = np.nonzero(basis)
+    keep = on[row] & on[col]
+    k, row, col = k[keep], row[keep], col[keep]
+    if k.size == 0:
+        return np.zeros((n, m, m))
+    vr, vi = basis.real[k, row, col], np.imag(basis)[k, row, col]
+    # work on the support: rows and columns of Pi in its order, and the basis
+    # elements with an entry there (the other rows and columns of out stay 0)
+    used = np.zeros(m, dtype=bool)
+    used[k] = True
+    support, elements = np.flatnonzero(on), np.flatnonzero(used)
+    local = np.cumsum(on) - 1
+    row, col, k = local[row], local[col], (np.cumsum(used) - 1)[k]
+    s, r = support.size, elements.size
     # Entries sorted by (position within their element, element): step p of
     # every element's sequential sum is then one contiguous slice, and step 0
     # holds every element in order.
-    k, row, col = np.nonzero(basis)
     pos = np.arange(k.size) - np.searchsorted(k, k)
     order = np.lexsort((k, pos))
     k, row, col, pos = k[order], row[order], col[order], pos[order]
-    vr, vi = basis.real[k, row, col], np.imag(basis)[k, row, col]
+    vr, vi = vr[order], vi[order]
     bounds = np.searchsorted(pos, np.arange(1, pos[-1] + 2))
     later = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
-    out = np.empty((n, m, m))
-    chunk = max(1, _CHUNK_ELEMENTS // (d * d * m))
+    # C order: the products below follow the operands' memory layout
+    pis = np.ascontiguousarray(pis[:, support[:, None], support])
+    sub = np.empty((n, r, r))
+    # elements of C per chunk of projectors (the largest intermediates hold
+    # ~2.5x as many); at d = 16 with dense projectors a chunk is one projector
+    chunk = max(1, CHUNK_ELEMENTS // (s * s * r))
     for lo in range(0, n, chunk):
         p = pis[lo : lo + chunk]
         pr, pim = p.real, np.imag(p)
@@ -170,19 +188,23 @@ def _conjugation_matrices(pis: np.ndarray, basis: np.ndarray) -> np.ndarray:
         xr, xi = _cmul(pr[:, :, row], pim[:, :, row], vr, vi)
         yr, yi = pr.transpose(0, 2, 1)[:, :, col], pim.transpose(0, 2, 1)[:, :, col]
         tr, ti = _cmul(xr[:, :, None], xi[:, :, None], yr[:, None], yi[:, None])
-        # step 0 covers every element in order; later steps read columns >= m
-        cr, ci = tr[..., :m], ti[..., :m]
-        for s in later:
-            cr[..., k[s]] += tr[..., s]
-            ci[..., k[s]] += ti[..., s]
+        # step 0 covers every element in order; later steps read columns >= r
+        cr, ci = tr[..., :r], ti[..., :r]
+        for sl in later:
+            cr[..., k[sl]] += tr[..., sl]
+            ci[..., k[sl]] += ti[..., sl]
         # M[j, k] = sum_e Re(B_e C_k[col_e, row_e]), e over the entries of B_j
         terms = vr[:, None] * cr[:, col, row] - vi[:, None] * ci[:, col, row]
-        mats = out[lo : lo + chunk]
+        mats = sub[lo : lo + chunk]
         # start from +0.0 as the dense sum does, so no zero entry comes out as
         # -0.0 (the signs of zeros in C cannot reach the output past this)
-        np.add(terms[:, :m], 0.0, out=mats)
-        for s in later:
-            mats[:, k[s]] += terms[:, s]
+        np.add(terms[:, :r], 0.0, out=mats)
+        for sl in later:
+            mats[:, k[sl]] += terms[:, sl]
+    if r == m:
+        return sub
+    out = np.zeros((n, m, m))
+    out[:, elements[:, None], elements] = sub
     return out
 
 

@@ -102,10 +102,14 @@ def table_to_dict(t: ProbabilityTable) -> dict:
 
 
 def table_from_dict(d: dict) -> ProbabilityTable:
+    """Rebuild a table; raises ValueError on entries outside [0, 1]."""
     k = int(d["k"])
     entries = {
         frozenset(int(c) for c in key): float(p) for key, p in d["entries"].items()
     }
+    bad = sorted(subset_key(J) for J, p in entries.items() if not 0.0 <= p <= 1.0)
+    if bad:
+        raise ValueError("entries outside [0, 1]: " + ", ".join(bad))
     return ProbabilityTable(k, entries)
 
 

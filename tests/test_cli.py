@@ -101,6 +101,16 @@ def test_coords_file_of_wrong_dimension_is_input_error(capsys, tmp_path, kind):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["interference", "experiment"])
+def test_table_outside_unit_interval_is_input_error(capsys, tmp_path, command):
+    entries = {"1": 0.1, "2": 0.1, "3": -0.3, "12": 0.2, "13": 0.2, "23": 0.2, "123": 1.7}
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"k": 3, "entries": entries}))
+    code, out = run(capsys, command, "--table", str(path))
+    assert code == 2
+    assert out == ""
+
+
 class TestInterference:
     def test_qutrit_fixture_values(self, capsys):
         code, out = run(capsys, "interference")
@@ -119,6 +129,13 @@ class TestInterference:
         payload = json.loads(out)
         assert payload["sup_abs_i3"] < 1e-9
         assert payload["max_abs_i2"] > 0.0
+
+    def test_sweep_zero(self, capsys):
+        code, out = run(capsys, "interference", "--sweep", "0", "--seed", "7")
+        assert code == 0
+        assert json.loads(out) == {
+            "sweep": 0, "seed": 7, "sup_abs_i3": 0.0, "max_abs_i2": 0.0
+        }
 
     def test_raw_table_fixture(self, capsys):
         code, out = run(capsys, "interference", "--table", "fixture:0.6")
@@ -176,6 +193,15 @@ class TestExperiment:
         payload = json.loads(out)
         for entry in payload["estimate"]["per_outcome"]:
             assert abs(entry["z"]) < 5.0
+
+    def test_axis_with_leading_minus(self, capsys):
+        args = ["--state", "random:1", "--shots", "1000", "--seed", "2"]
+        code, out = run(capsys, "experiment", "--spin1", "--b", "-0.48,0.6,0.64",
+                        "--d", "-.6,0,8e-1", *args)
+        assert code == 0
+        _, joined = run(capsys, "experiment", "--spin1", "--b=-0.48,0.6,0.64",
+                        "--d=-.6,0,8e-1", *args)
+        assert out == joined
 
     def test_table_high_z(self, capsys):
         code, out = run(

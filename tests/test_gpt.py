@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sorkinlab as sl
+from sorkinlab.gpt import EPS_RANK_REL, orthonormal_column_basis
 from sorkinlab.models import (
     build_classical_model,
     build_quantum_model,
@@ -254,6 +255,45 @@ class TestFaceOf:
         np.testing.assert_allclose(
             face.projection_matrix @ face.image_basis, face.image_basis, atol=1e-9
         )
+
+
+class TestOrthonormalColumnBasis:
+    def test_zero_rows_and_columns(self):
+        # rank 2, nonzero only on rows {1, 4, 6} and columns {0, 2, 3, 5}
+        rng = np.random.default_rng(3)
+        mat = np.zeros((8, 6))
+        mat[np.ix_([1, 4, 6], [0, 2, 3, 5])] = (
+            rng.standard_normal((3, 2)) @ rng.standard_normal((2, 4))
+        )
+        q = orthonormal_column_basis(mat)
+        u, s, _ = np.linalg.svd(mat, full_matrices=False)
+        dense = u[:, s > EPS_RANK_REL * s[0]]
+        assert q.shape == dense.shape == (8, 2)
+        np.testing.assert_allclose(q.T @ q, np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(q @ q.T, dense @ dense.T, atol=1e-12)
+        assert not q[[0, 2, 3, 5, 7]].any()
+
+
+SQUARE_CONE = np.array([[1.0, a, b] for a in (1.0, -1.0) for b in (1.0, -1.0)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), cone_seed=st.none() | st.integers(0, 2**32 - 1))
+def test_custom_cone_effects_lie_between_zero_and_unit(seed, cone_seed):
+    # cone_seed None: the square cone; otherwise 3 to 6 random generators
+    # (1, x) with x in [-2, 2]^3, all with g.u = 1 for u = (1, 0, ..., 0)
+    if cone_seed is None:
+        gens = SQUARE_CONE
+    else:
+        rng = np.random.default_rng(cone_seed)
+        n = int(rng.integers(3, 7))
+        gens = np.column_stack([np.ones(n), rng.uniform(-2.0, 2.0, (n, 3))])
+    u = np.eye(gens.shape[1])[0]
+    model = sl.ModelSpace("custom", gens.shape[1], u, sl.ConeDescriptor("custom", generators=gens))
+    e = sl.random_effect(model, seed)
+    vals = (gens @ e.coords) / (gens @ u)
+    assert vals.min() >= -1e-12
+    assert vals.max() <= 1.0 + 1e-12
 
 
 class TestRandomGenerators:

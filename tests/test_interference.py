@@ -17,6 +17,7 @@ from sorkinlab.fixtures import (
 from sorkinlab.interference import (
     ProbabilityTable,
     all_subsets,
+    slit_system,
     table_from_filters,
     mutual_span_residual,
 )
@@ -31,6 +32,83 @@ from sorkinlab.gpt import orthonormal_column_basis
 
 def make_table(k, values):
     return ProbabilityTable(k, dict(zip(all_subsets(k), values)))
+
+
+def dense_validate(ss):
+    """Reference: the three slit-system residuals from the 49 products
+    P_J P_K of the full m x m matrices."""
+    mats = {J: f.projection.matrix for J, f in ss.derived.items()}
+    zero = np.zeros((ss.model.dimension,) * 2)
+    ortho = prod = idem = 0.0
+    for J in mats:
+        for K in mats:
+            pjk = mats[J] @ mats[K]
+            if len(J) == len(K) == 1 and min(J) < min(K):
+                ortho = max(ortho, np.linalg.norm(pjk, "fro"))
+            if J == K:
+                rel = np.linalg.norm(pjk - mats[J], "fro") / max(
+                    1.0, np.linalg.norm(mats[J], "fro")
+                )
+                idem = max(idem, rel)
+            prod = max(prod, np.linalg.norm(pjk - mats.get(J & K, zero), "fro"))
+    return ortho, prod, idem
+
+
+def basis_system(d):
+    model = build_quantum_model(d)
+    return slit_system(model, subset_filters(basis_projectors(d)[:3], model))
+
+
+def spin1_system():
+    model = build_quantum_model(3)
+    setup = sl.spin1_feynman_setup([0.48, -0.6, 0.64], [0, 0, 1])
+    return slit_system(model, subset_filters(list(setup.slit_projectors), model))
+
+
+class TestSlitSystemValidate:
+    """validate forms the products on the filters' joint support."""
+
+    @pytest.mark.parametrize(
+        "system",
+        [
+            lambda: basis_system(3),
+            lambda: basis_system(6),
+            lambda: basis_system(10),
+            spin1_system,
+            lambda: classical_fixture()[1],
+            lambda: real_qutrit_fixture()[1],
+            lambda: quantum4_subspace_fixture()[1],
+        ],
+        ids=["basis3", "basis6", "basis10", "spin1", "classical", "real", "q4-subspace"],
+    )
+    def test_matches_dense_products(self, system):
+        ss = system()
+        got = [c.residual for c in ss.validate().checks]
+        # The block sums the same nonzero terms as the dense products, in
+        # another order. Two orders of an m-term dot product differ by at
+        # most 2 m eps |x| |y|, so a product by at most 2 m eps ||P_J|| ||P_K||
+        # in Frobenius norm, and so does each residual; the factor 4 leaves
+        # room for the norms' own rounding.
+        m = ss.model.dimension
+        scale = max(1.0, *(np.linalg.norm(f.projection.matrix) for f in ss.derived.values()))
+        bound = 4 * m * np.finfo(float).eps * scale**2
+        for residual, reference in zip(got, dense_validate(ss)):
+            assert abs(residual - reference) <= bound
+
+    def test_bump_off_the_filters_support_fails(self):
+        # a bump on a coordinate where every filter is zero: the support is
+        # read off the perturbed matrices, so every check still sees it
+        ss = basis_system(6)
+        mats = np.stack([f.projection.matrix for f in ss.derived.values()])
+        off = np.flatnonzero(~mats.any(axis=(0, 1)) & ~mats.any(axis=(0, 2)))
+        assert off.size > 0
+        bump = np.zeros_like(mats[0])
+        bump[off[-1], off[-1]] = 1e-3
+        bad = ss.with_triple_perturbation(bump)
+        assert not bad.validate().passed
+        rep = sl.prop1_verify(bad, n_samples=50, seed=0)
+        assert rep.verdicts == (False, False, False)
+        assert rep.operator_gap == pytest.approx(1e-3, rel=1e-12)
 
 
 class TestTableFormulas:

@@ -145,6 +145,32 @@ class TestConjugationKernel:
         t = sl.conjugation_superoperator(pi, model)
         assert np.array_equal(t.matrix, dense_superoperator(pi, model))
 
+    def test_partial_support_byte_identical_to_dense(self):
+        # projectors that are dense on a coordinate subspace and zero off it:
+        # the kernel skips the basis entries off the stack's joint support
+        d = 6
+        model = build_quantum_model(d)
+        rng = np.random.default_rng(6)
+        pi = np.zeros((d, d), dtype=complex)
+        pi[np.ix_([0, 1, 4], [0, 1, 4])] = random_projector(3, 2, rng)
+        f = lueders_filter(pi, model)
+        assert np.array_equal(f.projection.matrix, dense_superoperator(pi, model))
+        assert np.array_equal(
+            f.complement.matrix, dense_superoperator(np.eye(d) - pi, model)
+        )
+        # a family whose members have different supports: {0, 1} twice, {4}
+        half = np.zeros((d, d), dtype=complex)
+        half[:2, :2] = random_projector(2, 1, rng)
+        rest = np.zeros((d, d), dtype=complex)
+        rest[:2, :2] = np.eye(2) - half[:2, :2]
+        pis = [half, rest, basis_projectors(d)[4]]
+        for J, f in subset_filters(pis, model).items():
+            pj = np.sum([pis[i - 1] for i in sorted(J)], axis=0)
+            assert np.array_equal(f.projection.matrix, dense_superoperator(pj, model))
+            assert np.array_equal(
+                f.complement.matrix, dense_superoperator(np.eye(d) - pj, model)
+            )
+
     @pytest.mark.parametrize("axis", [[0.48, -0.6, 0.64], [0, 0, 1]])
     def test_spin1_family_byte_identical_to_dense(self, axis):
         model = build_quantum_model(3)
