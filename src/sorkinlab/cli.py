@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import time
@@ -23,28 +24,27 @@ from .gpt import (
     Measurement,
     ModelSpace,
     State,
-    face_of,
-    probability,
     random_effect,
+    random_pairs,
     random_state,
     sample_states,
     validate_filter,
 )
 from .interference import (
-    PAIRS,
-    SINGLES,
-    TRIPLE,
+    InvalidSlitSystem,
     SlitSystem,
-    i2_from_table,
+    all_subsets,
     i3_from_table,
     i3_operator,
     ik_from_table,
+    pair_interference,
     prop1_verify,
     slit_system,
     subset_key,
     table_from_system,
 )
 from .models import (
+    basis_projectors,
     build_classical_model,
     build_quantum_model,
     build_real_quantum_model,
@@ -74,7 +74,7 @@ def resolve_model(spec: str) -> tuple[ModelSpace, dict]:
     if spec.endswith(".json"):
         try:
             return serialize.model_from_dict(_load_json(spec))
-        except (KeyError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad model file {spec}: {exc}") from exc
     kind, _, arg = spec.partition(":")
     try:
@@ -106,27 +106,31 @@ def resolve_slits(spec: str, model: ModelSpace, named_filters: dict) -> SlitSyst
             d = model.cone.d
             if d < 3:
                 raise InputError("basis slits need d >= 3")
-            eye = np.eye(d, dtype=complex if model.cone.kind == "quantum" else float)
-            pis = [np.outer(eye[:, i], eye[:, i].conj()) for i in range(3)]
+            dtype = complex if model.cone.kind == "quantum" else float
+            pis = basis_projectors(d, dtype)[:3]
             return slit_system(model, subset_filters(pis, model))
         raise InputError("basis slits are not defined for custom cones")
     if spec.startswith("spin1:"):
-        axis = _parse_vec3(spec.split(":", 1)[1])
-        setup = spin1_feynman_setup(axis, axis)
-        return slit_system(model, subset_filters(list(setup.slit_projectors), model))
+        return _spin1_system(model, spec.split(":", 1)[1])[0]
     if spec == "from-model":
-        keys = {subset_key(J) for J in SINGLES + PAIRS + (TRIPLE,)}
-        if not keys <= set(named_filters):
-            raise InputError(
-                "model file must name filters " + ", ".join(sorted(keys))
-            )
-        filters = {
-            frozenset(int(c) for c in name): f
-            for name, f in named_filters.items()
-            if name in keys
-        }
-        return slit_system(model, filters)
+        names = {subset_key(J): J for J in all_subsets(3)}
+        if not names.keys() <= named_filters.keys():
+            raise InputError("model file must name filters " + ", ".join(sorted(names)))
+        return slit_system(model, {J: named_filters[name] for name, J in names.items()})
     raise InputError(f"unknown slit spec {spec!r}")
+
+
+def _spin1_system(model: ModelSpace, b: str, d: str | None = None):
+    """The slit system of spin-1 slits along axis b and the spin-1 setup with
+    detector axis d (default b); both need the quantum:3 model."""
+    if model.cone.kind != "quantum" or model.cone.d != 3:
+        raise InputError("spin-1 slits need --model quantum:3")
+    axis = _parse_vec3(b)
+    try:
+        setup = spin1_feynman_setup(axis, axis if d is None else _parse_vec3(d))
+    except ValueError as exc:  # an axis whose norm over- or underflows
+        raise InputError(str(exc)) from exc
+    return slit_system(model, subset_filters(list(setup.slit_projectors), model)), setup
 
 
 def _parse_vec3(text: str) -> np.ndarray:
@@ -138,6 +142,8 @@ def _parse_vec3(text: str) -> np.ndarray:
     except ValueError:
         raise InputError(f"bad vector {text!r}")
     norm = np.linalg.norm(v)
+    if not math.isfinite(norm):
+        raise InputError(f"vector {text!r} has no finite length")
     if norm == 0:
         raise InputError("axis must be nonzero")
     return v / norm
@@ -148,12 +154,16 @@ def _coords_from_file(spec: str, model: ModelSpace) -> np.ndarray:
     d = _load_json(spec)
     try:
         if "coords" in d:
-            return np.array(d["coords"], dtype=float)
-        if "re" in d:
-            return model.embed(serialize.hermitian_from_dict(d))
+            coords = np.array(d["coords"], dtype=float)
+        elif "re" in d:
+            coords = model.embed(serialize.hermitian_from_dict(d))
+        else:
+            raise InputError(f"file {spec} needs 'coords' or 're'/'im'")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad file {spec}: {exc}") from exc
-    raise InputError(f"file {spec} needs 'coords' or 're'/'im'")
+    if not np.isfinite(coords).all():
+        raise InputError(f"file {spec} has coordinates that are not finite")
+    return coords
 
 
 def _require_dimension(coords: np.ndarray, model: ModelSpace, spec: str) -> np.ndarray:
@@ -174,34 +184,32 @@ def _random_seed(spec: str) -> int:
     return resolve_count(seed, "random:<seed>")
 
 
-def resolve_state(spec: str, model: ModelSpace) -> State:
+def _resolve_vector(spec: str, model: ModelSpace, kind, draw):
+    """'fixture:qutrit', 'random:<seed>' or a JSON file as a kind (State or
+    Effect); draw makes the random ones."""
     if spec == "fixture:qutrit":
-        s = fixtures.qutrit_fixture()[2]
-        _require_dimension(s.coords, model, spec)
-        return s
+        v = fixtures.qutrit_fixture()[2 if kind is State else 3]
+        _require_dimension(v.coords, model, spec)
+        return v
+    if spec.startswith("random:"):
+        return draw(model, seed=_random_seed(spec))
+    if spec.endswith(".json"):
+        return kind(model, _require_dimension(_coords_from_file(spec, model), model, spec))
+    raise InputError(f"unknown {kind.__name__.lower()} spec {spec!r}")
+
+
+def resolve_state(spec: str, model: ModelSpace) -> State:
     if spec == "uniform":
         if model.cone.kind != "classical":
             raise InputError("'uniform' is a classical fixture")
         return State(model, np.full(model.dimension, 1.0 / model.dimension))
-    if spec.startswith("random:"):
-        return random_state(model, seed=_random_seed(spec))
-    if spec.endswith(".json"):
-        return State(model, _require_dimension(_coords_from_file(spec, model), model, spec))
-    raise InputError(f"unknown state spec {spec!r}")
+    return _resolve_vector(spec, model, State, random_state)
 
 
 def resolve_effect(spec: str, model: ModelSpace) -> Effect:
-    if spec == "fixture:qutrit":
-        e = fixtures.qutrit_fixture()[3]
-        _require_dimension(e.coords, model, spec)
-        return e
-    if spec.startswith("random:"):
-        return random_effect(model, seed=_random_seed(spec))
     if spec == "order-unit":
         return Effect(model, model.order_unit.copy())
-    if spec.endswith(".json"):
-        return Effect(model, _require_dimension(_coords_from_file(spec, model), model, spec))
-    raise InputError(f"unknown effect spec {spec!r}")
+    return _resolve_vector(spec, model, Effect, random_effect)
 
 
 def resolve_count(n: int, name: str) -> int:
@@ -215,7 +223,7 @@ def resolve_table(spec: str):
         return fixtures.table_06()
     try:
         return serialize.table_from_dict(_load_json(spec))
-    except (KeyError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad table file {spec}: {exc}") from exc
 
 
@@ -231,15 +239,10 @@ def emit(payload: dict, args) -> None:
 def cmd_validate(args) -> int:
     n_samples = resolve_count(args.samples, "--samples")
     model, named = resolve_model(args.model)
-    try:
-        ss = resolve_slits(args.slits, model, named)
-    except ValueError as exc:
-        # constructed but invalid filters: a validation failure, not bad input
-        print(serialize.dumps({"passed": False, "error": str(exc)}))
-        return 1
+    ss = resolve_slits(args.slits, model, named)
     states = sample_states(model, n_samples, args.seed)
     reports = [ss.validate().to_dict()]
-    for J in SINGLES + PAIRS + (TRIPLE,):
+    for J in all_subsets(ss.k):
         rep = validate_filter(ss.derived[J], model, states=states)
         d = rep.to_dict()
         d["subject"] = f"filter_{subset_key(J)}"
@@ -263,15 +266,10 @@ def cmd_interference(args) -> int:
     if args.sweep is not None:
         sup_i3 = 0.0
         max_i2 = 0.0
-        for i in range(resolve_count(args.sweep, "--sweep")):
-            s = random_state(model, seed=[args.seed, i, 0])
-            r = random_effect(model, seed=[args.seed, i, 1])
+        for s, r in random_pairs(model, resolve_count(args.sweep, "--sweep"), args.seed):
             t = table_from_system(r, ss, s)
             sup_i3 = max(sup_i3, abs(i3_from_table(t)))
-            for a, b in ((1, 2), (1, 3), (2, 3)):
-                max_i2 = max(
-                    max_i2, abs(i2_from_table(t[{a, b}], t[{a}], t[{b}]))
-                )
+            max_i2 = max(max_i2, *map(abs, pair_interference(t).values()))
         emit({"sweep": args.sweep, "seed": args.seed,
               "sup_abs_i3": sup_i3, "max_abs_i2": max_i2}, args)
         return 0
@@ -279,10 +277,7 @@ def cmd_interference(args) -> int:
     r = resolve_effect(args.effect, model)
     t = table_from_system(r, ss, s)
     payload = {
-        "i2": {
-            f"{a}{b}": i2_from_table(t[{a, b}], t[{a}], t[{b}])
-            for a, b in ((1, 2), (1, 3), (2, 3))
-        },
+        "i2": {subset_key(J): i2 for J, i2 in pair_interference(t).items()},
         "i3_table": i3_from_table(t),
         "i3_operator": i3_operator(r, ss, s),
         "table": serialize.table_to_dict(t),
@@ -302,6 +297,8 @@ def cmd_prop1(args) -> int:
 
 def cmd_tomography(args) -> int:
     model, named = resolve_model(args.model)
+    if model.cone.kind == "custom":
+        raise InputError("tomography has no measurement family for custom cones")
     ss = resolve_slits(args.slits, model, named)
     s = resolve_state(args.state, model)
     result = tomography_roundtrip(
@@ -314,52 +311,38 @@ def cmd_tomography(args) -> int:
 def cmd_experiment(args) -> int:
     shots = resolve_count(args.shots, "--shots")
     if args.table:
-        t = resolve_table(args.table)
-        record = record_from_table(t, shots, args.seed)
-        est = estimate_i3(record)
-        payload = {"estimate": est.to_dict(), "record": serialize.record_to_dict(record)}
-        _write_record_csv(args, record)
-        emit(payload, args)
-        return 0
-    model, named = resolve_model(args.model)
-    if args.spin1:
-        if model.cone.kind != "quantum" or model.cone.d != 3:
-            raise InputError("--spin1 requires --model quantum:3")
-        setup = spin1_feynman_setup(_parse_vec3(args.b), _parse_vec3(args.d))
-        ss = slit_system(model, subset_filters(list(setup.slit_projectors), model))
-        detector = measurement_from_matrices(list(setup.detector_effects), model)
+        record = record_from_table(resolve_table(args.table), shots, args.seed)
     else:
-        ss = resolve_slits(args.slits, model, named)
-        if model.cone.kind == "classical":
-            eye = np.eye(model.dimension)
-            detector = Measurement(
-                model, tuple(Effect(model, eye[i]) for i in range(model.dimension))
-            )
+        model, named = resolve_model(args.model)
+        if args.spin1:
+            ss, setup = _spin1_system(model, args.b, args.d)
+            detector = measurement_from_matrices(list(setup.detector_effects), model)
         else:
-            d = model.cone.d
-            eye = np.eye(d, dtype=complex)
-            detector = measurement_from_matrices(
-                [np.outer(eye[:, i], eye[:, i].conj()) for i in range(d)], model
-            )
-    s = resolve_state(args.state, model)
-    plan = ExperimentPlan(
-        model=model,
-        slits=ss,
-        detector_measurement=detector,
-        source_state=s,
-        shots_per_setting=shots,
-        seed=args.seed,
-    )
-    record = run_experiment(plan)
-    est = estimate_i3(record)
-    _write_record_csv(args, record)
-    emit({"estimate": est.to_dict(), "record": serialize.record_to_dict(record)}, args)
-    return 0
-
-
-def _write_record_csv(args, record) -> None:
-    if getattr(args, "csv_out", None):
+            ss = resolve_slits(args.slits, model, named)
+            if model.cone.kind == "classical":
+                eye = np.eye(model.dimension)
+                detector = Measurement(model, tuple(Effect(model, e) for e in eye))
+            elif model.basis is not None:
+                detector = measurement_from_matrices(basis_projectors(model.cone.d), model)
+            else:
+                raise InputError("experiments on custom cones take a --table")
+        plan = ExperimentPlan(
+            model=model,
+            slits=ss,
+            detector_measurement=detector,
+            source_state=resolve_state(args.state, model),
+            shots_per_setting=shots,
+            seed=args.seed,
+        )
+        try:
+            record = run_experiment(plan)
+        except ValueError as exc:  # a source state giving probabilities outside [0, 1]
+            raise InputError(str(exc)) from exc
+    if args.csv_out:
         Path(args.csv_out).write_text(serialize.record_to_csv(record))
+    emit({"estimate": estimate_i3(record).to_dict(), "record": serialize.record_to_dict(record)},
+         args)
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -442,6 +425,10 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvalidSlitSystem as exc:
+        # constructed but invalid filters: a validation failure, not bad input
+        print(serialize.dumps({"passed": False, "error": str(exc)}))
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
-"""Seeded Monte Carlo simulation of the seven-setting three-slit experiment
-and statistical estimation of the third-order interference from counts.
+"""Seeded Monte Carlo simulation of the k-slit experiment, one setting per
+nonempty slit subset (seven for three slits), and statistical estimation of
+the order-k interference from counts.
 """
 
 from __future__ import annotations
@@ -16,21 +17,15 @@ from .gpt import (
     State,
     probability,
     apply,
+    with_blocked,
 )
 from .interference import (
-    PAIRS,
-    SINGLES,
-    TRIPLE,
     ProbabilityTable,
     SlitSystem,
     all_subsets,
+    signed_subset_sum,
     subset_key,
 )
-
-# Fixed setting order so seed substreams are stable across runs.
-SETTING_ORDER = SINGLES + PAIRS + (TRIPLE,)
-
-BLOCKED = "blocked"
 
 
 @dataclass(eq=False)
@@ -54,10 +49,7 @@ class ExperimentPlan:
                 f"setting {subset_key(J)} produced probabilities outside [0, 1]; "
                 "model and plan are inconsistent"
             )
-        probs = np.clip(probs, 0.0, None)
-        blocked = max(0.0, 1.0 - probs.sum())
-        full = np.append(probs, blocked)
-        return full / full.sum()
+        return with_blocked(probs)
 
 
 @dataclass(eq=False)
@@ -68,6 +60,13 @@ class ExperimentRecord:
     shots_per_setting: int
     seed: int
     plan_hash: str
+
+    @property
+    def settings(self) -> list[frozenset]:
+        """Every nonempty subset of the slits 1..k in setting order (the order
+        of the seed substreams): k >= 2 is the least with 2^k - 1 settings or
+        more."""
+        return all_subsets(max(2, len(self.counts).bit_length()))
 
     @property
     def n_outcomes(self) -> int:
@@ -85,7 +84,7 @@ def plan_hash(plan: ExperimentPlan) -> str:
     h.update(np.ascontiguousarray(plan.source_state.coords).tobytes())
     for e in plan.detector_measurement.effects:
         h.update(np.ascontiguousarray(e.coords).tobytes())
-    for J in SETTING_ORDER:
+    for J in all_subsets(plan.slits.k):
         h.update(np.ascontiguousarray(plan.slits.derived[J].projection.matrix).tobytes())
     h.update(str((plan.shots_per_setting, plan.seed)).encode())
     return h.hexdigest()[:16]
@@ -96,15 +95,13 @@ def simulate_setting(plan: ExperimentPlan, J) -> np.ndarray:
     (seed, setting)."""
     J = frozenset(J)
     full = plan.setting_probabilities(J)
-    idx = SETTING_ORDER.index(J)
+    idx = all_subsets(plan.slits.k).index(J)
     rng = np.random.default_rng([plan.seed, idx])
-    if plan.shots_per_setting == 0:
-        return np.zeros(len(full), dtype=np.int64)
     return rng.multinomial(plan.shots_per_setting, full)
 
 
 def run_experiment(plan: ExperimentPlan) -> ExperimentRecord:
-    counts = {J: simulate_setting(plan, J) for J in SETTING_ORDER}
+    counts = {J: simulate_setting(plan, J) for J in all_subsets(plan.slits.k)}
     return ExperimentRecord(
         counts=counts,
         shots_per_setting=plan.shots_per_setting,
@@ -113,23 +110,16 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentRecord:
     )
 
 
-def record_from_table(
-    table: ProbabilityTable, shots: int, seed: int, n_outcomes: int = 1
-) -> ExperimentRecord:
+def record_from_table(table: ProbabilityTable, shots: int, seed: int) -> ExperimentRecord:
     """Synthetic record from a raw probability table: outcome 0 fires with the
     tabulated probability, everything else is blocked."""
     table.require_complete()
-    if table.k != 3:
-        raise ValueError("synthetic records support k = 3 tables")
     counts = {}
-    for idx, J in enumerate(SETTING_ORDER):
+    for idx, J in enumerate(all_subsets(table.k)):
         p = min(max(table.entries[J], 0.0), 1.0)
         rng = np.random.default_rng([seed, idx])
         hit = rng.binomial(shots, p) if shots > 0 else 0
-        row = np.zeros(n_outcomes + 1, dtype=np.int64)
-        row[0] = hit
-        row[-1] = shots - hit
-        counts[J] = row
+        counts[J] = np.array([hit, shots - hit], dtype=np.int64)
     entries = sorted((subset_key(J), p) for J, p in table.entries.items())
     h = hashlib.sha256(str((entries, shots, seed)).encode())
     return ExperimentRecord(counts, shots, seed, h.hexdigest()[:16])
@@ -137,7 +127,8 @@ def record_from_table(
 
 @dataclass(eq=False)
 class I3Estimate:
-    """Per-detector-outcome point estimates of I3 with standard errors."""
+    """Per-detector-outcome point estimates of I_k (I3 for three slits) with
+    standard errors."""
 
     estimates: np.ndarray
     standard_errors: np.ndarray
@@ -159,22 +150,20 @@ class I3Estimate:
 
 
 def estimate_i3(record: ExperimentRecord) -> I3Estimate:
-    """Empirical third-order interference per detector outcome.
+    """Empirical order-k interference per detector outcome, k being the
+    largest setting of the record (third order for three slits).
 
     Each setting uses an independent sub-ensemble, so the variance is the
     sum of the per-setting binomial variances.
     """
-    for J in all_subsets(3):
-        if frozenset(J) not in record.counts:
+    settings = record.settings
+    for J in settings:
+        if J not in record.counts:
             raise KeyError(f"record is missing setting {subset_key(J)}")
     n_out = record.n_outcomes
     shots = record.shots_per_setting
-    freqs = {J: record.frequencies(J)[:n_out] for J in SETTING_ORDER}
-    est = (
-        freqs[TRIPLE]
-        - sum(freqs[J] for J in PAIRS)
-        + sum(freqs[J] for J in SINGLES)
-    )
+    freqs = {J: record.frequencies(J)[:n_out] for J in settings}
+    est = signed_subset_sum(freqs, len(settings[-1]))
     if shots > 0:
         var = sum(f * (1.0 - f) / shots for f in freqs.values())
         se = np.sqrt(var)
@@ -190,6 +179,6 @@ def estimate_i3(record: ExperimentRecord) -> I3Estimate:
         chi_square=float(np.sum(z**2)),
         degenerate=degenerate,
         frequency_tables={
-            subset_key(J): record.frequencies(J).tolist() for J in SETTING_ORDER
+            subset_key(J): record.frequencies(J).tolist() for J in settings
         },
     )

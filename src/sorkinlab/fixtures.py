@@ -10,8 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from .gpt import Effect, State
-from .interference import ProbabilityTable, SlitSystem, slit_system
+from .interference import ProbabilityTable, slit_system
 from .models import (
+    basis_projectors,
     build_classical_model,
     build_quantum_model,
     build_real_quantum_model,
@@ -22,27 +23,18 @@ from .models import (
 )
 
 
-def basis_projectors(d: int):
-    eye = np.eye(d, dtype=complex)
-    return [np.outer(eye[:, i], eye[:, i].conj()) for i in range(d)]
-
-
-def qutrit_fixture():
-    """(model, slit system, state, effect) for the equal-superposition qutrit."""
-    model = build_quantum_model(3)
-    ss = slit_system(model, subset_filters(basis_projectors(3), model))
-    psi = np.ones(3, dtype=complex) / np.sqrt(3.0)
+def qutrit_fixture(dtype=complex):
+    """(model, slit system, state, effect) for the equal-superposition qutrit;
+    dtype=float gives the real_quantum:3 one."""
+    model = (build_quantum_model if dtype is complex else build_real_quantum_model)(3)
+    ss = slit_system(model, subset_filters(basis_projectors(3, dtype), model))
+    psi = np.ones(3, dtype=dtype) / np.sqrt(3.0)
     proj = np.outer(psi, psi.conj())
     return model, ss, state_from_matrix(proj, model), effect_from_matrix(proj, model)
 
 
 def real_qutrit_fixture():
-    model = build_real_quantum_model(3)
-    pis = [np.diag([1.0 if j == i else 0.0 for j in range(3)]) for i in range(3)]
-    ss = slit_system(model, subset_filters(pis, model))
-    psi = np.ones(3) / np.sqrt(3.0)
-    proj = np.outer(psi, psi)
-    return model, ss, state_from_matrix(proj, model), effect_from_matrix(proj, model)
+    return qutrit_fixture(float)
 
 
 def classical_fixture():

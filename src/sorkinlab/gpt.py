@@ -9,7 +9,7 @@ the trace pairing exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -110,9 +110,6 @@ class State:
     def normalization(self) -> float:
         return float(self.model.order_unit @ self.coords)
 
-    def is_normalized(self, tol: float = EPS_TOL) -> bool:
-        return abs(self.normalization - 1.0) <= tol
-
 
 @dataclass(frozen=True, eq=False)
 class Effect:
@@ -123,9 +120,6 @@ class Effect:
 @dataclass(frozen=True, eq=False)
 class Transformation:
     matrix: np.ndarray
-
-    def __matmul__(self, other: "Transformation") -> "Transformation":
-        return Transformation(self.matrix @ other.matrix)
 
 
 class _BuiltOnFirstRead:
@@ -246,6 +240,14 @@ def conditional_state(op_branch: Transformation, e_branch: Effect, s: State) -> 
         raise ZeroProbabilityOutcome(f"outcome has zero probability (p={p:.3e})")
     scale = s.normalization / p
     return State(s.model, scale * (op_branch.matrix @ s.coords))
+
+
+def with_blocked(probs: np.ndarray) -> np.ndarray:
+    """Outcome probabilities, clipped at 0 and completed by the blocked (not
+    passed) event as the last entry, normalized to sum 1."""
+    probs = np.clip(probs, 0.0, None)
+    full = np.append(probs, max(0.0, 1.0 - probs.sum()))
+    return full / full.sum()
 
 
 def _rel_fro(mat: np.ndarray, ref: np.ndarray) -> float:
@@ -386,6 +388,12 @@ def face_of(f: Filter) -> Face:
     return Face(P, basis, basis.shape[1])
 
 
+def _ginibre(model: ModelSpace, rng) -> np.ndarray:
+    """A d x d Gaussian matrix, complex for quantum models."""
+    g = rng.standard_normal((model.cone.d,) * 2)
+    return g + 1j * rng.standard_normal(g.shape) if model.cone.kind == "quantum" else g
+
+
 def random_state(model: ModelSpace, seed) -> State:
     """A normalized random state, deterministic in the seed.
 
@@ -395,10 +403,7 @@ def random_state(model: ModelSpace, seed) -> State:
     rng = np.random.default_rng(seed)
     kind = model.cone.kind
     if kind in ("quantum", "real_quantum"):
-        d = model.cone.d
-        g = rng.standard_normal((d, d))
-        if kind == "quantum":
-            g = g + 1j * rng.standard_normal((d, d))
+        g = _ginibre(model, rng)
         rho = g @ g.conj().T
         rho /= np.trace(rho).real
         return State(model, model.embed(rho))
@@ -412,6 +417,13 @@ def random_state(model: ModelSpace, seed) -> State:
     return State(model, coords / norm)
 
 
+def random_pairs(model: ModelSpace, n: int, seed: int):
+    """n random (state, effect) pairs; pair i is drawn from the substreams
+    [seed, i, 0] and [seed, i, 1]."""
+    for i in range(n):
+        yield random_state(model, seed=[seed, i, 0]), random_effect(model, seed=[seed, i, 1])
+
+
 def random_effect(model: ModelSpace, seed) -> Effect:
     """A random valid effect, deterministic in the seed.
 
@@ -422,13 +434,9 @@ def random_effect(model: ModelSpace, seed) -> Effect:
     rng = np.random.default_rng(seed)
     kind = model.cone.kind
     if kind in ("quantum", "real_quantum"):
-        d = model.cone.d
-        g = rng.standard_normal((d, d))
-        if kind == "quantum":
-            g = g + 1j * rng.standard_normal((d, d))
-        q, r = np.linalg.qr(g)
+        q, r = np.linalg.qr(_ginibre(model, rng))
         q = q * np.sign(np.diagonal(r))
-        lam = rng.uniform(0.0, 1.0, size=d)
+        lam = rng.uniform(0.0, 1.0, size=model.cone.d)
         mat = (q * lam) @ q.conj().T
         return Effect(model, model.embed(mat))
     if kind == "classical":

@@ -6,6 +6,7 @@ and the three-way equivalence check for slit systems.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -24,37 +25,61 @@ from .gpt import (
     orthonormal_column_basis,
     probability,
     apply,
-    random_effect,
-    random_state,
+    random_pairs,
     support_mask,
 )
-
-PAIRS = (frozenset({1, 2}), frozenset({1, 3}), frozenset({2, 3}))
-SINGLES = (frozenset({1}), frozenset({2}), frozenset({3}))
-TRIPLE = frozenset({1, 2, 3})
 
 
 def subset_key(J: frozenset) -> str:
     return "".join(str(i) for i in sorted(J))
 
 
-def all_subsets(k: int) -> list[frozenset]:
-    out = []
-    for r in range(1, k + 1):
-        out.extend(frozenset(J) for J in combinations(range(1, k + 1), r))
-    return out
+# Cached, as immutable tuples: every slit setting of a run looks its order up.
+@cache
+def subsets_of_size(k: int, r: int) -> tuple[frozenset, ...]:
+    """The r-element subsets of 1..k in lexicographic order."""
+    return tuple(frozenset(J) for J in combinations(range(1, k + 1), r))
+
+
+@cache
+def all_subsets(k: int) -> tuple[frozenset, ...]:
+    """The nonempty subsets of 1..k by size, then lexicographically: the
+    order of slit settings and of their seed substreams."""
+    return tuple(J for r in range(1, k + 1) for J in subsets_of_size(k, r))
+
+
+def signed_subset_sum(terms: dict, k: int):
+    """Sorkin's alternating sum over the nonempty subsets J of 1..k,
+    sum over r = k..1 of (-1)^(k-r) sum_{|J|=r} terms[J].
+
+    Each size group is summed in all_subsets order and added to (odd k - r:
+    subtracted from) a running total that starts at 0.0; this order is part
+    of the output bytes.  Subsets missing from terms count as zero.  Terms
+    may be floats or arrays.
+    """
+    total = 0.0
+    for r in range(k, 0, -1):
+        group = sum(terms[J] for J in subsets_of_size(k, r) if J in terms)
+        total = total - group if (k - r) % 2 else total + group
+    return total
 
 
 @dataclass(eq=False)
 class SlitSystem:
-    """Three pairwise-orthogonal filters and their seven subset joins."""
+    """k pairwise-orthogonal filters and the joins of every nonempty subset
+    of them, keyed by subset of 1..k; k is read from their number."""
 
     model: ModelSpace
-    derived: dict  # frozenset -> Filter, 7 entries
+    derived: dict  # frozenset -> Filter, 2^k - 1 entries
 
     @property
-    def singles(self) -> tuple[Filter, Filter, Filter]:
-        return tuple(self.derived[J] for J in SINGLES)
+    def k(self) -> int:
+        return len(self.derived).bit_length()
+
+    @property
+    def top(self) -> frozenset:
+        """The subset of all k slits."""
+        return frozenset(range(1, self.k + 1))
 
     def filter_for(self, J) -> Filter:
         return self.derived[frozenset(J)]
@@ -88,13 +113,9 @@ class SlitSystem:
         prod = resid.max()
         norms = np.linalg.norm(block.reshape(n, -1), axis=1)
         idem = (np.diagonal(resid) / np.maximum(1.0, norms)).max()
+        singles = [J for J in keys if len(J) == 1]
         ortho = max(
-            (
-                resid[pos[J], pos[K]]
-                for J, K in combinations(SINGLES, 2)
-                if J in pos and K in pos
-            ),
-            default=0.0,
+            (resid[pos[J], pos[K]] for J, K in combinations(singles, 2)), default=0.0
         )
         return ValidationReport(
             "slit_system",
@@ -106,26 +127,34 @@ class SlitSystem:
         )
 
     def with_triple_perturbation(self, bump: np.ndarray) -> "SlitSystem":
-        """Copy of the system with the three-slit filter shifted by a matrix.
+        """Copy of the system with its all-slit filter P_[k] shifted by a matrix.
 
         Used to probe how the equivalence checks react to a defective
-        P_123; the perturbed system will no longer validate.
+        P_[k]; the perturbed system will no longer validate.
         """
-        f = self.derived[TRIPLE]
+        f = self.derived[self.top]
         new = dict(self.derived)
-        new[TRIPLE] = replace(
+        new[self.top] = replace(
             f, projection=Transformation(f.projection.matrix + bump)
         )
         return SlitSystem(self.model, new)
 
 
+class InvalidSlitSystem(ValueError):
+    """A filter family that fails the slit-system checks."""
+
+
 def slit_system(model: ModelSpace, filters: dict) -> SlitSystem:
     """Wrap and validate a full subset-filter family as a slit system."""
     ss = SlitSystem(model, {frozenset(J): f for J, f in filters.items()})
+    if set(ss.derived) != set(all_subsets(ss.k)):
+        raise ValueError("filters must be keyed by every nonempty subset of 1..k")
     report = ss.validate()
     if not report.passed:
         worst = max(report.checks, key=lambda c: c.residual / c.tolerance)
-        raise ValueError(f"slit system failed validation: {worst.name} residual {worst.residual:.3e}")
+        raise InvalidSlitSystem(
+            f"slit system failed validation: {worst.name} residual {worst.residual:.3e}"
+        )
     return ss
 
 
@@ -159,16 +188,19 @@ def i2_from_table(p12: float, p1: float, p2: float) -> float:
     return p12 - p1 - p2
 
 
+def pair_interference(t: ProbabilityTable) -> dict:
+    """I2 of every slit pair of a table, keyed by pair."""
+    return {
+        J: i2_from_table(t[J], *(t[{i}] for i in sorted(J)))
+        for J in subsets_of_size(t.k, 2)
+    }
+
+
 def i3_from_table(t: ProbabilityTable) -> float:
     """Third-order interference of a complete 3-slit table."""
     if t.k != 3:
         raise ValueError("table order must be 3")
-    t.require_complete()
-    return (
-        t[{1, 2, 3}]
-        - (t[{1, 2}] + t[{1, 3}] + t[{2, 3}])
-        + (t[{1}] + t[{2}] + t[{3}])
-    )
+    return ik_from_table(t)
 
 
 def ik_from_table(t: ProbabilityTable) -> float:
@@ -177,14 +209,7 @@ def ik_from_table(t: ProbabilityTable) -> float:
     if t.k < 2:
         raise ValueError("hierarchy starts at k = 2")
     t.require_complete()
-    # grouped by subset size so the k = 3 case reproduces i3_from_table exactly
-    total = 0.0
-    for r in range(t.k, 0, -1):
-        subtotal = sum(
-            t.entries[frozenset(J)] for J in combinations(range(1, t.k + 1), r)
-        )
-        total += (-1.0) ** (t.k - r) * subtotal
-    return total
+    return signed_subset_sum(t.entries, t.k)
 
 
 def table_from_filters(
@@ -199,38 +224,38 @@ def table_from_filters(
 
 
 def table_from_system(r: Effect, ss: SlitSystem, s: State) -> ProbabilityTable:
-    return table_from_filters(r, ss.derived, s, 3)
+    return table_from_filters(r, ss.derived, s, ss.k)
 
 
 def p3_operator(ss: SlitSystem) -> Transformation:
-    """The signed sum P12 + P13 + P23 - P1 - P2 - P3 (an idempotent map)."""
-    mats = {J: ss.derived[J].projection.matrix for J in ss.derived}
-    total = sum(mats[J] for J in PAIRS) - sum(mats[J] for J in SINGLES)
-    return Transformation(total)
+    """Minus the signed sum over the proper subsets of the slits; at k = 3
+    P12 + P13 + P23 - P1 - P2 - P3 (an idempotent map)."""
+    proper = {J: f.projection.matrix for J, f in ss.derived.items() if J != ss.top}
+    return Transformation(-signed_subset_sum(proper, ss.k))
 
 
 def defect_operator(ss: SlitSystem) -> Transformation:
-    """P123 minus the signed pair/single sum; zero iff no third-order
+    """P_[k] minus p3_operator, the operator of I_k: zero iff no k-th order
     interference."""
-    return Transformation(ss.derived[TRIPLE].projection.matrix - p3_operator(ss).matrix)
+    return Transformation(ss.derived[ss.top].projection.matrix - p3_operator(ss).matrix)
 
 
 def i3_operator(r: Effect, ss: SlitSystem, s: State) -> float:
-    """Third-order interference in operator form: r . (P123 - P^(3)) s."""
+    """Interference in operator form, r . (P_[k] - P^(k)) s; I3 for three slits."""
     if r.coords.shape[0] != s.coords.shape[0]:
         raise ValueError("effect and state dimensions differ")
     return float(r.coords @ (defect_operator(ss).matrix @ s.coords))
 
 
 def span_condition_check(ss: SlitSystem) -> float:
-    """Residual of im(P123) against the span of the three pair-filter images.
+    """Residual of im(P_[k]) against the span of the (k-1)-slit filter images.
 
-    0 (within the rank tolerance) means every three-slit-filtered direction
-    is a linear combination of two-slit-filtered ones.
+    0 (within the rank tolerance) means every k-slit-filtered direction is a
+    linear combination of (k-1)-slit-filtered ones.
     """
-    pair_cols = np.hstack([ss.derived[J].projection.matrix for J in PAIRS])
-    q = orthonormal_column_basis(pair_cols)
-    triple_basis = orthonormal_column_basis(ss.derived[TRIPLE].projection.matrix)
+    faces = [ss.derived[J].projection.matrix for J in subsets_of_size(ss.k, ss.k - 1)]
+    q = orthonormal_column_basis(np.hstack(faces))
+    triple_basis = orthonormal_column_basis(ss.derived[ss.top].projection.matrix)
     if triple_basis.shape[1] == 0:
         return 0.0
     resid = triple_basis - q @ (q.T @ triple_basis)
@@ -250,7 +275,13 @@ def mutual_span_residual(a: np.ndarray, b: np.ndarray) -> float:
 @dataclass(frozen=True)
 class Prop1Report:
     """Residuals and verdicts for the three equivalent no-third-order
-    conditions: sampled sup |I3|, the operator gap, and the span defect."""
+    conditions: sampled sup |I3|, the operator gap, and the span defect.
+
+    Each verdict compares its residual against EPS_PROP, an absolute 1e-8.
+    The operator gap is the Frobenius norm of an m x m matrix, so its
+    rounding noise grows with m (m = d^2 for quantum:d); the tolerance does
+    not scale with it.
+    """
 
     sup_abs_i3: float
     operator_gap: float
@@ -289,9 +320,7 @@ def prop1_verify(ss: SlitSystem, n_samples: int = 500, seed: int = 0) -> Prop1Re
     gap = float(np.linalg.norm(defect, "fro"))
 
     sup_i3 = 0.0
-    for i in range(n_samples):
-        s = random_state(ss.model, seed=[seed, i, 0])
-        r = random_effect(ss.model, seed=[seed, i, 1])
+    for s, r in random_pairs(ss.model, n_samples, seed):
         sup_i3 = max(sup_i3, abs(float(r.coords @ (defect @ s.coords))))
 
     span = span_condition_check(ss)

@@ -30,47 +30,32 @@ from .gpt import (
     apply,
     support_mask,
 )
+from .interference import all_subsets
 
 _ORTHO_TOL = 1e-10
 _EIG_GAP_TOL = 1e-8
 
 
-def hermitian_basis(d: int) -> np.ndarray:
-    """Orthonormal Hermitian basis of C^{d x d}, identity component first.
+def hermitian_basis(d: int, dtype=complex) -> np.ndarray:
+    """Orthonormal Hermitian basis of C^{d x d}, identity component first;
+    with dtype=float, the basis of the real symmetric d x d matrices.
 
-    Order: I/sqrt(d), symmetric off-diagonal pairs, antisymmetric pairs,
-    diagonal (traceless) elements.  Tr(B_j B_k) = delta_jk.
+    Order: I/sqrt(d), symmetric off-diagonal pairs, antisymmetric pairs
+    (complex only), diagonal (traceless) elements.  Tr(B_j B_k) = delta_jk.
     """
-    basis = [np.eye(d, dtype=complex) / np.sqrt(d)]
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = m[k, j] = 1.0 / np.sqrt(2.0)
-            basis.append(m)
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = -1.0j / np.sqrt(2.0)
-            m[k, j] = 1.0j / np.sqrt(2.0)
-            basis.append(m)
-    for l in range(1, d):
+    basis = [np.eye(d, dtype=dtype) / np.sqrt(d)]
+    pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
+    for j, k in pairs:
+        m = np.zeros((d, d), dtype=dtype)
+        m[j, k] = m[k, j] = 1.0 / np.sqrt(2.0)
+        basis.append(m)
+    for j, k in pairs if dtype is complex else []:
         m = np.zeros((d, d), dtype=complex)
-        m[np.arange(l), np.arange(l)] = 1.0
-        m[l, l] = -float(l)
-        basis.append(m / np.sqrt(l * (l + 1)))
-    return np.stack(basis)
-
-
-def symmetric_basis(d: int) -> np.ndarray:
-    """Orthonormal basis of real symmetric d x d matrices, identity first."""
-    basis = [np.eye(d) / np.sqrt(d)]
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d))
-            m[j, k] = m[k, j] = 1.0 / np.sqrt(2.0)
-            basis.append(m)
+        m[j, k] = -1.0j / np.sqrt(2.0)
+        m[k, j] = 1.0j / np.sqrt(2.0)
+        basis.append(m)
     for l in range(1, d):
-        m = np.zeros((d, d))
+        m = np.zeros((d, d), dtype=dtype)
         m[np.arange(l), np.arange(l)] = 1.0
         m[l, l] = -float(l)
         basis.append(m / np.sqrt(l * (l + 1)))
@@ -97,7 +82,7 @@ def build_real_quantum_model(d: int) -> ModelSpace:
     """Real symmetric d x d model; m = d(d+1)/2."""
     if d < 2:
         raise ValueError("real quantum model needs d >= 2")
-    basis = symmetric_basis(d)
+    basis = hermitian_basis(d, float)
     m = d * (d + 1) // 2
     model = ModelSpace(
         label=f"real_quantum:{d}",
@@ -276,36 +261,37 @@ def classical_filter(mask: np.ndarray, model: ModelSpace) -> Filter:
     )
 
 
+def basis_projectors(d: int, dtype=complex) -> list[np.ndarray]:
+    """The d rank-1 projectors onto the computational basis vectors."""
+    eye = np.eye(d, dtype=dtype)
+    return [np.outer(eye[:, i], eye[:, i].conj()) for i in range(d)]
+
+
 def subset_filters(pis, model: ModelSpace) -> dict[frozenset, Filter]:
-    """All 2^k - 1 join filters generated by k pairwise-orthogonal projectors.
+    """All 2^k - 1 join filters generated by k pairwise-orthogonal projectors,
+    keyed by subset of 1..k.
 
     Raises when the supplied projectors are not pairwise orthogonal.
     """
-    k = len(pis)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if np.linalg.norm(pis[i] @ pis[j], "fro") > _ORTHO_TOL:
-                raise ValueError("slits not pairwise orthogonal")
-    subsets = [J for r in range(1, k + 1) for J in combinations(range(1, k + 1), r)]
-    joins = [np.sum([pis[i - 1] for i in J], axis=0) for J in subsets]
-    return dict(zip(map(frozenset, subsets), _lueders_filters(joins, model)))
+    for a, b in combinations(pis, 2):
+        if np.linalg.norm(a @ b, "fro") > _ORTHO_TOL:
+            raise ValueError("slits not pairwise orthogonal")
+    subsets = all_subsets(len(pis))
+    joins = [np.sum([pis[i - 1] for i in sorted(J)], axis=0) for J in subsets]
+    return dict(zip(subsets, _lueders_filters(joins, model)))
 
 
 def classical_subset_filters(blocks, model: ModelSpace) -> dict[frozenset, Filter]:
     """Join filters for a classical model from disjoint coordinate blocks."""
-    k = len(blocks)
-    seen: set[int] = set()
-    for b in blocks:
-        if seen & set(b):
-            raise ValueError("slits not pairwise orthogonal")
-        seen |= set(b)
+    coords = [i for b in blocks for i in set(b)]
+    if len(coords) != len(set(coords)):
+        raise ValueError("slits not pairwise orthogonal")
     out: dict[frozenset, Filter] = {}
-    for r in range(1, k + 1):
-        for J in combinations(range(1, k + 1), r):
-            mask = np.zeros(model.dimension)
-            for i in J:
-                mask[list(blocks[i - 1])] = 1.0
-            out[frozenset(J)] = classical_filter(mask, model)
+    for J in all_subsets(len(blocks)):
+        mask = np.zeros(model.dimension)
+        for i in J:
+            mask[list(blocks[i - 1])] = 1.0
+        out[J] = classical_filter(mask, model)
     return out
 
 
@@ -337,10 +323,8 @@ def _eigenprojectors_desc(op: np.ndarray) -> list[np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class Spin1Setup:
-    """Filter and detector axes plus their spectral projectors."""
+    """The spectral projectors of the filter and detector axes."""
 
-    filter_axis: np.ndarray
-    detector_axis: np.ndarray
     slit_projectors: tuple[np.ndarray, ...]
     detector_effects: tuple[np.ndarray, ...]
 
@@ -348,14 +332,12 @@ class Spin1Setup:
 def spin1_feynman_setup(b, d) -> Spin1Setup:
     """Three slit projectors along b and three detector effects along d,
     both ordered by descending spin eigenvalue."""
-    b = np.asarray(b, dtype=float)
-    d = np.asarray(d, dtype=float)
     slits = _eigenprojectors_desc(spin1_operator(b))
     dets = _eigenprojectors_desc(spin1_operator(d))
     total = np.sum(slits, axis=0)
     if np.linalg.norm(total - np.eye(3)) > 1e-12:
         raise ValueError("slit projectors do not resolve the identity")
-    return Spin1Setup(b, d, tuple(slits), tuple(dets))
+    return Spin1Setup(tuple(slits), tuple(dets))
 
 
 def effect_from_matrix(mat: np.ndarray, model: ModelSpace) -> Effect:

@@ -19,7 +19,7 @@ from .models import (
     build_quantum_model,
     build_real_quantum_model,
 )
-from .experiment import SETTING_ORDER, ExperimentRecord
+from .experiment import ExperimentRecord
 from .interference import ProbabilityTable, all_subsets, subset_key
 
 
@@ -87,10 +87,10 @@ def model_from_dict(d: dict) -> tuple[ModelSpace, dict]:
         )
     filters = {}
     for name, spec in d.get("filters", {}).items():
-        filters[name] = Filter(
-            projection=Transformation(np.array(spec["projection"], dtype=float)),
-            complement=Transformation(np.array(spec["complement"], dtype=float)),
-        )
+        p, c = (np.array(spec[part], dtype=float) for part in ("projection", "complement"))
+        if p.shape != (model.dimension,) * 2 or c.shape != p.shape:
+            raise ValueError(f"filter {name!r} is not {model.dimension} x {model.dimension}")
+        filters[name] = Filter(projection=Transformation(p), complement=Transformation(c))
     return model, filters
 
 
@@ -102,15 +102,25 @@ def table_to_dict(t: ProbabilityTable) -> dict:
 
 
 def table_from_dict(d: dict) -> ProbabilityTable:
-    """Rebuild a table; raises ValueError on entries outside [0, 1]."""
+    """Rebuild a complete table of k = 2..9 slits, keyed as table_to_dict
+    writes it (a subset of 1..k as its digits in increasing order).
+
+    Raises ValueError on any other k, on missing subsets or other keys, and
+    on entries outside [0, 1].
+    """
     k = int(d["k"])
-    entries = {
-        frozenset(int(c) for c in key): float(p) for key, p in d["entries"].items()
-    }
-    bad = sorted(subset_key(J) for J, p in entries.items() if not 0.0 <= p <= 1.0)
+    if not 2 <= k <= 9:
+        raise ValueError(f"k = {k}: a table has 2 to 9 slits")
+    subsets = {subset_key(J): J for J in all_subsets(k)}
+    given, wanted = set(d["entries"]), set(subsets)
+    if given != wanted:
+        missing, unknown = sorted(wanted - given), sorted(given - wanted)
+        raise ValueError(f"missing keys {missing}, unknown keys {unknown}")
+    t = ProbabilityTable(k, {subsets[key]: p for key, p in d["entries"].items()})
+    bad = sorted(subset_key(J) for J, p in t.entries.items() if not 0.0 <= p <= 1.0)
     if bad:
         raise ValueError("entries outside [0, 1]: " + ", ".join(bad))
-    return ProbabilityTable(k, entries)
+    return t
 
 
 def record_to_csv(record: ExperimentRecord) -> str:
@@ -118,7 +128,7 @@ def record_to_csv(record: ExperimentRecord) -> str:
     w = csv.writer(buf)
     w.writerow(["setting", "outcome", "count", "shots", "frequency"])
     shots = record.shots_per_setting
-    for J in SETTING_ORDER:
+    for J in record.settings:
         counts = record.counts[J]
         for idx, c in enumerate(counts):
             name = "blocked" if idx == len(counts) - 1 else str(idx)
@@ -132,7 +142,7 @@ def record_to_dict(record: ExperimentRecord) -> dict:
         "shots_per_setting": record.shots_per_setting,
         "seed": record.seed,
         "plan_hash": record.plan_hash,
-        "counts": {subset_key(J): record.counts[J].tolist() for J in SETTING_ORDER},
+        "counts": {subset_key(J): record.counts[J].tolist() for J in record.settings},
     }
 
 

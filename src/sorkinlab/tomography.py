@@ -1,6 +1,8 @@
 """Two-slit-filtering tomography: informationally complete measurements on
 the pair faces, least-squares estimation of filtered states, and the signed
-reconstruction s = s12 + s13 + s23 - s1 - s2 - s3.
+reconstruction of P_[k] s from them: the sum of the pair states minus (k - 2)
+times the single-slit states, s = s12 + s13 + s23 - s1 - s2 - s3 for three
+slits.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ from .gpt import (
     face_of,
     probability,
     apply,
+    with_blocked,
 )
-from .interference import PAIRS, TRIPLE, SlitSystem
+from .interference import SlitSystem, subset_key, subsets_of_size
 
 
 def _flat_seed(seed) -> list[int]:
@@ -124,16 +127,10 @@ def sample_frequencies(
     """Finite-shot frequencies; the blocked (not passed) event absorbs the
     missing normalization so joint frequencies stay estimable."""
     out = []
-    for idx, ms in enumerate(plan.settings):
-        probs = np.array([probability(e, s_filtered) for e in ms.effects])
-        probs = np.clip(probs, 0.0, None)
-        blocked = max(0.0, 1.0 - probs.sum())
-        full = np.append(probs, blocked)
-        full /= full.sum()
+    for idx, probs in enumerate(exact_frequencies(plan, s_filtered)):
         rng = np.random.default_rng(_flat_seed(seed) + [idx])
-        counts = rng.multinomial(shots, full)
-        freq = counts[:-1] / shots if shots > 0 else np.zeros(len(probs))
-        out.append(freq)
+        counts = rng.multinomial(shots, with_blocked(probs))
+        out.append(counts[:-1] / shots if shots > 0 else np.zeros(len(probs)))
     return out
 
 
@@ -160,24 +157,26 @@ def extract_single_slit_components(
 
 
 def reconstruct(estimates: dict, ss: SlitSystem) -> State:
-    """Signed sum of pair states minus single-slit states.
+    """Signed sum of pair states minus (k - 2) times the single-slit states.
 
-    Each slit appears in two pair faces; its single-slit component is
-    averaged over both (identical in exact mode, variance-reducing with
-    sampled estimates).
+    P_[k] = sum of the P_ij - (k - 2) sum of the P_i when there is no
+    third-order interference.  Each slit appears in k - 1 pair faces; its
+    single-slit component is averaged over them (identical in exact mode,
+    variance-reducing with sampled estimates).
     """
     estimates = {frozenset(J): v for J, v in estimates.items()}
-    for J in PAIRS:
+    pairs = subsets_of_size(ss.k, 2)
+    for J in pairs:
         if J not in estimates:
             raise KeyError(f"missing pair estimate for slits {sorted(J)}")
-    total = np.sum([estimates[J].coords for J in PAIRS], axis=0)
-    for i in (1, 2, 3):
+    total = np.sum([estimates[J].coords for J in pairs], axis=0)
+    for i in range(1, ss.k + 1):
         parts = [
             apply(ss.filter_for({i}).projection, estimates[J]).coords
-            for J in PAIRS
+            for J in pairs
             if i in J
         ]
-        total = total - np.mean(parts, axis=0)
+        total = total - (ss.k - 2) * np.mean(parts, axis=0)
     return State(ss.model, total)
 
 
@@ -190,11 +189,8 @@ class TomographyResult:
     seed: Optional[int]
     reconstruction_error: Optional[float]
     cone_distance: float
-    truth: Optional[State] = None
 
     def to_dict(self) -> dict:
-        from .interference import subset_key
-
         return {
             "mode": self.mode,
             "shots": self.shots,
@@ -218,14 +214,14 @@ def tomography_roundtrip(
 ) -> TomographyResult:
     """Full filter-measure-estimate-reconstruct cycle for one source state.
 
-    Errors are reported against P123(s): systems blocked by the triple
+    Errors are reported against P_[k](s): systems blocked by the all-slit
     filter never reach a measurement, so that is the recoverable truth.
     """
     if mode not in ("exact", "sampled"):
         raise ValueError("mode must be 'exact' or 'sampled'")
-    truth = apply(ss.derived[TRIPLE].projection, s)
+    truth = apply(ss.derived[ss.top].projection, s)
     estimates: dict = {}
-    for pair_idx, J in enumerate(PAIRS):
+    for pair_idx, J in enumerate(subsets_of_size(ss.k, 2)):
         filt = ss.derived[J]
         plan = build_face_measurement(face_of(filt), model)
         s_filtered = apply(filt.projection, s)
@@ -244,5 +240,4 @@ def tomography_roundtrip(
         seed=seed if mode == "sampled" else None,
         reconstruction_error=err,
         cone_distance=model.cone_residual(recon.coords),
-        truth=truth,
     )

@@ -15,7 +15,7 @@ from sorkinlab.fixtures import (
     real_qutrit_fixture,
     table_06,
 )
-from sorkinlab.interference import PAIRS, SINGLES, table_from_filters
+from sorkinlab.interference import table_from_filters
 from sorkinlab.models import (
     build_quantum_model,
     measurement_from_matrices,

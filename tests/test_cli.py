@@ -1,15 +1,25 @@
 """Command-line interface: exit codes, fixture values, reproducibility."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sorkinlab import cli, serialize
 from sorkinlab.cli import main, resolve_model, resolve_slits
 from sorkinlab.fixtures import qutrit_fixture
 from sorkinlab.gpt import validate_filter
-from sorkinlab.interference import PAIRS, SINGLES, TRIPLE, subset_key
+from sorkinlab.interference import ProbabilityTable, all_subsets, subset_key
+
+
+def three_slit_entries(**changes):
+    """Entries of a valid k = 3 table file, with some keys changed (None drops one)."""
+    entries = {"1": 0.1, "2": 0.1, "3": 0.1, "12": 0.2, "13": 0.2, "23": 0.2, "123": 0.9}
+    entries.update(changes)
+    return {key: p for key, p in entries.items() if p is not None}
 
 
 def run(capsys, *argv):
@@ -32,7 +42,7 @@ class TestValidate:
         model, named = resolve_model("quantum:3")
         ss = resolve_slits(slits, model, named)
         expected = []
-        for J in SINGLES + PAIRS + (TRIPLE,):
+        for J in all_subsets(3):
             d = validate_filter(ss.derived[J], model, 20, 5).to_dict()
             d["subject"] = f"filter_{subset_key(J)}"
             expected.append(d)
@@ -80,17 +90,61 @@ class TestValidate:
         ["prop1", "--samples", "-1"],
         ["interference", "--sweep", "-3"],
         ["tomography", "--mode", "sampled", "--seed", "-1"],
+        ["interference", "--table", {"k": 1, "entries": {"1": 0.5}}],
+        ["experiment", "--table", {"k": 1, "entries": {"1": 0.5}}],
+        ["interference", "--table", {"k": 3, "entries": three_slit_entries(**{"23": None})}],
+        ["experiment", "--table", {"k": 3, "entries": three_slit_entries(**{"23": None})}],
+        ["interference", "--table", {"k": 3, "entries": three_slit_entries(**{"45": 0.3})}],
+        ["experiment", "--table", {"k": 3, "entries": three_slit_entries(**{"45": 0.3})}],
+        ["experiment", "--table", {"k": 3, "entries": three_slit_entries(**{"1": None, "21": 0.1})}],
+        ["interference", "--table", {"k": 3, "entries": three_slit_entries(**{"1": None})}],
+        ["interference", "--table", [0.1, 0.2]],
+        ["prop1", "--model", "quantum:4", "--slits", "spin1:0,0,1"],
+        ["tomography", "--model", "quantum:4", "--slits", "spin1:0,0,1"],
+        ["experiment", "--model", "quantum:4", "--slits", "spin1:0,0,1"],
+        ["interference", "--model", "classical:3", "--slits", "spin1:0,0,1",
+         "--state", "uniform", "--effect", "order-unit"],
+        ["validate", "--model", "classical:3", "--slits", "spin1:0,0,1"],
+        ["experiment", "--spin1", "--model", "quantum:4"],
+        ["experiment", "--spin1", "--b", "nan,0,1"],
+        ["prop1", "--slits", "spin1:1,1,1e400"],
+        ["experiment", "--spin1", "--d", "1e200,1e200,0"],
     ],
     ids=["state-dimension", "classical-state-dimension", "negative-shots",
          "table-negative-shots", "state-seed-not-integer",
          "effect-seed-not-integer", "state-seed-negative",
          "validate-negative-samples", "prop1-negative-samples",
-         "negative-sweep", "negative-seed"],
+         "negative-sweep", "negative-seed",
+         "interference-table-k1", "experiment-table-k1",
+         "interference-table-missing", "experiment-table-missing",
+         "interference-table-extra-key", "experiment-table-extra-key",
+         "experiment-table-unsorted-key", "interference-table-missing-single",
+         "table-not-an-object",
+         "prop1-spin1-quantum4", "tomography-spin1-quantum4",
+         "experiment-spin1-quantum4", "interference-spin1-classical",
+         "validate-spin1-classical", "experiment-flag-spin1-quantum4",
+         "axis-nan", "axis-infinite", "axis-norm-overflows"],
 )
-def test_bad_arguments_are_input_errors(capsys, argv):
+def test_bad_arguments_are_input_errors(capsys, tmp_path, argv):
+    # a JSON value in argv stands for a file holding it
+    argv = [arg if isinstance(arg, str) else _json_file(tmp_path, arg) for arg in argv]
     code, out = run(capsys, *argv)
     assert code == 2
     assert out == ""
+
+
+def test_four_slit_table_runs(capsys, tmp_path):
+    path = tmp_path / "table.json"
+    table = serialize.table_to_dict(
+        ProbabilityTable(4, {J: 0.05 * len(J) for J in all_subsets(4)})
+    )
+    path.write_text(json.dumps(table))
+    code, out = run(capsys, "experiment", "--table", str(path), "--shots", "100")
+    assert code == 0
+    assert len(json.loads(out)["record"]["counts"]) == 15
+    code, out = run(capsys, "interference", "--table", str(path))
+    assert code == 0
+    assert json.loads(out)["k"] == 4 and "i3" not in json.loads(out)
 
 
 @pytest.mark.parametrize("kind", ["state", "effect"])
@@ -293,3 +347,103 @@ class TestParserReuse:
         assert code == 0
         assert out.encode() == path.read_bytes()
         assert not csv.exists()
+
+
+ARGV_MODELS = ["quantum:2", "quantum:3", "quantum:4", "real_quantum:2", "real_quantum:3",
+               "real_quantum:4", "classical:2", "classical:3", "classical:4",
+               "octonion:3", "quantum:x", "quantum:0", "classical:-1"]
+ARGV_AXES = ["0,0,1", "0.48,-0.6,0.64", "-1,0,0", "0,0,0", "nan,0,1", "1,1,1e400",
+             "1e200,1e200,0", "5e-160,0,0", "1,2", "a,b,c", "-inf,0,1"]
+ARGV_VECTORS = ["fixture:qutrit", "uniform", "order-unit", "random:0", "random:7",
+                "random:-1", "random:abc", "junk"]
+TABLE_KEYS = ["1", "2", "3", "4", "12", "13", "23", "123", "14", "1234", "21",
+              "45", "0", "", "ab", "11"]
+
+
+def _json_file(directory, value) -> str:
+    """Write a JSON value to a fresh file and return its path."""
+    path = directory / f"{len(list(directory.iterdir()))}.json"
+    path.write_text(json.dumps(value))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """JSON inputs for generated argv: models with and without filters, and
+    state coordinates, good and bad."""
+    directory = tmp_path_factory.mktemp("argv")
+    model, ss, _, _ = qutrit_fixture()
+    named = {subset_key(J): ss.filter_for(J) for J in all_subsets(3)}
+    good = serialize.model_to_dict(model, named)
+    bad = json.loads(json.dumps(good))
+    bad["filters"]["123"]["projection"][0][0] = 2.0
+    short = json.loads(json.dumps(good))
+    short["filters"]["1"]["projection"] = [[1.0]]
+    custom = {"label": "c", "dimension": 2, "order_unit": [1, 1],
+              "cone": {"type": "custom", "generators": [[1, 0], [0, 1]]}}
+    values = [good, bad, short, custom, {"cone": 5}, [1, 2],
+              {"coords": [1 / 3, 0, 0, 0, 0, 0, 0, 0, 0]}, {"coords": [float("nan")] * 9},
+              {"coords": [5.0] + [0.0] * 8}, {"coords": "x"}]
+    return [_json_file(directory, v) for v in values] + [str(directory / "missing.json")], directory
+
+
+@st.composite
+def generated_argv(draw, files):
+    paths, directory = files
+    command = draw(st.sampled_from(["validate", "interference", "prop1", "tomography",
+                                    "experiment"]))
+    argv = [command]
+    count = st.integers(-2, 6).map(str)
+    model = draw(st.sampled_from(ARGV_MODELS + paths))
+    if draw(st.booleans()):
+        argv += ["--model", model]
+    slits = st.sampled_from(["basis", "from-model", "junk"])
+    slits = slits | st.sampled_from(ARGV_AXES).map(lambda a: "spin1:" + a)
+    if draw(st.booleans()):
+        argv += ["--slits", draw(slits)]
+    argv += ["--seed", draw(st.integers(-1, 9).map(str))]
+    vector = st.sampled_from(ARGV_VECTORS + paths)
+    if command in ("validate", "prop1"):
+        argv += ["--samples", draw(count)]
+    if command in ("interference", "tomography", "experiment"):
+        argv += ["--state", draw(vector)]
+    if command == "interference":
+        argv += ["--effect", draw(vector)]
+        if draw(st.booleans()):
+            argv += ["--sweep", draw(count)]
+    if command == "tomography":
+        argv += ["--mode", draw(st.sampled_from(["exact", "sampled"]))]
+        argv += ["--shots", draw(st.integers(-1, 1000).map(str))]
+    if command == "experiment":
+        argv += ["--shots", draw(st.integers(-1, 1000).map(str))]
+        if draw(st.booleans()):
+            argv += ["--spin1", "--b", draw(st.sampled_from(ARGV_AXES)),
+                     "--d", draw(st.sampled_from(ARGV_AXES))]
+    if command in ("interference", "experiment") and draw(st.booleans()):
+        entries = st.dictionaries(
+            st.sampled_from(TABLE_KEYS),
+            st.floats(-0.5, 1.5) | st.sampled_from([None, "0.5", float("nan")]),
+            max_size=16,
+        )
+        table = {"k": draw(st.integers(0, 5) | st.sampled_from([None, "3", 2.5])),
+                 "entries": draw(entries)}
+        if draw(st.booleans()):  # a complete table of k slits
+            k = draw(st.integers(2, 4))
+            table = {"k": k, "entries": {subset_key(J): draw(st.floats(0, 1))
+                                         for J in all_subsets(k)}}
+        argv += ["--table", _json_file(directory, table)]
+    return argv
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=list(HealthCheck))
+@given(data=st.data())
+def test_generated_argv_keeps_the_exit_code_contract(argv_files, data):
+    """Any argv exits 0, 1 or 2 (argparse's own errors by SystemExit 2) and
+    never ends in another exception."""
+    argv = data.draw(generated_argv(argv_files))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)

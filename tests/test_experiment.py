@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 import sorkinlab as sl
-from sorkinlab.experiment import SETTING_ORDER
 from sorkinlab.fixtures import qutrit_fixture, table_06
 from sorkinlab.models import (
     build_quantum_model,
     measurement_from_matrices,
     subset_filters,
 )
-from sorkinlab.interference import slit_system
+from sorkinlab.interference import all_subsets, slit_system
+
+SETTING_ORDER = all_subsets(3)
 
 
 @pytest.fixture(scope="module")
