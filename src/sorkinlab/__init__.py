@@ -13,9 +13,7 @@ from .gpt import (
     State,
     Transformation,
     ValidationReport,
-    ZeroProbabilityOutcome,
     apply,
-    conditional_state,
     face_of,
     probability,
     random_effect,
@@ -29,7 +27,6 @@ from .models import (
     build_real_quantum_model,
     classical_subset_filters,
     conjugation_superoperator,
-    joint_probability,
     spin1_feynman_setup,
     spin1_operator,
     subset_filters,
@@ -54,7 +51,6 @@ from .tomography import (
     TomographyResult,
     build_face_measurement,
     estimate_filtered_state,
-    extract_single_slit_components,
     reconstruct,
     tomography_roundtrip,
 )

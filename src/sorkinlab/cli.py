@@ -20,6 +20,7 @@ import numpy as np
 
 from . import fixtures, serialize
 from .gpt import (
+    EPS_TOL,
     Effect,
     Measurement,
     ModelSpace,
@@ -28,6 +29,7 @@ from .gpt import (
     random_pairs,
     random_state,
     sample_states,
+    validate_effect,
     validate_filter,
 )
 from .interference import (
@@ -126,14 +128,12 @@ def _spin1_system(model: ModelSpace, b: str, d: str | None = None):
     if model.cone.kind != "quantum" or model.cone.d != 3:
         raise InputError("spin-1 slits need --model quantum:3")
     axis = _parse_vec3(b)
-    try:
-        setup = spin1_feynman_setup(axis, axis if d is None else _parse_vec3(d))
-    except ValueError as exc:  # an axis whose norm over- or underflows
-        raise InputError(str(exc)) from exc
+    setup = spin1_feynman_setup(axis, axis if d is None else _parse_vec3(d))
     return slit_system(model, subset_filters(list(setup.slit_projectors), model)), setup
 
 
 def _parse_vec3(text: str) -> np.ndarray:
+    """The unit vector along a nonzero, finite 'x,y,z'."""
     parts = text.split(",")
     if len(parts) != 3:
         raise InputError(f"expected three comma-separated numbers, got {text!r}")
@@ -141,11 +141,16 @@ def _parse_vec3(text: str) -> np.ndarray:
         v = np.array([float(p) for p in parts])
     except ValueError:
         raise InputError(f"bad vector {text!r}")
-    norm = np.linalg.norm(v)
-    if not math.isfinite(norm):
+    if not np.isfinite(v).all():
         raise InputError(f"vector {text!r} has no finite length")
-    if norm == 0:
+    if not v.any():
         raise InputError("axis must be nonzero")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v)
+    if math.isinf(norm) or norm < np.sqrt(np.finfo(float).tiny):
+        # the sum of squares over- or underflows: scale the largest component to 1 first
+        v = v / np.abs(v).max()
+        norm = np.linalg.norm(v)
     return v / norm
 
 
@@ -194,7 +199,16 @@ def _resolve_vector(spec: str, model: ModelSpace, kind, draw):
     if spec.startswith("random:"):
         return draw(model, seed=_random_seed(spec))
     if spec.endswith(".json"):
-        return kind(model, _require_dimension(_coords_from_file(spec, model), model, spec))
+        v = kind(model, _require_dimension(_coords_from_file(spec, model), model, spec))
+        if kind is State:
+            valid = model.contains(v.coords) and 0.0 < v.normalization <= 1.0 + EPS_TOL
+            need = "in the cone with normalization in (0, 1]"
+        else:
+            valid = validate_effect(v, model).passed
+            need = "between 0 and the order unit"
+        if not valid:
+            raise InputError(f"{spec} is not a {kind.__name__.lower()}: it must be {need}")
+        return v
     raise InputError(f"unknown {kind.__name__.lower()} spec {spec!r}")
 
 
@@ -243,7 +257,7 @@ def cmd_validate(args) -> int:
     states = sample_states(model, n_samples, args.seed)
     reports = [ss.validate().to_dict()]
     for J in all_subsets(ss.k):
-        rep = validate_filter(ss.derived[J], model, states=states)
+        rep = validate_filter(ss.derived[J], model, states)
         d = rep.to_dict()
         d["subject"] = f"filter_{subset_key(J)}"
         reports.append(d)
@@ -302,7 +316,7 @@ def cmd_tomography(args) -> int:
     ss = resolve_slits(args.slits, model, named)
     s = resolve_state(args.state, model)
     result = tomography_roundtrip(
-        model, ss, s, mode=args.mode, shots=resolve_count(args.shots, "--shots"), seed=args.seed
+        ss, s, mode=args.mode, shots=resolve_count(args.shots, "--shots"), seed=args.seed
     )
     emit(result.to_dict(), args)
     return 0
@@ -327,7 +341,6 @@ def cmd_experiment(args) -> int:
             else:
                 raise InputError("experiments on custom cones take a --table")
         plan = ExperimentPlan(
-            model=model,
             slits=ss,
             detector_measurement=detector,
             source_state=resolve_state(args.state, model),

@@ -13,7 +13,6 @@ import numpy as np
 from .gpt import (
     EPS_TOL,
     Measurement,
-    ModelSpace,
     State,
     probability,
     apply,
@@ -30,7 +29,6 @@ from .interference import (
 
 @dataclass(eq=False)
 class ExperimentPlan:
-    model: ModelSpace
     slits: SlitSystem
     detector_measurement: Measurement
     source_state: State
@@ -80,7 +78,7 @@ class ExperimentRecord:
 
 def plan_hash(plan: ExperimentPlan) -> str:
     h = hashlib.sha256()
-    h.update(plan.model.label.encode())
+    h.update(plan.slits.model.label.encode())
     h.update(np.ascontiguousarray(plan.source_state.coords).tobytes())
     for e in plan.detector_measurement.effects:
         h.update(np.ascontiguousarray(e.coords).tobytes())

@@ -33,10 +33,6 @@ def qutrit_fixture(dtype=complex):
     return model, ss, state_from_matrix(proj, model), effect_from_matrix(proj, model)
 
 
-def real_qutrit_fixture():
-    return qutrit_fixture(float)
-
-
 def classical_fixture():
     """(model, slit system, uniform state, first-coordinate effect)."""
     model = build_classical_model(3)

@@ -32,10 +32,6 @@ class DimensionMismatch(ValueError):
     """Operands belong to spaces of different dimension."""
 
 
-class ZeroProbabilityOutcome(ValueError):
-    """Conditioning on an outcome whose probability is (numerically) zero."""
-
-
 class NotAProjection(ValueError):
     """A map required to be idempotent is not."""
 
@@ -55,7 +51,6 @@ class ConeDescriptor:
     d: Optional[int] = None
     n: Optional[int] = None
     generators: Optional[np.ndarray] = None  # (n_gen, m)
-    tol: float = EPS_CONE
 
 
 @dataclass(eq=False)
@@ -97,8 +92,8 @@ class ModelSpace:
         _, resid = nnls(gens.T, coords)
         return float(resid)
 
-    def contains(self, coords: np.ndarray, tol: float | None = None) -> bool:
-        return self.cone_residual(coords) <= (self.cone.tol if tol is None else tol)
+    def contains(self, coords: np.ndarray) -> bool:
+        return self.cone_residual(coords) <= EPS_CONE
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,11 +141,15 @@ class Filter:
     """An idempotent, neutral, complemented transformation and its complement.
 
     ``complement`` may be given as a zero-argument function returning the
-    Transformation; it is then called on the first read of the attribute.
+    Transformation; it is then called on the first read of the attribute,
+    which pickling does.
     """
 
     projection: Transformation
     complement: Transformation = _BuiltOnFirstRead()
+
+    def __getstate__(self):
+        return {**self.__dict__, "complement": self.complement}
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,16 +209,10 @@ class ValidationReport:
         }
 
 
-def _check_same_model(a, b) -> None:
-    if a.model.dimension != b.model.dimension:
-        raise DimensionMismatch(
-            f"dimension mismatch: {a.model.dimension} vs {b.model.dimension}"
-        )
-
-
 def probability(e: Effect, s: State) -> float:
     """Outcome probability e . s."""
-    _check_same_model(e, s)
+    if e.model.dimension != s.model.dimension:
+        raise DimensionMismatch(f"dimension mismatch: {e.model.dimension} vs {s.model.dimension}")
     return float(e.coords @ s.coords)
 
 
@@ -232,21 +225,18 @@ def apply(t: Transformation, s: State) -> State:
     return State(s.model, t.matrix @ s.coords)
 
 
-def conditional_state(op_branch: Transformation, e_branch: Effect, s: State) -> State:
-    """State conditioned on a branch outcome; keeps the input normalization."""
-    _check_same_model(e_branch, s)
-    p = float(e_branch.coords @ s.coords)
-    if p <= EPS_TOL:
-        raise ZeroProbabilityOutcome(f"outcome has zero probability (p={p:.3e})")
-    scale = s.normalization / p
-    return State(s.model, scale * (op_branch.matrix @ s.coords))
-
-
 def with_blocked(probs: np.ndarray) -> np.ndarray:
     """Outcome probabilities, clipped at 0 and completed by the blocked (not
-    passed) event as the last entry, normalized to sum 1."""
+    passed) event as the last entry, normalized to sum 1.
+
+    Raises ValueError when the clipped probabilities sum above 1 + EPS_TOL:
+    rescaling them would hide a source state that is not normalized.
+    """
     probs = np.clip(probs, 0.0, None)
-    full = np.append(probs, max(0.0, 1.0 - probs.sum()))
+    total = probs.sum()
+    if total > 1.0 + EPS_TOL:
+        raise ValueError(f"outcome probabilities sum to {total:.6g} > 1")
+    full = np.append(probs, max(0.0, 1.0 - total))
     return full / full.sum()
 
 
@@ -255,31 +245,22 @@ def _rel_fro(mat: np.ndarray, ref: np.ndarray) -> float:
 
 
 def sample_states(model: ModelSpace, n_samples: int, seed: int) -> list[State]:
-    """The random states validate_filter samples: substreams [seed, i]."""
+    """n_samples random states from the substreams [seed, i]."""
     return [random_state(model, seed=[seed, i]) for i in range(n_samples)]
 
 
-def validate_filter(
-    f: Filter,
-    model: ModelSpace,
-    n_samples: int = 200,
-    seed: int = 0,
-    *,
-    states: list[State] | None = None,
-) -> ValidationReport:
+def validate_filter(f: Filter, model: ModelSpace, states: list[State]) -> ValidationReport:
     """Check the three filter axioms: idempotence, neutrality, complementation.
 
-    Neutrality and the pass/block equivalences are sampled over random cone
-    states (plus their filtered images, which exercise the fixed-point sets);
-    the algebraic identities are checked exactly on the matrices.  The states
-    are ``sample_states(model, n_samples, seed)`` unless ``states`` is given,
-    so several filters can be checked on one draw.
+    Neutrality and the pass/block equivalences are sampled over the given
+    cone states (plus their filtered images, which exercise the fixed-point
+    sets), so several filters can be checked on one draw of
+    ``sample_states``; the algebraic identities are checked exactly on the
+    matrices.
     """
     P = f.projection.matrix
     Pc = f.complement.matrix
     u = model.order_unit
-    if states is None:
-        states = sample_states(model, n_samples, seed)
 
     idem = max(_rel_fro(P @ P - P, P), _rel_fro(Pc @ Pc - Pc, Pc))
     prod = max(_rel_fro(P @ Pc, P), _rel_fro(Pc @ P, P))

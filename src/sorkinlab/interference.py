@@ -212,19 +212,10 @@ def ik_from_table(t: ProbabilityTable) -> float:
     return signed_subset_sum(t.entries, t.k)
 
 
-def table_from_filters(
-    r: Effect, filters: dict, s: State, k: int
-) -> ProbabilityTable:
-    """Joint probabilities r . P_J(s) for every nonempty subset setting."""
-    entries = {}
-    for J in all_subsets(k):
-        f = filters[frozenset(J)]
-        entries[J] = probability(r, apply(f.projection, s))
-    return ProbabilityTable(k, entries)
-
-
 def table_from_system(r: Effect, ss: SlitSystem, s: State) -> ProbabilityTable:
-    return table_from_filters(r, ss.derived, s, ss.k)
+    """Joint probabilities r . P_J(s) for every nonempty subset setting."""
+    entries = {J: probability(r, apply(ss.derived[J].projection, s)) for J in all_subsets(ss.k)}
+    return ProbabilityTable(ss.k, entries)
 
 
 def p3_operator(ss: SlitSystem) -> Transformation:
@@ -260,16 +251,6 @@ def span_condition_check(ss: SlitSystem) -> float:
         return 0.0
     resid = triple_basis - q @ (q.T @ triple_basis)
     return float(np.max(np.linalg.norm(resid, axis=0)))
-
-
-def mutual_span_residual(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest defect of either orthonormal basis against the other's span."""
-    qa = orthonormal_column_basis(a)
-    qb = orthonormal_column_basis(b)
-    r1 = qa - qb @ (qb.T @ qa) if qa.shape[1] else np.zeros((a.shape[0], 0))
-    r2 = qb - qa @ (qa.T @ qb) if qb.shape[1] else np.zeros((a.shape[0], 0))
-    vals = [np.linalg.norm(r, axis=0).max() for r in (r1, r2) if r.shape[1]]
-    return float(max(vals)) if vals else 0.0
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ orthant with the all-ones order unit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -26,8 +26,6 @@ from .gpt import (
     NotAProjection,
     State,
     Transformation,
-    probability,
-    apply,
     support_mask,
 )
 from .interference import all_subsets
@@ -213,21 +211,6 @@ def conjugation_superoperator(pi: np.ndarray, model: ModelSpace) -> Transformati
     return Transformation(_conjugation_matrices(pis, model.basis)[0])
 
 
-class _Complements:
-    """Conjugation by I - Pi for a stack of projectors, all built in one
-    kernel call on the first request for any of them."""
-
-    def __init__(self, pis: np.ndarray, model: ModelSpace):
-        self.pis, self.model, self.mats = pis, model, None
-
-    def __call__(self, i: int) -> Transformation:
-        if self.mats is None:
-            stack = np.eye(self.pis.shape[-1]) - self.pis
-            _check_projectors(stack, self.model)
-            self.mats = _conjugation_matrices(stack, self.model.basis)
-        return Transformation(self.mats[i])
-
-
 def _lueders_filters(pis, model: ModelSpace) -> list[Filter]:
     """Filter pairs for a list of projectors.
 
@@ -240,9 +223,15 @@ def _lueders_filters(pis, model: ModelSpace) -> list[Filter]:
     pis = np.asarray(pis)
     _check_projectors(pis, model)
     mats = _conjugation_matrices(pis, model.basis)
-    complements = _Complements(pis, model)
+
+    @cache
+    def complements() -> np.ndarray:
+        stack = np.eye(pis.shape[-1]) - pis
+        _check_projectors(stack, model)
+        return _conjugation_matrices(stack, model.basis)
+
     return [
-        Filter(projection=Transformation(mat), complement=partial(complements, i))
+        Filter(Transformation(mat), lambda i=i: Transformation(complements()[i]))
         for i, mat in enumerate(mats)
     ]
 
@@ -350,10 +339,3 @@ def state_from_matrix(mat: np.ndarray, model: ModelSpace) -> State:
 
 def measurement_from_matrices(mats, model: ModelSpace) -> Measurement:
     return Measurement(model, tuple(effect_from_matrix(m, model) for m in mats))
-
-
-def joint_probability(detector: Effect, filt: Filter, s: State) -> float:
-    """Probability that the system passes the filter and the detector fires."""
-    if filt.projection.matrix.shape[1] != s.coords.shape[0]:
-        raise DimensionMismatch("filter and state dimensions differ")
-    return probability(detector, apply(filt.projection, s))

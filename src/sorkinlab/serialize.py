@@ -105,12 +105,12 @@ def table_from_dict(d: dict) -> ProbabilityTable:
     """Rebuild a complete table of k = 2..9 slits, keyed as table_to_dict
     writes it (a subset of 1..k as its digits in increasing order).
 
-    Raises ValueError on any other k, on missing subsets or other keys, and
-    on entries outside [0, 1].
+    Raises ValueError on a k that is not an integer from 2 to 9, on missing
+    subsets or other keys, and on entries outside [0, 1].
     """
-    k = int(d["k"])
-    if not 2 <= k <= 9:
-        raise ValueError(f"k = {k}: a table has 2 to 9 slits")
+    k = d["k"]
+    if type(k) is not int or not 2 <= k <= 9:
+        raise ValueError(f"k = {k!r}: a table has an integer number of slits from 2 to 9")
     subsets = {subset_key(J): J for J in all_subsets(k)}
     given, wanted = set(d["entries"]), set(subsets)
     if given != wanted:

@@ -17,7 +17,6 @@ from .gpt import (
     EPS_RANK_REL,
     Effect,
     Face,
-    Filter,
     Measurement,
     ModelSpace,
     State,
@@ -46,10 +45,6 @@ class FaceMeasurementPlan:
     face: Face
     settings: tuple[Measurement, ...]
     design_matrix: np.ndarray  # (n_effects_total, face.rank)
-
-    @property
-    def effects(self) -> list[Effect]:
-        return [e for ms in self.settings for e in ms.effects]
 
 
 def _supporting_projector(face: Face, model: ModelSpace) -> np.ndarray:
@@ -134,9 +129,7 @@ def sample_frequencies(
     return out
 
 
-def estimate_filtered_state(
-    plan: FaceMeasurementPlan, freqs: list[np.ndarray], filt: Filter
-) -> State:
+def estimate_filtered_state(plan: FaceMeasurementPlan, freqs: list[np.ndarray]) -> State:
     """Least-squares fit of face coordinates to observed joint frequencies."""
     b = np.concatenate(freqs)
     if b.shape[0] != plan.design_matrix.shape[0]:
@@ -144,16 +137,6 @@ def estimate_filtered_state(
     x, *_ = np.linalg.lstsq(plan.design_matrix, b, rcond=None)
     coords = plan.face.image_basis @ x
     return State(plan.model, coords)
-
-
-def extract_single_slit_components(
-    s_ij: State, ss: SlitSystem, i: int, j: int
-) -> tuple[State, State]:
-    """Single-slit parts P_i(s_ij) and P_j(s_ij) of a pair-filtered state."""
-    return (
-        apply(ss.filter_for({i}).projection, s_ij),
-        apply(ss.filter_for({j}).projection, s_ij),
-    )
 
 
 def reconstruct(estimates: dict, ss: SlitSystem) -> State:
@@ -205,7 +188,6 @@ class TomographyResult:
 
 
 def tomography_roundtrip(
-    model: ModelSpace,
     ss: SlitSystem,
     s: State,
     mode: str = "exact",
@@ -223,13 +205,13 @@ def tomography_roundtrip(
     estimates: dict = {}
     for pair_idx, J in enumerate(subsets_of_size(ss.k, 2)):
         filt = ss.derived[J]
-        plan = build_face_measurement(face_of(filt), model)
+        plan = build_face_measurement(face_of(filt), ss.model)
         s_filtered = apply(filt.projection, s)
         if mode == "exact":
             freqs = exact_frequencies(plan, s_filtered)
         else:
             freqs = sample_frequencies(plan, s_filtered, shots, [seed, pair_idx])
-        estimates[J] = estimate_filtered_state(plan, freqs, filt)
+        estimates[J] = estimate_filtered_state(plan, freqs)
     recon = reconstruct(estimates, ss)
     err = float(np.linalg.norm(recon.coords - truth.coords))
     return TomographyResult(
@@ -239,5 +221,5 @@ def tomography_roundtrip(
         shots=shots if mode == "sampled" else None,
         seed=seed if mode == "sampled" else None,
         reconstruction_error=err,
-        cone_distance=model.cone_residual(recon.coords),
+        cone_distance=ss.model.cone_residual(recon.coords),
     )

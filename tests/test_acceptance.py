@@ -12,10 +12,8 @@ from sorkinlab.fixtures import (
     classical_fixture,
     quantum4_subspace_fixture,
     qutrit_fixture,
-    real_qutrit_fixture,
     table_06,
 )
-from sorkinlab.interference import table_from_filters
 from sorkinlab.models import (
     build_quantum_model,
     measurement_from_matrices,
@@ -70,12 +68,12 @@ def test_criterion_2_second_order_interference_exists():
 
 def test_criterion_3_higher_orders_vanish():
     model = build_quantum_model(4)
-    filters = subset_filters(basis_projectors(4), model)
+    ss = sl.slit_system(model, subset_filters(basis_projectors(4), model))
     worst = 0.0
     for i in range(200):
         s = sl.random_state(model, [103, i])
         r = sl.random_effect(model, [104, i])
-        t = table_from_filters(r, filters, s, 4)
+        t = sl.table_from_system(r, ss, s)
         worst = max(worst, abs(sl.ik_from_table(t)))
     report(3, worst < 1e-9, f"max |I4| = {worst:.3e} over 200 random pairs")
 
@@ -83,7 +81,7 @@ def test_criterion_3_higher_orders_vanish():
 SHIPPED = {
     "quantum:3": qutrit_fixture,
     "quantum:4": quantum4_subspace_fixture,
-    "real_quantum:3": real_qutrit_fixture,
+    "real_quantum:3": lambda: qutrit_fixture(float),
     "classical:3": classical_fixture,
 }
 
@@ -133,7 +131,7 @@ def test_criterion_6_exact_tomography():
     worst_err = worst_gap = 0.0
     for i in range(20):
         s = sl.random_state(model, [108, i])
-        res = sl.tomography_roundtrip(model, ss, s, mode="exact")
+        res = sl.tomography_roundtrip(ss, s, mode="exact")
         worst_err = max(worst_err, res.reconstruction_error)
         worst_gap = max(
             worst_gap,
@@ -159,7 +157,7 @@ def test_criterion_7_sampled_tomography_convergence():
         for i in range(20):
             s = sl.random_state(model, [109, i])
             res = sl.tomography_roundtrip(
-                model, ss, s, mode="sampled", shots=shots, seed=[110, i]
+                ss, s, mode="sampled", shots=shots, seed=[110, i]
             )
             errs.append(res.reconstruction_error)
         medians.append(float(np.median(errs)))
@@ -192,7 +190,7 @@ def test_criterion_8_monte_carlo_consistency():
         ss = sl.slit_system(model, subset_filters(list(setup.slit_projectors), model))
         detector = measurement_from_matrices(list(setup.detector_effects), model)
         s = sl.random_state(model, [112, seed])
-        plan = sl.ExperimentPlan(model, ss, detector, s, 10**6, seed)
+        plan = sl.ExperimentPlan(ss, detector, s, 10**6, seed)
         est = sl.estimate_i3(sl.run_experiment(plan))
         if abs(est.estimates[0]) <= 1.96 * est.standard_errors[0]:
             hits += 1
@@ -203,7 +201,7 @@ def test_criterion_8_monte_carlo_consistency():
 
 
 def test_criterion_9_real_quantum_case():
-    model, ss, _, _ = real_qutrit_fixture()
+    model, ss, _, _ = qutrit_fixture(float)
     op, tab, _ = sweep_i3_i2(model, ss, 1000, seed=114)
     p3 = sl.p3_operator(ss).matrix
     idem = np.linalg.norm(p3 @ p3 - p3, "fro")
@@ -213,7 +211,7 @@ def test_criterion_9_real_quantum_case():
         s = sl.random_state(model, [116, i])
         worst_err = max(
             worst_err,
-            sl.tomography_roundtrip(model, ss, s, mode="exact").reconstruction_error,
+            sl.tomography_roundtrip(ss, s, mode="exact").reconstruction_error,
         )
     ok = (
         max(op, tab) < 1e-9

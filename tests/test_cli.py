@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from sorkinlab import cli, serialize
 from sorkinlab.cli import main, resolve_model, resolve_slits
 from sorkinlab.fixtures import qutrit_fixture
-from sorkinlab.gpt import validate_filter
+from sorkinlab.gpt import sample_states, validate_filter
 from sorkinlab.interference import ProbabilityTable, all_subsets, subset_key
 
 
@@ -43,7 +44,7 @@ class TestValidate:
         ss = resolve_slits(slits, model, named)
         expected = []
         for J in all_subsets(3):
-            d = validate_filter(ss.derived[J], model, 20, 5).to_dict()
+            d = validate_filter(ss.derived[J], model, sample_states(model, 20, 5)).to_dict()
             d["subject"] = f"filter_{subset_key(J)}"
             expected.append(d)
         assert json.loads(out)["reports"][1:] == expected
@@ -108,7 +109,14 @@ class TestValidate:
         ["experiment", "--spin1", "--model", "quantum:4"],
         ["experiment", "--spin1", "--b", "nan,0,1"],
         ["prop1", "--slits", "spin1:1,1,1e400"],
-        ["experiment", "--spin1", "--d", "1e200,1e200,0"],
+        ["experiment", "--model", "classical:3", "--state", {"coords": [0.9, 0.9, 0.9]},
+         "--shots", "1000"],
+        ["interference", "--model", "classical:3", "--effect", "order-unit",
+         "--state", {"coords": [0.5, 0.8, -0.3]}],
+        ["interference", "--model", "classical:3", "--state", "uniform",
+         "--effect", {"coords": [1.5, 0.0, 0.0]}],
+        ["interference", "--table", {"k": 2.5, "entries": {"1": 0.1, "2": 0.1, "12": 0.2}}],
+        ["interference", "--table", {"k": "3", "entries": three_slit_entries()}],
     ],
     ids=["state-dimension", "classical-state-dimension", "negative-shots",
          "table-negative-shots", "state-seed-not-integer",
@@ -123,7 +131,9 @@ class TestValidate:
          "prop1-spin1-quantum4", "tomography-spin1-quantum4",
          "experiment-spin1-quantum4", "interference-spin1-classical",
          "validate-spin1-classical", "experiment-flag-spin1-quantum4",
-         "axis-nan", "axis-infinite", "axis-norm-overflows"],
+         "axis-nan", "axis-infinite", "classical-state-unnormalized",
+         "classical-state-outside-cone", "classical-effect-above-one",
+         "table-k-not-integer", "table-k-string"],
 )
 def test_bad_arguments_are_input_errors(capsys, tmp_path, argv):
     # a JSON value in argv stands for a file holding it
@@ -145,6 +155,23 @@ def test_four_slit_table_runs(capsys, tmp_path):
     code, out = run(capsys, "interference", "--table", str(path))
     assert code == 0
     assert json.loads(out)["k"] == 4 and "i3" not in json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "axis, unscaled",
+    [("1e200,1e200,0", "1,1,0"), ("1e-170,1e-170,0", "1,1,0"), ("5e-160,0,0", "1,0,0")],
+    ids=["axis-norm-overflows", "axis-norm-underflows", "axis-norm-subnormal"],
+)
+def test_extreme_axes_match_their_unscaled_axis(capsys, axis, unscaled):
+    outs = []
+    for a in (axis, unscaled):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["experiment", "--spin1", "--b", a, "--d", a, "--shots", "1000"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        outs.append(captured.out)
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("kind", ["state", "effect"])
@@ -174,6 +201,14 @@ class TestInterference:
         assert abs(payload["i3_table"]) < 1e-11
         assert abs(payload["i3_operator"]) < 1e-11
         assert abs(payload["i3_table"] - payload["i3_operator"]) < 1e-11
+
+    def test_qutrit_matrix_files(self, capsys, tmp_path):
+        psi = np.ones(3, dtype=complex) / np.sqrt(3.0)
+        path = tmp_path / "qutrit.json"
+        path.write_text(json.dumps(serialize.hermitian_to_dict(np.outer(psi, psi.conj()))))
+        code, out = run(capsys, "interference", "--state", str(path), "--effect", str(path))
+        assert code == 0
+        assert out == run(capsys, "interference")[1]
 
     def test_sweep(self, capsys):
         code, out = run(
@@ -383,7 +418,8 @@ def argv_files(tmp_path_factory):
               "cone": {"type": "custom", "generators": [[1, 0], [0, 1]]}}
     values = [good, bad, short, custom, {"cone": 5}, [1, 2],
               {"coords": [1 / 3, 0, 0, 0, 0, 0, 0, 0, 0]}, {"coords": [float("nan")] * 9},
-              {"coords": [5.0] + [0.0] * 8}, {"coords": "x"}]
+              {"coords": [5.0] + [0.0] * 8}, {"coords": "x"}, {"coords": [0.9, 0.9, 0.9]},
+              {"coords": [0.5, 0.8, -0.3]}, {"coords": [0.0, 1.0] + [0.0] * 7}]
     return [_json_file(directory, v) for v in values] + [str(directory / "missing.json")], directory
 
 

@@ -20,7 +20,7 @@ def qutrit_plan():
     model, ss, s, _ = qutrit_fixture()
     setup = sl.spin1_feynman_setup([0, 0, 1], [1, 0, 0])
     detector = measurement_from_matrices(list(setup.detector_effects), model)
-    return sl.ExperimentPlan(model, ss, detector, s, 100000, 17)
+    return sl.ExperimentPlan(ss, detector, s, 100000, 17)
 
 
 class TestSimulateSetting:
@@ -38,7 +38,6 @@ class TestSimulateSetting:
 
     def test_zero_shots(self, qutrit_plan):
         plan = sl.ExperimentPlan(
-            qutrit_plan.model,
             qutrit_plan.slits,
             qutrit_plan.detector_measurement,
             qutrit_plan.source_state,
@@ -67,7 +66,7 @@ class TestRunExperiment:
         model, ss, s, _ = qutrit_fixture()
         setup = sl.spin1_feynman_setup([0, 0, 1], [1, 0, 0])
         detector = measurement_from_matrices(list(setup.detector_effects), model)
-        plan = sl.ExperimentPlan(model, ss, detector, s, 10**6, 23)
+        plan = sl.ExperimentPlan(ss, detector, s, 10**6, 23)
         record = sl.run_experiment(plan)
         for J in SETTING_ORDER:
             probs = plan.setting_probabilities(J)
@@ -141,7 +140,7 @@ class TestCalibration:
         hits = 0
         runs = 200
         for seed in range(runs):
-            plan = sl.ExperimentPlan(model, ss, detector, s, 10**4, seed)
+            plan = sl.ExperimentPlan(ss, detector, s, 10**4, seed)
             est = sl.estimate_i3(sl.run_experiment(plan))
             if abs(est.estimates[0]) <= 1.96 * est.standard_errors[0]:
                 hits += 1

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sorkinlab as sl
-from sorkinlab.gpt import EPS_RANK_REL, orthonormal_column_basis
+from sorkinlab.gpt import EPS_RANK_REL, orthonormal_column_basis, sample_states
 from sorkinlab.models import (
     build_classical_model,
     build_quantum_model,
@@ -109,54 +109,45 @@ class TestApply:
 
 
 class TestConditionalState:
+    """The state after a branch is P(s) / p with p = e . s, the probability of
+    the branch's effect; these check the two sides through apply and
+    probability."""
+
     def test_trivial_branch(self, q3):
         s = state_from_matrix(PSI_PROJ, q3)
-        out = sl.conditional_state(
-            sl.Transformation(np.eye(9)), sl.Effect(q3, q3.order_unit), s
-        )
+        out = sl.apply(sl.Transformation(np.eye(9)), s)
+        assert sl.probability(sl.Effect(q3, q3.order_unit), s) == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(out.coords, s.coords, atol=1e-12)
 
     def test_lueders_update(self, q3):
         # oracle: Pi rho Pi / Tr(Pi rho) = (1/2)(|0>+|1>)(<0|+<1|)
         pi12 = np.diag([1.0, 1.0, 0.0]).astype(complex)
-        out = sl.conditional_state(
-            lueders_filter(pi12, q3).projection,
-            effect_from_matrix(pi12, q3),
-            state_from_matrix(PSI_PROJ, q3),
-        )
+        s = state_from_matrix(PSI_PROJ, q3)
+        p = sl.probability(effect_from_matrix(pi12, q3), s)
+        out = sl.apply(lueders_filter(pi12, q3).projection, s).coords / p
         expected = q3.embed(pi12 @ PSI_PROJ @ pi12 / np.trace(pi12 @ PSI_PROJ).real)
-        np.testing.assert_allclose(out.coords, expected, atol=1e-12)
+        np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_classical_conditioning(self, c3):
-        out = sl.conditional_state(
-            sl.Transformation(np.diag([1.0, 0.0, 0.0])),
-            sl.Effect(c3, np.array([1.0, 0.0, 0.0])),
-            sl.State(c3, np.full(3, 1.0 / 3.0)),
-        )
-        np.testing.assert_allclose(out.coords, [1.0, 0.0, 0.0], atol=1e-12)
-
-    def test_zero_probability_raises(self, c3):
-        with pytest.raises(sl.ZeroProbabilityOutcome):
-            sl.conditional_state(
-                sl.Transformation(np.eye(3)),
-                sl.Effect(c3, np.array([0.0, 0.0, 1.0])),
-                sl.State(c3, np.array([0.5, 0.5, 0.0])),
-            )
+        s = sl.State(c3, np.full(3, 1.0 / 3.0))
+        p = sl.probability(sl.Effect(c3, np.array([1.0, 0.0, 0.0])), s)
+        out = sl.apply(sl.Transformation(np.diag([1.0, 0.0, 0.0])), s).coords / p
+        np.testing.assert_allclose(out, [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_normalization_preserved(self, q3):
+        # the Lueders branch passes with the probability of its effect
         pi = np.diag([1.0, 0.0, 0.0]).astype(complex)
         for seed in range(10):
             s = sl.random_state(q3, seed)
-            out = sl.conditional_state(
-                lueders_filter(pi, q3).projection, effect_from_matrix(pi, q3), s
-            )
-            assert out.normalization == pytest.approx(s.normalization, abs=1e-10)
+            passed = sl.apply(lueders_filter(pi, q3).projection, s)
+            p = sl.probability(effect_from_matrix(pi, q3), s)
+            assert passed.normalization == pytest.approx(p, abs=1e-10)
 
 
 class TestValidateFilter:
     def test_quantum_rank1_passes(self, q3):
         pi = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        rep = sl.validate_filter(lueders_filter(pi, q3), q3, n_samples=50, seed=1)
+        rep = sl.validate_filter(lueders_filter(pi, q3), q3, sample_states(q3, 50, 1))
         assert rep.passed
         assert all(c.residual < 1e-10 for c in rep.checks)
 
@@ -165,22 +156,14 @@ class TestValidateFilter:
             projection=sl.Transformation(2.0 * np.eye(9)),
             complement=sl.Transformation(np.zeros((9, 9))),
         )
-        rep = sl.validate_filter(bad, q3, n_samples=20, seed=1)
+        rep = sl.validate_filter(bad, q3, sample_states(q3, 20, 1))
         assert not rep.passed
         assert rep.worst("idempotence") > 1e-3
 
     def test_classical_mask_passes(self, c3):
         f = classical_filter(np.array([1.0, 1.0, 0.0]), c3)
-        rep = sl.validate_filter(f, c3, n_samples=50, seed=2)
+        rep = sl.validate_filter(f, c3, sample_states(c3, 50, 2))
         assert rep.passed
-
-    def test_given_states_match_own_draws(self, q3):
-        states = sl.gpt.sample_states(q3, 20, 5)
-        for pi in (PSI_PROJ, np.diag([1.0, 1.0, 0.0]).astype(complex)):
-            f = lueders_filter(pi, q3)
-            own = sl.validate_filter(f, q3, n_samples=20, seed=5)
-            shared = sl.validate_filter(f, q3, states=states)
-            assert shared.to_dict() == own.to_dict()
 
 
 class TestFilterComplement:

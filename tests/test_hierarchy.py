@@ -186,7 +186,7 @@ class TestOtherSlitCounts:
         ss = basis_system(4, 4)
         model = ss.model
         plan = sl.ExperimentPlan(
-            model, ss, measurement_from_matrices(basis_projectors(4), model),
+            ss, measurement_from_matrices(basis_projectors(4), model),
             sl.random_state(model, 6), 1000, 7,
         )
         record = sl.run_experiment(plan)
@@ -204,12 +204,12 @@ class TestOtherSlitCounts:
     def test_four_slit_exact_tomography(self):
         ss = basis_system(4, 4)
         s = sl.random_state(ss.model, 8)
-        result = sl.tomography_roundtrip(ss.model, ss, s, mode="exact")
+        result = sl.tomography_roundtrip(ss, s, mode="exact")
         assert len(result.per_face) == 6
         assert result.reconstruction_error <= 1e-12
 
     def test_two_slit_exact_tomography(self):
         ss = basis_system(3, 2)
         s = sl.random_state(ss.model, 9)
-        result = sl.tomography_roundtrip(ss.model, ss, s, mode="exact")
+        result = sl.tomography_roundtrip(ss, s, mode="exact")
         assert result.reconstruction_error <= 1e-12

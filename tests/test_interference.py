@@ -11,16 +11,9 @@ from sorkinlab.fixtures import (
     classical_fixture,
     quantum4_subspace_fixture,
     qutrit_fixture,
-    real_qutrit_fixture,
     table_06,
 )
-from sorkinlab.interference import (
-    ProbabilityTable,
-    all_subsets,
-    slit_system,
-    table_from_filters,
-    mutual_span_residual,
-)
+from sorkinlab.interference import ProbabilityTable, all_subsets, slit_system
 from sorkinlab.models import (
     build_quantum_model,
     effect_from_matrix,
@@ -28,6 +21,22 @@ from sorkinlab.models import (
     subset_filters,
 )
 from sorkinlab.gpt import orthonormal_column_basis
+
+
+def real_qutrit_fixture():
+    """The real_quantum:3 qutrit; a named function, so parametrized ids read
+    real_qutrit_fixture."""
+    return qutrit_fixture(float)
+
+
+def mutual_span_residual(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest defect of either orthonormal basis against the other's span."""
+    qa = orthonormal_column_basis(a)
+    qb = orthonormal_column_basis(b)
+    r1 = qa - qb @ (qb.T @ qa) if qa.shape[1] else np.zeros((a.shape[0], 0))
+    r2 = qb - qa @ (qa.T @ qb) if qb.shape[1] else np.zeros((a.shape[0], 0))
+    vals = [np.linalg.norm(r, axis=0).max() for r in (r1, r2) if r.shape[1]]
+    return float(max(vals)) if vals else 0.0
 
 
 def make_table(k, values):
@@ -172,11 +181,11 @@ class TestIkFromTable:
 
     def test_i4_vanishes_on_quantum4(self):
         model = build_quantum_model(4)
-        filters = subset_filters(basis_projectors(4), model)
+        ss = slit_system(model, subset_filters(basis_projectors(4), model))
         for i in range(50):
             s = sl.random_state(model, [20, i])
             r = sl.random_effect(model, [21, i])
-            t = table_from_filters(r, filters, s, 4)
+            t = sl.table_from_system(r, ss, s)
             assert abs(sl.ik_from_table(t)) < 1e-10
 
     @given(delta=st.floats(-0.5, 0.5, allow_nan=False), seed=st.integers(0, 1000))

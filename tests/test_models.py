@@ -275,9 +275,9 @@ class TestLazyComplements:
         r = sl.random_effect(model, seed=2)
         sl.prop1_verify(ss, n_samples=5, seed=0)
         sl.table_from_system(r, ss, s)
-        sl.tomography_roundtrip(model, ss, s, mode="sampled", shots=1000, seed=3)
+        sl.tomography_roundtrip(ss, s, mode="sampled", shots=1000, seed=3)
         detector = sl.models.measurement_from_matrices(list(setup.detector_effects), model)
-        sl.run_experiment(sl.ExperimentPlan(model, ss, detector, s, 1000, 4))
+        sl.run_experiment(sl.ExperimentPlan(ss, detector, s, 1000, 4))
         assert calls == [7]
 
 
@@ -306,7 +306,7 @@ class TestSlitSystemConstruction:
         model = build_quantum_model(3)
         ss = slit_system(model, subset_filters(basis_projectors(3), model))
         for J, f in ss.derived.items():
-            rep = sl.validate_filter(f, model, n_samples=30, seed=4)
+            rep = sl.validate_filter(f, model, sl.gpt.sample_states(model, 30, 4))
             assert rep.passed, (sorted(J), rep.to_dict())
 
 
@@ -363,34 +363,29 @@ class TestSpin1:
 
 
 class TestJointProbability:
+    """Probability that the system passes a filter and the detector fires."""
+
     def test_hand_value(self):
         # oracle: Tr(|psi><psi| Pi12 |psi><psi| Pi12) = |<psi|Pi12|psi>|^2 = 4/9
         model = build_quantum_model(3)
         pi12 = np.diag([1.0, 1.0, 0.0]).astype(complex)
-        p = sl.joint_probability(
-            effect_from_matrix(PSI_PROJ, model),
-            lueders_filter(pi12, model),
-            state_from_matrix(PSI_PROJ, model),
-        )
+        passed = sl.apply(lueders_filter(pi12, model).projection, state_from_matrix(PSI_PROJ, model))
+        p = sl.probability(effect_from_matrix(PSI_PROJ, model), passed)
         assert p == pytest.approx(4.0 / 9.0, abs=1e-12)
 
     def test_open_filter_total_probability(self):
         model = build_quantum_model(3)
-        ident = sl.Filter(sl.Transformation(np.eye(9)), sl.Transformation(np.zeros((9, 9))))
+        ident = sl.Transformation(np.eye(9))
         s = sl.random_state(model, 9)
         u = sl.Effect(model, model.order_unit)
-        assert sl.joint_probability(u, ident, s) == pytest.approx(1.0, abs=1e-12)
+        assert sl.probability(u, sl.apply(ident, s)) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_supports(self):
         model = build_quantum_model(3)
         pi2 = np.diag([0.0, 1.0, 0.0]).astype(complex)
         e0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        p = sl.joint_probability(
-            effect_from_matrix(e0, model),
-            lueders_filter(pi2, model),
-            state_from_matrix(PSI_PROJ, model),
-        )
-        assert abs(p) < 1e-12
+        passed = sl.apply(lueders_filter(pi2, model).projection, state_from_matrix(PSI_PROJ, model))
+        assert abs(sl.probability(effect_from_matrix(e0, model), passed)) < 1e-12
 
     def test_matches_matrix_picture(self):
         # 100 random (rho, Pi, D) triples against Tr[D Pi rho Pi]
@@ -407,10 +402,7 @@ class TestJointProbability:
             h = (a + a.conj().T) / 2
             w, v = np.linalg.eigh(h)
             dmat = (v * np.clip(w, 0, 1)) @ v.conj().T
-            got = sl.joint_probability(
-                effect_from_matrix(dmat, model),
-                lueders_filter(pi, model),
-                state_from_matrix(rho, model),
-            )
+            passed = sl.apply(lueders_filter(pi, model).projection, state_from_matrix(rho, model))
+            got = sl.probability(effect_from_matrix(dmat, model), passed)
             expected = np.trace(dmat @ pi @ rho @ pi).real
             assert got == pytest.approx(expected, abs=1e-11)

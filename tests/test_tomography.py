@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import sorkinlab as sl
-from sorkinlab.fixtures import classical_fixture, qutrit_fixture, real_qutrit_fixture
+from sorkinlab.fixtures import classical_fixture, qutrit_fixture
 from sorkinlab.models import state_from_matrix
 from sorkinlab.tomography import exact_frequencies, sample_frequencies
 
@@ -38,7 +38,7 @@ class TestBuildFaceMeasurement:
         assert len(plan.settings) == 1
 
     def test_real_quantum_pair_face(self):
-        model, ss, _, _ = real_qutrit_fixture()
+        model, ss, _, _ = qutrit_fixture(float)
         face = sl.face_of(ss.filter_for({1, 2}))
         plan = sl.build_face_measurement(face, model)
         # symmetric operators on a 2-dim subspace: 3 real parameters
@@ -52,7 +52,7 @@ class TestEstimateFilteredState:
         filt = ss.filter_for({1, 2})
         plan = sl.build_face_measurement(sl.face_of(filt), model)
         s12 = sl.apply(filt.projection, s)
-        est = sl.estimate_filtered_state(plan, exact_frequencies(plan, s12), filt)
+        est = sl.estimate_filtered_state(plan, exact_frequencies(plan, s12))
         # oracle: Pi12 |psi><psi| Pi12 with psi the uniform superposition
         pi12 = np.diag([1.0, 1.0, 0.0]).astype(complex)
         expected = model.embed(pi12 @ PSI_PROJ @ pi12)
@@ -64,7 +64,7 @@ class TestEstimateFilteredState:
         plan = sl.build_face_measurement(sl.face_of(filt), model)
         s12 = sl.apply(filt.projection, s)
         freqs = sample_frequencies(plan, s12, shots=10**6, seed=13)
-        est = sl.estimate_filtered_state(plan, freqs, filt)
+        est = sl.estimate_filtered_state(plan, freqs)
         assert np.linalg.norm(est.coords - s12.coords) < 0.01
 
     def test_zero_state(self):
@@ -72,7 +72,7 @@ class TestEstimateFilteredState:
         filt = ss.filter_for({1, 2})
         plan = sl.build_face_measurement(sl.face_of(filt), model)
         zero = sl.State(model, np.zeros(9))
-        est = sl.estimate_filtered_state(plan, exact_frequencies(plan, zero), filt)
+        est = sl.estimate_filtered_state(plan, exact_frequencies(plan, zero))
         np.testing.assert_allclose(est.coords, np.zeros(9), atol=1e-12)
 
     def test_frequency_shape_mismatch(self):
@@ -80,7 +80,7 @@ class TestEstimateFilteredState:
         filt = ss.filter_for({1, 2})
         plan = sl.build_face_measurement(sl.face_of(filt), model)
         with pytest.raises(ValueError):
-            sl.estimate_filtered_state(plan, [np.zeros(2)], filt)
+            sl.estimate_filtered_state(plan, [np.zeros(2)])
 
     def test_estimates_are_filter_fixed_points(self):
         model, ss, _, _ = qutrit_fixture()
@@ -89,17 +89,20 @@ class TestEstimateFilteredState:
         for i in range(10):
             s = sl.random_state(model, [70, i])
             s12 = sl.apply(filt.projection, s)
-            est = sl.estimate_filtered_state(plan, exact_frequencies(plan, s12), filt)
+            est = sl.estimate_filtered_state(plan, exact_frequencies(plan, s12))
             np.testing.assert_allclose(
                 sl.apply(filt.projection, est).coords, est.coords, atol=1e-10
             )
 
 
 class TestExtractComponents:
+    """Single-slit parts P_i(s_ij) of pair-filtered states."""
+
     def test_hand_value(self):
         model, ss, s, _ = qutrit_fixture()
         s12 = sl.apply(ss.filter_for({1, 2}).projection, s)
-        s1, s2 = sl.extract_single_slit_components(s12, ss, 1, 2)
+        s1 = sl.apply(ss.filter_for({1}).projection, s12)
+        s2 = sl.apply(ss.filter_for({2}).projection, s12)
         np.testing.assert_allclose(
             model.unembed(s1.coords), np.diag([1 / 3, 0, 0]), atol=1e-12
         )
@@ -110,18 +113,19 @@ class TestExtractComponents:
     def test_state_already_in_single_face(self):
         model, ss, _, _ = qutrit_fixture()
         s = state_from_matrix(np.diag([1.0, 0.0, 0.0]).astype(complex), model)
-        s1, s2 = sl.extract_single_slit_components(s, ss, 1, 2)
+        s1 = sl.apply(ss.filter_for({1}).projection, s)
+        s2 = sl.apply(ss.filter_for({2}).projection, s)
         np.testing.assert_allclose(s1.coords, s.coords, atol=1e-12)
         np.testing.assert_allclose(s2.coords, np.zeros(9), atol=1e-12)
 
     def test_components_agree_across_faces(self):
         model, ss, _, _ = qutrit_fixture()
+        p1 = ss.filter_for({1}).projection
         for i in range(10):
             s = sl.random_state(model, [80, i])
             s12 = sl.apply(ss.filter_for({1, 2}).projection, s)
             s13 = sl.apply(ss.filter_for({1, 3}).projection, s)
-            a, _ = sl.extract_single_slit_components(s12, ss, 1, 2)
-            b, _ = sl.extract_single_slit_components(s13, ss, 1, 3)
+            a, b = sl.apply(p1, s12), sl.apply(p1, s13)
             np.testing.assert_allclose(a.coords, b.coords, atol=1e-10)
 
 
@@ -169,16 +173,16 @@ class TestRoundtrip:
         worst = 0.0
         for i in range(20):
             s = sl.random_state(model, [90, i])
-            res = sl.tomography_roundtrip(model, ss, s, mode="exact")
+            res = sl.tomography_roundtrip(ss, s, mode="exact")
             worst = max(worst, res.reconstruction_error)
         assert worst < 1e-9
 
     def test_exact_real_quantum(self):
-        model, ss, _, _ = real_qutrit_fixture()
+        model, ss, _, _ = qutrit_fixture(float)
         worst = 0.0
         for i in range(20):
             s = sl.random_state(model, [91, i])
-            res = sl.tomography_roundtrip(model, ss, s, mode="exact")
+            res = sl.tomography_roundtrip(ss, s, mode="exact")
             worst = max(worst, res.reconstruction_error)
         assert worst < 1e-9
 
@@ -187,14 +191,14 @@ class TestRoundtrip:
         defect = sl.defect_operator(ss).matrix
         for i in range(5):
             s = sl.random_state(model, [92, i])
-            res = sl.tomography_roundtrip(model, ss, s, mode="exact")
+            res = sl.tomography_roundtrip(ss, s, mode="exact")
             expected = np.linalg.norm(defect @ s.coords)
             assert abs(res.reconstruction_error - expected) < 1e-9
 
     def test_sampled_deterministic(self):
         model, ss, s, _ = qutrit_fixture()
-        a = sl.tomography_roundtrip(model, ss, s, mode="sampled", shots=1000, seed=4)
-        b = sl.tomography_roundtrip(model, ss, s, mode="sampled", shots=1000, seed=4)
+        a = sl.tomography_roundtrip(ss, s, mode="sampled", shots=1000, seed=4)
+        b = sl.tomography_roundtrip(ss, s, mode="sampled", shots=1000, seed=4)
         np.testing.assert_array_equal(a.reconstructed.coords, b.reconstructed.coords)
 
     def test_sampled_error_decreases(self):
@@ -204,7 +208,7 @@ class TestRoundtrip:
             errs = []
             for i in range(10):
                 s = sl.random_state(model, [93, i])
-                res = sl.tomography_roundtrip(model, ss, s, mode="sampled", shots=shots, seed=[5, i])
+                res = sl.tomography_roundtrip(ss, s, mode="sampled", shots=shots, seed=[5, i])
                 errs.append(res.reconstruction_error)
             medians.append(np.median(errs))
         assert medians[1] < medians[0]
@@ -212,4 +216,4 @@ class TestRoundtrip:
     def test_bad_mode_rejected(self):
         model, ss, s, _ = qutrit_fixture()
         with pytest.raises(ValueError):
-            sl.tomography_roundtrip(model, ss, s, mode="bogus")
+            sl.tomography_roundtrip(ss, s, mode="bogus")
