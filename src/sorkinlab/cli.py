@@ -26,7 +26,6 @@ from .gpt import (
     ModelSpace,
     State,
     random_effect,
-    random_pairs,
     random_state,
     sample_states,
     validate_effect,
@@ -41,6 +40,8 @@ from .interference import (
     ik_from_table,
     pair_interference,
     prop1_verify,
+    random_tables,
+    signed_subset_sum,
     slit_system,
     subset_key,
     table_from_system,
@@ -161,7 +162,14 @@ def _coords_from_file(spec: str, model: ModelSpace) -> np.ndarray:
         if "coords" in d:
             coords = np.array(d["coords"], dtype=float)
         elif "re" in d:
-            coords = model.embed(serialize.hermitian_from_dict(d))
+            mat = serialize.hermitian_from_dict(d)
+            # embed keeps only the Hermitian (symmetric) part; reject the rest
+            skew = np.linalg.norm(mat - mat.conj().T)
+            if skew > EPS_TOL * max(1.0, np.linalg.norm(mat)):
+                raise InputError(f"matrix in {spec} is not Hermitian")
+            if model.cone.kind == "real_quantum" and np.any(mat.imag):
+                raise InputError(f"matrix in {spec} has an imaginary part on a real model")
+            coords = model.embed(mat)
         else:
             raise InputError(f"file {spec} needs 'coords' or 're'/'im'")
     except (KeyError, TypeError, ValueError) as exc:
@@ -280,10 +288,10 @@ def cmd_interference(args) -> int:
     if args.sweep is not None:
         sup_i3 = 0.0
         max_i2 = 0.0
-        for s, r in random_pairs(model, resolve_count(args.sweep, "--sweep"), args.seed):
-            t = table_from_system(r, ss, s)
-            sup_i3 = max(sup_i3, abs(i3_from_table(t)))
-            max_i2 = max(max_i2, *map(abs, pair_interference(t).values()))
+        for probs in random_tables(ss, resolve_count(args.sweep, "--sweep"), args.seed):
+            sup_i3 = max(sup_i3, float(np.abs(signed_subset_sum(probs, ss.k)).max()))
+            for i2 in pair_interference(probs, ss.k).values():
+                max_i2 = max(max_i2, float(np.abs(i2).max()))
         emit({"sweep": args.sweep, "seed": args.seed,
               "sup_abs_i3": sup_i3, "max_abs_i2": max_i2}, args)
         return 0
@@ -291,7 +299,7 @@ def cmd_interference(args) -> int:
     r = resolve_effect(args.effect, model)
     t = table_from_system(r, ss, s)
     payload = {
-        "i2": {subset_key(J): i2 for J, i2 in pair_interference(t).items()},
+        "i2": {subset_key(J): i2 for J, i2 in pair_interference(t.entries, t.k).items()},
         "i3_table": i3_from_table(t),
         "i3_operator": i3_operator(r, ss, s),
         "table": serialize.table_to_dict(t),

@@ -10,6 +10,7 @@ the trace pairing exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -53,26 +54,108 @@ class ConeDescriptor:
     generators: Optional[np.ndarray] = None  # (n_gen, m)
 
 
+@cache
+def hermitian_basis(d: int, dtype=complex) -> np.ndarray:
+    """Orthonormal Hermitian basis of C^{d x d}, identity component first;
+    with dtype=float, the basis of the real symmetric d x d matrices.
+
+    Order: I/sqrt(d), symmetric off-diagonal pairs, antisymmetric pairs
+    (complex only), diagonal (traceless) elements.  Tr(B_j B_k) = delta_jk.
+    Built once per (d, dtype) on first use and shared, so it is read-only.
+    """
+    basis = [np.eye(d, dtype=dtype) / np.sqrt(d)]
+    pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
+    for j, k in pairs:
+        m = np.zeros((d, d), dtype=dtype)
+        m[j, k] = m[k, j] = 1.0 / np.sqrt(2.0)
+        basis.append(m)
+    for j, k in pairs if dtype is complex else []:
+        m = np.zeros((d, d), dtype=complex)
+        m[j, k] = -1.0j / np.sqrt(2.0)
+        m[k, j] = 1.0j / np.sqrt(2.0)
+        basis.append(m)
+    for l in range(1, d):
+        m = np.zeros((d, d), dtype=dtype)
+        m[np.arange(l), np.arange(l)] = 1.0
+        m[l, l] = -float(l)
+        basis.append(m / np.sqrt(l * (l + 1)))
+    out = np.stack(basis)
+    out.flags.writeable = False
+    return out
+
+
+@cache
+def basis_entries(d: int, dtype=complex) -> tuple[np.ndarray, ...]:
+    """The nonzero entries of hermitian_basis(d, dtype) in np.nonzero order:
+    their (k, i, j) indices and the real and imaginary parts of their values
+    (about 2.5 d^2 entries of the d^4).  Read-only and shared, like the basis."""
+    basis = hermitian_basis(d, dtype)
+    k, i, j = np.nonzero(basis)
+    out = (k, i, j, basis.real[k, i, j], np.imag(basis)[k, i, j])
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 @dataclass(eq=False)
 class ModelSpace:
     """A finite-dimensional model: coordinate space, order unit, cone.
 
-    For quantum / real_quantum models ``basis`` holds the orthonormal
-    Hermitian (resp. symmetric) embedding basis with shape (m, d, d), so
-    embed/unembed round-trip exactly.
+    Quantum / real_quantum models embed Hermitian (resp. symmetric) matrices
+    in the orthonormal basis ``basis`` of shape (m, d, d), so embed/unembed
+    round-trip exactly.
     """
 
     label: str
     dimension: int
     order_unit: np.ndarray
     cone: ConeDescriptor
-    basis: Optional[np.ndarray] = None
+
+    @property
+    def _matrix_dtype(self):
+        return {"quantum": complex, "real_quantum": float}.get(self.cone.kind)
+
+    @property
+    def basis(self) -> Optional[np.ndarray]:
+        """The embedding basis of a matrix model, None for other cones."""
+        dtype = self._matrix_dtype
+        return None if dtype is None else hermitian_basis(self.cone.d, dtype)
+
+    @property
+    def basis_entries(self) -> tuple[np.ndarray, ...]:
+        """The nonzero entries of the embedding basis (see basis_entries)."""
+        if self._matrix_dtype is None:
+            raise ValueError(f"model {self.label!r} has no matrix embedding")
+        return basis_entries(self.cone.d, self._matrix_dtype)
+
+    def _zero_coords(self, shape: tuple, complex_: bool) -> np.ndarray:
+        """Zero coordinate vectors of a shape (..., m), laid out as embed lays
+        out its result: for complex operands the real part of a complex array,
+        as np.real of a complex einsum gives it.  Later BLAS products round
+        differently at the other stride, so output bytes depend on this."""
+        shape = tuple(shape) + (self.dimension,)
+        return np.zeros(shape, complex).real if complex_ else np.zeros(shape)
 
     def embed(self, mat: np.ndarray) -> np.ndarray:
-        """Coordinates of a Hermitian/symmetric matrix in the embedding basis."""
-        if self.basis is None:
-            raise ValueError(f"model {self.label!r} has no matrix embedding")
-        return np.real(np.einsum("kij,ji->k", self.basis, np.asarray(mat)))
+        """Coordinates of a Hermitian/symmetric matrix in the embedding basis,
+        or of each matrix of a stack (..., d, d).
+
+        Coordinate k sums Re(B_k[i, j] mat[j, i]) over the nonzero entries of
+        B_k only, from +0.0 in np.nonzero order, each term formed as
+        b.real * x.real - b.imag * x.imag: the dense einsum over the whole
+        basis adds these terms in this order plus exact zeros, so the result
+        is byte-identical to it at O(d^2) instead of O(d^4) per matrix.
+        """
+        k, i, j, vr, vi = self.basis_entries
+        mat = np.asarray(mat)
+        d = self.cone.d
+        if mat.shape[-2:] != (d, d):
+            raise DimensionMismatch(f"matrix is {mat.shape[-2:]}, model needs {(d, d)}")
+        x = mat[..., j, i]
+        complex_ = self._matrix_dtype is complex or np.iscomplexobj(mat)
+        out = self._zero_coords(mat.shape[:-2], complex_)
+        np.add.at(out.T, k, (vr * x.real - vi * np.imag(x)).T)
+        return out
 
     def unembed(self, coords: np.ndarray) -> np.ndarray:
         """Matrix represented by a coordinate vector."""
@@ -244,19 +327,39 @@ def _rel_fro(mat: np.ndarray, ref: np.ndarray) -> float:
     return float(np.linalg.norm(mat, "fro") / max(1.0, np.linalg.norm(ref, "fro")))
 
 
-def sample_states(model: ModelSpace, n_samples: int, seed: int) -> list[State]:
-    """n_samples random states from the substreams [seed, i]."""
-    return [random_state(model, seed=[seed, i]) for i in range(n_samples)]
+def sample_states(model: ModelSpace, n_samples: int, seed: int) -> np.ndarray:
+    """Coordinates of n_samples random states, one per row; row i is the
+    state random_state draws from the substream [seed, i]."""
+    return _draw(model, [[seed, i] for i in range(n_samples)], effect=False)
 
 
-def validate_filter(f: Filter, model: ModelSpace, states: list[State]) -> ValidationReport:
+# Row-by-row products that round as the products of single vectors do:
+# matmul's stacked matrix-vector and vector-vector loops call the BLAS
+# kernels that A @ x and x @ y call, on each row with its own strides
+# (X @ A.T and np.linalg.norm(X, axis=1) round differently).
+def matvecs(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Rows a @ x for the rows x of xs."""
+    return np.matmul(a, xs[:, :, None])[..., 0]
+
+
+def rowdots(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Row-by-row dot products x @ y."""
+    return np.matmul(xs[:, None, :], ys[:, :, None])[:, 0, 0]
+
+
+def _rownorms(xs: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row."""
+    return np.sqrt(rowdots(xs, xs))
+
+
+def validate_filter(f: Filter, model: ModelSpace, states: np.ndarray) -> ValidationReport:
     """Check the three filter axioms: idempotence, neutrality, complementation.
 
     Neutrality and the pass/block equivalences are sampled over the given
-    cone states (plus their filtered images, which exercise the fixed-point
-    sets), so several filters can be checked on one draw of
-    ``sample_states``; the algebraic identities are checked exactly on the
-    matrices.
+    cone states, coordinates one per row (plus their filtered images, which
+    exercise the fixed-point sets), so several filters can be checked on one
+    draw of ``sample_states``; the algebraic identities are checked exactly
+    on the matrices.
     """
     P = f.projection.matrix
     Pc = f.complement.matrix
@@ -265,23 +368,18 @@ def validate_filter(f: Filter, model: ModelSpace, states: list[State]) -> Valida
     idem = max(_rel_fro(P @ P - P, P), _rel_fro(Pc @ Pc - Pc, Pc))
     prod = max(_rel_fro(P @ Pc, P), _rel_fro(Pc @ P, P))
 
+    passed, blocked = matvecs(P, states), matvecs(Pc, states)
     neutral_worst = 0.0
-    equiv_worst = 0.0
-    for s in states:
-        for t in (s.coords, P @ s.coords, Pc @ s.coords):
-            nt = float(u @ t)
-            if nt <= EPS_TOL:
-                continue
-            pt = P @ t
-            if abs(float(u @ pt) - nt) <= EPS_TOL * max(1.0, nt):
-                neutral_worst = max(
-                    neutral_worst, float(np.linalg.norm(pt - t)) / max(1.0, nt)
-                )
-        # pass/block equivalences on the filtered samples
-        t = P @ s.coords
-        equiv_worst = max(equiv_worst, float(np.linalg.norm(Pc @ t)))
-        t = Pc @ s.coords
-        equiv_worst = max(equiv_worst, float(np.linalg.norm(P @ t)))
+    for t in (states, passed, blocked):
+        nt = t @ u
+        pt = matvecs(P, t)
+        # states the filter passes whole, of positive normalization
+        kept = (nt > EPS_TOL) & (np.abs(pt @ u - nt) <= EPS_TOL * np.maximum(1.0, nt))
+        dev = _rownorms(pt - t)[kept] / np.maximum(1.0, nt[kept])
+        neutral_worst = max(neutral_worst, float(dev.max(initial=0.0)))
+    # pass/block equivalences on the filtered samples
+    equiv_worst = float(max(_rownorms(matvecs(Pc, passed)).max(initial=0.0),
+                            _rownorms(matvecs(P, blocked)).max(initial=0.0)))
 
     return ValidationReport(
         subject="filter",
@@ -369,10 +467,81 @@ def face_of(f: Filter) -> Face:
     return Face(P, basis, basis.shape[1])
 
 
-def _ginibre(model: ModelSpace, rng) -> np.ndarray:
-    """A d x d Gaussian matrix, complex for quantum models."""
-    g = rng.standard_normal((model.cone.d,) * 2)
-    return g + 1j * rng.standard_normal(g.shape) if model.cone.kind == "quantum" else g
+def _random_matrices(model: ModelSpace, seeds, effect: bool) -> np.ndarray:
+    """Random density matrices (effect=False) or effect matrices of a matrix
+    model, stacked (len(seeds), d, d); matrix i comes from the substream
+    seeds[i], which draws a d x d Gaussian real part, then (quantum only) its
+    imaginary part, then for an effect d eigenvalues uniform in [0, 1].
+
+    A state is the Ginibre matrix G G^H over its trace; an effect has the
+    Haar-random eigenbasis Q of G = QR (column signs fixed by diag R) and
+    the drawn eigenvalues.
+    """
+    d = model.cone.d
+    quantum = model.cone.kind == "quantum"
+    g = np.empty((len(seeds), d, d), complex if quantum else float)
+    lam = np.empty((len(seeds), d))
+    for row, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        g.real[row] = rng.standard_normal((d, d))
+        if quantum:
+            g.imag[row] = rng.standard_normal((d, d))
+        if effect:
+            lam[row] = rng.uniform(0.0, 1.0, size=d)
+    if not effect:
+        rho = g @ g.conj().swapaxes(1, 2)
+        rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+        return rho
+    q, r = np.linalg.qr(g)
+    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    return (q * lam[:, None, :]) @ q.conj().swapaxes(1, 2)
+
+
+def _random_state_coords(model: ModelSpace, rng) -> np.ndarray:
+    if model.cone.kind == "classical":
+        return rng.dirichlet(np.ones(model.cone.n))
+    gens = model.cone.generators
+    coords = rng.dirichlet(np.ones(gens.shape[0])) @ gens
+    return coords / float(model.order_unit @ coords)
+
+
+def _random_effect_coords(model: ModelSpace, rng) -> np.ndarray:
+    if model.cone.kind == "classical":
+        return rng.uniform(0.0, 1.0, size=model.cone.n)
+    # map a random functional affinely, e -> (e - lo u) / (hi - lo), so that
+    # g.e / g.u lies in [0, 1] on every generator g; a draw already in [0, u]
+    # is kept as it is
+    coords = rng.uniform(0.0, 1.0, size=model.dimension)
+    gens = model.cone.generators
+    norms = gens @ model.order_unit
+    vals = (gens @ coords) / norms
+    lo, hi = min(float(vals.min()), 0.0), max(float(vals.max()), 1.0)
+    if (lo, hi) != (0.0, 1.0):
+        coords = (coords - lo * model.order_unit) / (hi - lo)
+    return coords
+
+
+def _draw(model: ModelSpace, seeds, effect: bool) -> np.ndarray:
+    """Coordinates of random states (effect=False) or effects, one per row;
+    row i is drawn from the substream seeds[i].
+
+    Matrix models draw in batches of CHUNK_ELEMENTS matrix entries, so the
+    linear algebra and the embedding run once per batch; the other cones
+    draw one at a time.
+    """
+    n = len(seeds)
+    if model.basis is None:
+        draw = _random_effect_coords if effect else _random_state_coords
+        out = np.zeros((n, model.dimension))
+        for row, seed in enumerate(seeds):
+            out[row] = draw(model, np.random.default_rng(seed))
+        return out
+    out = model._zero_coords((n,), model.cone.kind == "quantum")
+    rows = max(1, CHUNK_ELEMENTS // model.cone.d**2)
+    for lo in range(0, n, rows):
+        mats = _random_matrices(model, seeds[lo : lo + rows], effect)
+        out[lo : lo + rows] = model.embed(mats)
+    return out
 
 
 def random_state(model: ModelSpace, seed) -> State:
@@ -381,28 +550,7 @@ def random_state(model: ModelSpace, seed) -> State:
     quantum / real_quantum draw a full-rank Ginibre density matrix, classical
     a flat Dirichlet point on the simplex, custom a convex mix of generators.
     """
-    rng = np.random.default_rng(seed)
-    kind = model.cone.kind
-    if kind in ("quantum", "real_quantum"):
-        g = _ginibre(model, rng)
-        rho = g @ g.conj().T
-        rho /= np.trace(rho).real
-        return State(model, model.embed(rho))
-    if kind == "classical":
-        n = model.cone.n
-        return State(model, rng.dirichlet(np.ones(n)))
-    gens = model.cone.generators
-    w = rng.dirichlet(np.ones(gens.shape[0]))
-    coords = w @ gens
-    norm = float(model.order_unit @ coords)
-    return State(model, coords / norm)
-
-
-def random_pairs(model: ModelSpace, n: int, seed: int):
-    """n random (state, effect) pairs; pair i is drawn from the substreams
-    [seed, i, 0] and [seed, i, 1]."""
-    for i in range(n):
-        yield random_state(model, seed=[seed, i, 0]), random_effect(model, seed=[seed, i, 1])
+    return State(model, _draw(model, [seed], effect=False)[0])
 
 
 def random_effect(model: ModelSpace, seed) -> Effect:
@@ -412,24 +560,16 @@ def random_effect(model: ModelSpace, seed) -> Effect:
     [0, 1]; classical models draw coordinates uniform in [0, 1]; custom cones
     draw coordinates uniform in [0, 1] and map them into [0, u].
     """
-    rng = np.random.default_rng(seed)
-    kind = model.cone.kind
-    if kind in ("quantum", "real_quantum"):
-        q, r = np.linalg.qr(_ginibre(model, rng))
-        q = q * np.sign(np.diagonal(r))
-        lam = rng.uniform(0.0, 1.0, size=model.cone.d)
-        mat = (q * lam) @ q.conj().T
-        return Effect(model, model.embed(mat))
-    if kind == "classical":
-        return Effect(model, rng.uniform(0.0, 1.0, size=model.cone.n))
-    # custom cones: map a random functional affinely, e -> (e - lo u) / (hi - lo),
-    # so that g.e / g.u lies in [0, 1] on every generator g; a draw already
-    # in [0, u] is kept as it is
-    coords = rng.uniform(0.0, 1.0, size=model.dimension)
-    gens = model.cone.generators
-    norms = gens @ model.order_unit
-    vals = (gens @ coords) / norms
-    lo, hi = min(float(vals.min()), 0.0), max(float(vals.max()), 1.0)
-    if (lo, hi) != (0.0, 1.0):
-        coords = (coords - lo * model.order_unit) / (hi - lo)
-    return Effect(model, coords)
+    return Effect(model, _draw(model, [seed], effect=True)[0])
+
+
+def random_pairs(model: ModelSpace, n: int, seed: int):
+    """n random (state, effect) pairs as batches of coordinate arrays: yields
+    (states, effects), one pair per row and CHUNK_ELEMENTS coordinates per
+    array at most.  Pair i is drawn from the substreams [seed, i, 0] and
+    [seed, i, 1], as random_state and random_effect draw them."""
+    rows = max(1, CHUNK_ELEMENTS // model.dimension)
+    for lo in range(0, n, rows):
+        pairs = range(lo, min(n, lo + rows))
+        yield (_draw(model, [[seed, i, 0] for i in pairs], effect=False),
+               _draw(model, [[seed, i, 1] for i in pairs], effect=True))

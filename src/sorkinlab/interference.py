@@ -22,10 +22,12 @@ from .gpt import (
     State,
     Transformation,
     ValidationReport,
+    matvecs,
     orthonormal_column_basis,
     probability,
     apply,
     random_pairs,
+    rowdots,
     support_mask,
 )
 
@@ -188,11 +190,12 @@ def i2_from_table(p12: float, p1: float, p2: float) -> float:
     return p12 - p1 - p2
 
 
-def pair_interference(t: ProbabilityTable) -> dict:
-    """I2 of every slit pair of a table, keyed by pair."""
+def pair_interference(entries: dict, k: int) -> dict:
+    """I2 of every slit pair, keyed by pair, from the entries of a k-slit
+    table keyed by subset; entries may be floats or arrays."""
     return {
-        J: i2_from_table(t[J], *(t[{i}] for i in sorted(J)))
-        for J in subsets_of_size(t.k, 2)
+        J: i2_from_table(entries[J], *(entries[frozenset({i})] for i in sorted(J)))
+        for J in subsets_of_size(k, 2)
     }
 
 
@@ -216,6 +219,17 @@ def table_from_system(r: Effect, ss: SlitSystem, s: State) -> ProbabilityTable:
     """Joint probabilities r . P_J(s) for every nonempty subset setting."""
     entries = {J: probability(r, apply(ss.derived[J].projection, s)) for J in all_subsets(ss.k)}
     return ProbabilityTable(ss.k, entries)
+
+
+def random_tables(ss: SlitSystem, n: int, seed: int):
+    """The tables of the n random pairs random_pairs(ss.model, n, seed)
+    draws, in batches: yields table entries keyed by subset, each an array
+    with one probability per pair, equal to table_from_system's entries."""
+    for states, effects in random_pairs(ss.model, n, seed):
+        yield {
+            J: rowdots(effects, matvecs(ss.derived[J].projection.matrix, states))
+            for J in all_subsets(ss.k)
+        }
 
 
 def p3_operator(ss: SlitSystem) -> Transformation:
@@ -301,8 +315,9 @@ def prop1_verify(ss: SlitSystem, n_samples: int = 500, seed: int = 0) -> Prop1Re
     gap = float(np.linalg.norm(defect, "fro"))
 
     sup_i3 = 0.0
-    for s, r in random_pairs(ss.model, n_samples, seed):
-        sup_i3 = max(sup_i3, abs(float(r.coords @ (defect @ s.coords))))
+    for states, effects in random_pairs(ss.model, n_samples, seed):
+        i3 = rowdots(effects, matvecs(defect, states))
+        sup_i3 = max(sup_i3, float(np.abs(i3).max()))
 
     span = span_condition_check(ss)
     verdicts = (sup_i3 <= EPS_PROP, gap <= EPS_PROP, span <= EPS_PROP)

@@ -34,43 +34,15 @@ _ORTHO_TOL = 1e-10
 _EIG_GAP_TOL = 1e-8
 
 
-def hermitian_basis(d: int, dtype=complex) -> np.ndarray:
-    """Orthonormal Hermitian basis of C^{d x d}, identity component first;
-    with dtype=float, the basis of the real symmetric d x d matrices.
-
-    Order: I/sqrt(d), symmetric off-diagonal pairs, antisymmetric pairs
-    (complex only), diagonal (traceless) elements.  Tr(B_j B_k) = delta_jk.
-    """
-    basis = [np.eye(d, dtype=dtype) / np.sqrt(d)]
-    pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
-    for j, k in pairs:
-        m = np.zeros((d, d), dtype=dtype)
-        m[j, k] = m[k, j] = 1.0 / np.sqrt(2.0)
-        basis.append(m)
-    for j, k in pairs if dtype is complex else []:
-        m = np.zeros((d, d), dtype=complex)
-        m[j, k] = -1.0j / np.sqrt(2.0)
-        m[k, j] = 1.0j / np.sqrt(2.0)
-        basis.append(m)
-    for l in range(1, d):
-        m = np.zeros((d, d), dtype=dtype)
-        m[np.arange(l), np.arange(l)] = 1.0
-        m[l, l] = -float(l)
-        basis.append(m / np.sqrt(l * (l + 1)))
-    return np.stack(basis)
-
-
 def build_quantum_model(d: int) -> ModelSpace:
     """Hermitian d x d model; m = d^2."""
     if d < 2:
         raise ValueError("quantum model needs d >= 2")
-    basis = hermitian_basis(d)
     model = ModelSpace(
         label=f"quantum:{d}",
         dimension=d * d,
         order_unit=np.zeros(d * d),
         cone=ConeDescriptor("quantum", d=d),
-        basis=basis,
     )
     model.order_unit = model.embed(np.eye(d))
     return model
@@ -80,14 +52,12 @@ def build_real_quantum_model(d: int) -> ModelSpace:
     """Real symmetric d x d model; m = d(d+1)/2."""
     if d < 2:
         raise ValueError("real quantum model needs d >= 2")
-    basis = hermitian_basis(d, float)
     m = d * (d + 1) // 2
     model = ModelSpace(
         label=f"real_quantum:{d}",
         dimension=m,
         order_unit=np.zeros(m),
         cone=ConeDescriptor("real_quantum", d=d),
-        basis=basis,
     )
     model.order_unit = model.embed(np.eye(d))
     return model
@@ -111,8 +81,9 @@ def _cmul(xr, xi, yr, yi):
     return xr * yr - xi * yi, xr * yi + xi * yr
 
 
-def _conjugation_matrices(pis: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Real matrices of rho -> Pi rho Pi for a stack of projectors, (n, m, m).
+def _conjugation_matrices(pis: np.ndarray, model: ModelSpace) -> np.ndarray:
+    """Real matrices of rho -> Pi rho Pi in a matrix model's coordinates for a
+    stack of projectors, (n, m, m).
 
     Entry (j, k) is Re Tr(B_j Pi B_k Pi).  Both contractions run over the
     nonzero entries of the basis only (about 2.5 d^2 of them), so a matrix
@@ -131,15 +102,14 @@ def _conjugation_matrices(pis: np.ndarray, basis: np.ndarray) -> np.ndarray:
     einsum reduces in SIMD lanes, so results can differ from it in the last
     bit.
     """
-    n, d, _ = pis.shape
-    m = basis.shape[0]
+    n = pis.shape[0]
+    m = model.dimension
     on = support_mask(pis)
-    k, row, col = np.nonzero(basis)
+    k, row, col, vr, vi = model.basis_entries
     keep = on[row] & on[col]
-    k, row, col = k[keep], row[keep], col[keep]
+    k, row, col, vr, vi = k[keep], row[keep], col[keep], vr[keep], vi[keep]
     if k.size == 0:
         return np.zeros((n, m, m))
-    vr, vi = basis.real[k, row, col], np.imag(basis)[k, row, col]
     # work on the support: rows and columns of Pi in its order, and the basis
     # elements with an entry there (the other rows and columns of out stay 0)
     used = np.zeros(m, dtype=bool)
@@ -208,7 +178,7 @@ def conjugation_superoperator(pi: np.ndarray, model: ModelSpace) -> Transformati
     """The real matrix of rho -> Pi rho Pi in embedded coordinates."""
     pis = np.asarray(pi)[None]
     _check_projectors(pis, model)
-    return Transformation(_conjugation_matrices(pis, model.basis)[0])
+    return Transformation(_conjugation_matrices(pis, model)[0])
 
 
 def _lueders_filters(pis, model: ModelSpace) -> list[Filter]:
@@ -222,13 +192,13 @@ def _lueders_filters(pis, model: ModelSpace) -> list[Filter]:
     """
     pis = np.asarray(pis)
     _check_projectors(pis, model)
-    mats = _conjugation_matrices(pis, model.basis)
+    mats = _conjugation_matrices(pis, model)
 
     @cache
     def complements() -> np.ndarray:
         stack = np.eye(pis.shape[-1]) - pis
         _check_projectors(stack, model)
-        return _conjugation_matrices(stack, model.basis)
+        return _conjugation_matrices(stack, model)
 
     return [
         Filter(Transformation(mat), lambda i=i: Transformation(complements()[i]))

@@ -49,7 +49,7 @@ class FaceMeasurementPlan:
 
 def _supporting_projector(face: Face, model: ModelSpace) -> np.ndarray:
     """Hilbert-space projector whose conjugation map generated the face."""
-    return model.unembed(face.projection_matrix @ model.embed(np.eye(model.cone.d)))
+    return model.unembed(face.projection_matrix @ model.order_unit)
 
 
 def _subspace_vectors(pi: np.ndarray) -> list[np.ndarray]:
@@ -80,11 +80,12 @@ def build_face_measurement(face: Face, model: ModelSpace) -> FaceMeasurementPlan
                 ip = (vecs[a] + 1j * vecs[b]) / np.sqrt(2.0)
                 im = (vecs[a] - 1j * vecs[b]) / np.sqrt(2.0)
                 families.append([np.outer(ip, ip.conj()), np.outer(im, im.conj())])
-        u = model.order_unit
+        coords = model.embed(np.array([m for fam in families for m in fam]))
+        lo = 0
         for fam in families:
-            coords = [model.embed(m) for m in fam]
-            rest = u - np.sum(coords, axis=0)
-            effects = tuple(Effect(model, c) for c in coords) + (Effect(model, rest),)
+            fam_coords, lo = coords[lo : lo + len(fam)], lo + len(fam)
+            rest = model.order_unit - np.sum(fam_coords, axis=0)
+            effects = tuple(Effect(model, c) for c in fam_coords) + (Effect(model, rest),)
             settings.append(Measurement(model, effects))
     elif kind == "classical":
         mask = np.round(np.diagonal(face.projection_matrix))

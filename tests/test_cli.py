@@ -117,6 +117,11 @@ class TestValidate:
          "--effect", {"coords": [1.5, 0.0, 0.0]}],
         ["interference", "--table", {"k": 2.5, "entries": {"1": 0.1, "2": 0.1, "12": 0.2}}],
         ["interference", "--table", {"k": "3", "entries": three_slit_entries()}],
+        ["interference", "--state", {"re": [[0.5, 0.3, 0], [0, 0.5, 0], [0, 0, 0]],
+                                     "im": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}],
+        ["interference", "--model", "real_quantum:3", "--effect", "order-unit",
+         "--state", {"re": [[0.4, 0, 0], [0, 0.3, 0], [0, 0, 0.3]],
+                     "im": [[0, 0.1, 0], [-0.1, 0, 0], [0, 0, 0]]}],
     ],
     ids=["state-dimension", "classical-state-dimension", "negative-shots",
          "table-negative-shots", "state-seed-not-integer",
@@ -133,7 +138,8 @@ class TestValidate:
          "validate-spin1-classical", "experiment-flag-spin1-quantum4",
          "axis-nan", "axis-infinite", "classical-state-unnormalized",
          "classical-state-outside-cone", "classical-effect-above-one",
-         "table-k-not-integer", "table-k-string"],
+         "table-k-not-integer", "table-k-string", "state-not-hermitian",
+         "real-state-imaginary-part"],
 )
 def test_bad_arguments_are_input_errors(capsys, tmp_path, argv):
     # a JSON value in argv stands for a file holding it
