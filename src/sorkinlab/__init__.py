@@ -5,13 +5,10 @@ from .gpt import (
     ConeDescriptor,
     DimensionMismatch,
     Effect,
-    Face,
     Filter,
-    Measurement,
     ModelSpace,
     NotAProjection,
     State,
-    Transformation,
     ValidationReport,
     apply,
     face_of,

@@ -22,7 +22,6 @@ from . import fixtures, serialize
 from .gpt import (
     EPS_TOL,
     Effect,
-    Measurement,
     ModelSpace,
     State,
     random_effect,
@@ -52,7 +51,6 @@ from .models import (
     build_quantum_model,
     build_real_quantum_model,
     classical_subset_filters,
-    measurement_from_matrices,
     spin1_feynman_setup,
     subset_filters,
 )
@@ -156,7 +154,8 @@ def _parse_vec3(text: str) -> np.ndarray:
 
 
 def _coords_from_file(spec: str, model: ModelSpace) -> np.ndarray:
-    """Coordinates from a JSON file holding 'coords' or a matrix 're'/'im'."""
+    """The model's coordinates from a JSON file holding 'coords' or a matrix
+    're'/'im'."""
     d = _load_json(spec)
     try:
         if "coords" in d:
@@ -174,17 +173,13 @@ def _coords_from_file(spec: str, model: ModelSpace) -> np.ndarray:
             raise InputError(f"file {spec} needs 'coords' or 're'/'im'")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad file {spec}: {exc}") from exc
-    if not np.isfinite(coords).all():
-        raise InputError(f"file {spec} has coordinates that are not finite")
-    return coords
-
-
-def _require_dimension(coords: np.ndarray, model: ModelSpace, spec: str) -> np.ndarray:
     if coords.shape != (model.dimension,):
         raise InputError(
             f"{spec!r} has shape {coords.shape}; model {model.label} needs "
             f"{model.dimension} coordinates"
         )
+    if not np.isfinite(coords).all():
+        raise InputError(f"file {spec} has coordinates that are not finite")
     return coords
 
 
@@ -201,13 +196,13 @@ def _resolve_vector(spec: str, model: ModelSpace, kind, draw):
     """'fixture:qutrit', 'random:<seed>' or a JSON file as a kind (State or
     Effect); draw makes the random ones."""
     if spec == "fixture:qutrit":
-        v = fixtures.qutrit_fixture()[2 if kind is State else 3]
-        _require_dimension(v.coords, model, spec)
-        return v
+        if model.cone.kind != "quantum" or model.cone.d != 3:
+            raise InputError("fixture:qutrit needs a quantum:3 model")
+        return kind(model, model.embed(fixtures.qutrit_projector()))
     if spec.startswith("random:"):
         return draw(model, seed=_random_seed(spec))
     if spec.endswith(".json"):
-        v = kind(model, _require_dimension(_coords_from_file(spec, model), model, spec))
+        v = kind(model, _coords_from_file(spec, model))
         if kind is State:
             valid = model.contains(v.coords) and 0.0 < v.normalization <= 1.0 + EPS_TOL
             need = "in the cone with normalization in (0, 1]"
@@ -263,7 +258,7 @@ def cmd_validate(args) -> int:
     model, named = resolve_model(args.model)
     ss = resolve_slits(args.slits, model, named)
     states = sample_states(model, n_samples, args.seed)
-    reports = [ss.validate().to_dict()]
+    reports = [ss.report.to_dict()]  # checked when the system was built
     for J in all_subsets(ss.k):
         rep = validate_filter(ss.derived[J], model, states)
         d = rep.to_dict()
@@ -338,19 +333,18 @@ def cmd_experiment(args) -> int:
         model, named = resolve_model(args.model)
         if args.spin1:
             ss, setup = _spin1_system(model, args.b, args.d)
-            detector = measurement_from_matrices(list(setup.detector_effects), model)
+            detector = model.embed(np.array(setup.detector_effects))
         else:
             ss = resolve_slits(args.slits, model, named)
             if model.cone.kind == "classical":
-                eye = np.eye(model.dimension)
-                detector = Measurement(model, tuple(Effect(model, e) for e in eye))
+                detector = np.eye(model.dimension)
             elif model.basis is not None:
-                detector = measurement_from_matrices(basis_projectors(model.cone.d), model)
+                detector = model.embed(np.array(basis_projectors(model.cone.d)))
             else:
                 raise InputError("experiments on custom cones take a --table")
         plan = ExperimentPlan(
             slits=ss,
-            detector_measurement=detector,
+            detector=detector,
             source_state=resolve_state(args.state, model),
             shots_per_setting=shots,
             seed=args.seed,

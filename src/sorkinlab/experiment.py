@@ -10,14 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gpt import (
-    EPS_TOL,
-    Measurement,
-    State,
-    probability,
-    apply,
-    with_blocked,
-)
+from .gpt import EPS_TOL, State, with_blocked
 from .interference import (
     ProbabilityTable,
     SlitSystem,
@@ -29,19 +22,24 @@ from .interference import (
 
 @dataclass(eq=False)
 class ExperimentPlan:
+    """A k-slit experiment with a detector of effect coordinate vectors that
+    sum to the order unit, one per row (any sequence of vectors will do)."""
+
     slits: SlitSystem
-    detector_measurement: Measurement
+    detector: np.ndarray
     source_state: State
     shots_per_setting: int
     seed: int
 
     def setting_probabilities(self, J: frozenset) -> np.ndarray:
-        """Joint outcome probabilities for one setting, blocked event last."""
-        filt = self.slits.derived[J]
-        s_f = apply(filt.projection, self.source_state)
-        probs = np.array(
-            [probability(e, s_f) for e in self.detector_measurement.effects]
-        )
+        """Joint outcome probabilities for one setting, blocked event last.
+
+        One dot product per effect, on the effect as it is laid out: a
+        matrix-vector product, or a copy of the effects into another layout,
+        rounds differently and would move the output bytes.
+        """
+        s_f = self.slits.derived[J].projection @ self.source_state.coords
+        probs = np.array([float(e @ s_f) for e in self.detector])
         if probs.min() < -EPS_TOL or probs.max() > 1.0 + EPS_TOL:
             raise ValueError(
                 f"setting {subset_key(J)} produced probabilities outside [0, 1]; "
@@ -80,10 +78,10 @@ def plan_hash(plan: ExperimentPlan) -> str:
     h = hashlib.sha256()
     h.update(plan.slits.model.label.encode())
     h.update(np.ascontiguousarray(plan.source_state.coords).tobytes())
-    for e in plan.detector_measurement.effects:
-        h.update(np.ascontiguousarray(e.coords).tobytes())
+    for e in plan.detector:
+        h.update(np.ascontiguousarray(e).tobytes())
     for J in all_subsets(plan.slits.k):
-        h.update(np.ascontiguousarray(plan.slits.derived[J].projection.matrix).tobytes())
+        h.update(np.ascontiguousarray(plan.slits.derived[J].projection).tobytes())
     h.update(str((plan.shots_per_setting, plan.seed)).encode())
     return h.hexdigest()[:16]
 

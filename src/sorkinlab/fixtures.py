@@ -23,13 +23,18 @@ from .models import (
 )
 
 
+def qutrit_projector(dtype=complex) -> np.ndarray:
+    """|psi><psi| for the equal superposition psi = (1, 1, 1) / sqrt(3)."""
+    psi = np.ones(3, dtype=dtype) / np.sqrt(3.0)
+    return np.outer(psi, psi.conj())
+
+
 def qutrit_fixture(dtype=complex):
     """(model, slit system, state, effect) for the equal-superposition qutrit;
     dtype=float gives the real_quantum:3 one."""
     model = (build_quantum_model if dtype is complex else build_real_quantum_model)(3)
     ss = slit_system(model, subset_filters(basis_projectors(3, dtype), model))
-    psi = np.ones(3, dtype=dtype) / np.sqrt(3.0)
-    proj = np.outer(psi, psi.conj())
+    proj = qutrit_projector(dtype)
     return model, ss, state_from_matrix(proj, model), effect_from_matrix(proj, model)
 
 

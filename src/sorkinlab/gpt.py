@@ -1,10 +1,13 @@
-"""Core operational-probabilistic model objects: states, effects, transformations,
-filters, measurements, and faces on a finite-dimensional ordered vector space.
+"""Core operational-probabilistic model objects: states, effects and filters
+on a finite-dimensional ordered vector space.
 
 Everything lives in real coordinates.  Probabilities are plain dot products
 between effect and state vectors; for the matrix-algebra models the embedding
 basis is orthonormal under the trace inner product, so the dot product equals
-the trace pairing exactly.
+the trace pairing exactly.  A transformation is an m x m array acting on
+state coordinates, a measurement a sequence of effect coordinate vectors
+summing to the order unit, and the face of a filter the image of its
+projection.
 """
 
 from __future__ import annotations
@@ -195,11 +198,6 @@ class Effect:
     coords: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class Transformation:
-    matrix: np.ndarray
-
-
 class _BuiltOnFirstRead:
     """A dataclass field that holds its value or a zero-argument builder of
     it; the builder runs on the first read, and its result replaces it."""
@@ -221,33 +219,19 @@ class _BuiltOnFirstRead:
 
 @dataclass(frozen=True, eq=False)
 class Filter:
-    """An idempotent, neutral, complemented transformation and its complement.
+    """An idempotent, neutral, complemented transformation and its complement,
+    both m x m arrays.
 
     ``complement`` may be given as a zero-argument function returning the
-    Transformation; it is then called on the first read of the attribute,
-    which pickling does.
+    array; it is then called on the first read of the attribute, which
+    pickling does.
     """
 
-    projection: Transformation
-    complement: Transformation = _BuiltOnFirstRead()
+    projection: np.ndarray
+    complement: np.ndarray = _BuiltOnFirstRead()
 
     def __getstate__(self):
         return {**self.__dict__, "complement": self.complement}
-
-
-@dataclass(frozen=True, eq=False)
-class Measurement:
-    model: ModelSpace
-    effects: tuple[Effect, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class Face:
-    """Linear-span representation of the set of states fixed by a filter."""
-
-    projection_matrix: np.ndarray
-    image_basis: np.ndarray  # (m, rank), orthonormal columns
-    rank: int
 
 
 @dataclass(frozen=True)
@@ -299,13 +283,13 @@ def probability(e: Effect, s: State) -> float:
     return float(e.coords @ s.coords)
 
 
-def apply(t: Transformation, s: State) -> State:
-    """Image of a state under a transformation."""
-    if t.matrix.shape[1] != s.coords.shape[0]:
+def apply(t: np.ndarray, s: State) -> State:
+    """Image of a state under a transformation, an m x m array."""
+    if t.shape[1] != s.coords.shape[0]:
         raise DimensionMismatch(
-            f"matrix is {t.matrix.shape}, state has length {s.coords.shape[0]}"
+            f"matrix is {t.shape}, state has length {s.coords.shape[0]}"
         )
-    return State(s.model, t.matrix @ s.coords)
+    return State(s.model, t @ s.coords)
 
 
 def with_blocked(probs: np.ndarray) -> np.ndarray:
@@ -361,8 +345,7 @@ def validate_filter(f: Filter, model: ModelSpace, states: np.ndarray) -> Validat
     draw of ``sample_states``; the algebraic identities are checked exactly
     on the matrices.
     """
-    P = f.projection.matrix
-    Pc = f.complement.matrix
+    P, Pc = f.projection, f.complement
     u = model.order_unit
 
     idem = max(_rel_fro(P @ P - P, P), _rel_fro(Pc @ Pc - Pc, Pc))
@@ -415,13 +398,14 @@ def validate_effect(e: Effect, model: ModelSpace, n_samples: int = 100, seed: in
     )
 
 
-def validate_measurement(ms: Measurement, model: ModelSpace) -> ValidationReport:
-    """Effects must sum to the order unit; each effect must be in [0, u]."""
-    total = np.sum([e.coords for e in ms.effects], axis=0)
+def validate_measurement(effects, model: ModelSpace) -> ValidationReport:
+    """Effect coordinate vectors must sum to the order unit and each must lie
+    in [0, u]."""
+    total = np.sum(effects, axis=0)
     sum_resid = float(np.linalg.norm(total - model.order_unit))
     range_resid = 0.0
-    for e in ms.effects:
-        rep = validate_effect(e, model)
+    for e in effects:
+        rep = validate_effect(Effect(model, e), model)
         range_resid = max(range_resid, *(c.residual for c in rep.checks))
     return ValidationReport(
         subject="measurement",
@@ -458,13 +442,13 @@ def orthonormal_column_basis(mat: np.ndarray, rtol: float = EPS_RANK_REL) -> np.
     return basis
 
 
-def face_of(f: Filter) -> Face:
-    """The face fixed by a filter, as an orthonormal basis of its image."""
-    P = f.projection.matrix
+def face_of(f: Filter) -> np.ndarray:
+    """The face fixed by a filter, as an orthonormal basis of the image of its
+    projection, shape (m, rank)."""
+    P = f.projection
     if _rel_fro(P @ P - P, P) > EPS_PROJ:
         raise NotAProjection("filter map is not idempotent; not a projection")
-    basis = orthonormal_column_basis(P)
-    return Face(P, basis, basis.shape[1])
+    return orthonormal_column_basis(P)
 
 
 def _random_matrices(model: ModelSpace, seeds, effect: bool) -> np.ndarray:

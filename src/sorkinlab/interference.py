@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cache
 from itertools import combinations
+from typing import Optional
 
 import numpy as np
 
@@ -20,7 +21,6 @@ from .gpt import (
     Filter,
     ModelSpace,
     State,
-    Transformation,
     ValidationReport,
     matvecs,
     orthonormal_column_basis,
@@ -69,10 +69,13 @@ def signed_subset_sum(terms: dict, k: int):
 @dataclass(eq=False)
 class SlitSystem:
     """k pairwise-orthogonal filters and the joins of every nonempty subset
-    of them, keyed by subset of 1..k; k is read from their number."""
+    of them, keyed by subset of 1..k; k is read from their number.  report
+    is the validate() report that slit_system checked, None for systems
+    built otherwise."""
 
     model: ModelSpace
     derived: dict  # frozenset -> Filter, 2^k - 1 entries
+    report: Optional[ValidationReport] = None
 
     @property
     def k(self) -> int:
@@ -96,7 +99,7 @@ class SlitSystem:
         keys = list(self.derived)
         n = len(keys)
         pos = {J: i for i, J in enumerate(keys)}
-        mats = np.stack([self.derived[J].projection.matrix for J in keys])
+        mats = np.stack([self.derived[J].projection for J in keys])
         on = np.flatnonzero(support_mask(mats))
         block = np.take(np.take(mats, on, axis=1), on, axis=2)
         # resid[J, K] = ||P_J P_K - P_{J&K}||, the target being the zero matrix
@@ -136,9 +139,7 @@ class SlitSystem:
         """
         f = self.derived[self.top]
         new = dict(self.derived)
-        new[self.top] = replace(
-            f, projection=Transformation(f.projection.matrix + bump)
-        )
+        new[self.top] = replace(f, projection=f.projection + bump)
         return SlitSystem(self.model, new)
 
 
@@ -151,7 +152,7 @@ def slit_system(model: ModelSpace, filters: dict) -> SlitSystem:
     ss = SlitSystem(model, {frozenset(J): f for J, f in filters.items()})
     if set(ss.derived) != set(all_subsets(ss.k)):
         raise ValueError("filters must be keyed by every nonempty subset of 1..k")
-    report = ss.validate()
+    report = ss.report = ss.validate()
     if not report.passed:
         worst = max(report.checks, key=lambda c: c.residual / c.tolerance)
         raise InvalidSlitSystem(
@@ -227,29 +228,29 @@ def random_tables(ss: SlitSystem, n: int, seed: int):
     with one probability per pair, equal to table_from_system's entries."""
     for states, effects in random_pairs(ss.model, n, seed):
         yield {
-            J: rowdots(effects, matvecs(ss.derived[J].projection.matrix, states))
+            J: rowdots(effects, matvecs(ss.derived[J].projection, states))
             for J in all_subsets(ss.k)
         }
 
 
-def p3_operator(ss: SlitSystem) -> Transformation:
+def p3_operator(ss: SlitSystem) -> np.ndarray:
     """Minus the signed sum over the proper subsets of the slits; at k = 3
     P12 + P13 + P23 - P1 - P2 - P3 (an idempotent map)."""
-    proper = {J: f.projection.matrix for J, f in ss.derived.items() if J != ss.top}
-    return Transformation(-signed_subset_sum(proper, ss.k))
+    proper = {J: f.projection for J, f in ss.derived.items() if J != ss.top}
+    return -signed_subset_sum(proper, ss.k)
 
 
-def defect_operator(ss: SlitSystem) -> Transformation:
+def defect_operator(ss: SlitSystem) -> np.ndarray:
     """P_[k] minus p3_operator, the operator of I_k: zero iff no k-th order
     interference."""
-    return Transformation(ss.derived[ss.top].projection.matrix - p3_operator(ss).matrix)
+    return ss.derived[ss.top].projection - p3_operator(ss)
 
 
 def i3_operator(r: Effect, ss: SlitSystem, s: State) -> float:
     """Interference in operator form, r . (P_[k] - P^(k)) s; I3 for three slits."""
     if r.coords.shape[0] != s.coords.shape[0]:
         raise ValueError("effect and state dimensions differ")
-    return float(r.coords @ (defect_operator(ss).matrix @ s.coords))
+    return float(r.coords @ (defect_operator(ss) @ s.coords))
 
 
 def span_condition_check(ss: SlitSystem) -> float:
@@ -258,9 +259,9 @@ def span_condition_check(ss: SlitSystem) -> float:
     0 (within the rank tolerance) means every k-slit-filtered direction is a
     linear combination of (k-1)-slit-filtered ones.
     """
-    faces = [ss.derived[J].projection.matrix for J in subsets_of_size(ss.k, ss.k - 1)]
+    faces = [ss.derived[J].projection for J in subsets_of_size(ss.k, ss.k - 1)]
     q = orthonormal_column_basis(np.hstack(faces))
-    triple_basis = orthonormal_column_basis(ss.derived[ss.top].projection.matrix)
+    triple_basis = orthonormal_column_basis(ss.derived[ss.top].projection)
     if triple_basis.shape[1] == 0:
         return 0.0
     resid = triple_basis - q @ (q.T @ triple_basis)
@@ -311,7 +312,7 @@ def prop1_verify(ss: SlitSystem, n_samples: int = 500, seed: int = 0) -> Prop1Re
     supremum of |I3| and the span check are consistency probes.  On a valid
     system all three verdicts must agree.
     """
-    defect = defect_operator(ss).matrix
+    defect = defect_operator(ss)
     gap = float(np.linalg.norm(defect, "fro"))
 
     sup_i3 = 0.0

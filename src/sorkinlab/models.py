@@ -21,11 +21,9 @@ from .gpt import (
     DimensionMismatch,
     Effect,
     Filter,
-    Measurement,
     ModelSpace,
     NotAProjection,
     State,
-    Transformation,
     support_mask,
 )
 from .interference import all_subsets
@@ -174,11 +172,11 @@ def _check_projectors(pis: np.ndarray, model: ModelSpace) -> None:
         raise NotAProjection("matrix is not an orthogonal projector")
 
 
-def conjugation_superoperator(pi: np.ndarray, model: ModelSpace) -> Transformation:
-    """The real matrix of rho -> Pi rho Pi in embedded coordinates."""
+def conjugation_superoperator(pi: np.ndarray, model: ModelSpace) -> np.ndarray:
+    """The real m x m matrix of rho -> Pi rho Pi in embedded coordinates."""
     pis = np.asarray(pi)[None]
     _check_projectors(pis, model)
-    return Transformation(_conjugation_matrices(pis, model)[0])
+    return _conjugation_matrices(pis, model)[0]
 
 
 def _lueders_filters(pis, model: ModelSpace) -> list[Filter]:
@@ -200,10 +198,7 @@ def _lueders_filters(pis, model: ModelSpace) -> list[Filter]:
         _check_projectors(stack, model)
         return _conjugation_matrices(stack, model)
 
-    return [
-        Filter(Transformation(mat), lambda i=i: Transformation(complements()[i]))
-        for i, mat in enumerate(mats)
-    ]
+    return [Filter(mat, lambda i=i: complements()[i]) for i, mat in enumerate(mats)]
 
 
 def lueders_filter(pi: np.ndarray, model: ModelSpace) -> Filter:
@@ -214,10 +209,7 @@ def lueders_filter(pi: np.ndarray, model: ModelSpace) -> Filter:
 def classical_filter(mask: np.ndarray, model: ModelSpace) -> Filter:
     """Coordinate-mask filter on a classical model."""
     mask = np.asarray(mask, dtype=float)
-    return Filter(
-        projection=Transformation(np.diag(mask)),
-        complement=Transformation(np.diag(1.0 - mask)),
-    )
+    return Filter(projection=np.diag(mask), complement=np.diag(1.0 - mask))
 
 
 def basis_projectors(d: int, dtype=complex) -> list[np.ndarray]:
@@ -306,6 +298,3 @@ def effect_from_matrix(mat: np.ndarray, model: ModelSpace) -> Effect:
 def state_from_matrix(mat: np.ndarray, model: ModelSpace) -> State:
     return State(model, model.embed(mat))
 
-
-def measurement_from_matrices(mats, model: ModelSpace) -> Measurement:
-    return Measurement(model, tuple(effect_from_matrix(m, model) for m in mats))

@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 
-from .gpt import ConeDescriptor, Filter, ModelSpace, Transformation
+from .gpt import ConeDescriptor, Filter, ModelSpace
 from .models import (
     build_classical_model,
     build_quantum_model,
@@ -49,8 +49,8 @@ def model_to_dict(model: ModelSpace, filters: dict | None = None) -> dict:
     if filters:
         out["filters"] = {
             name: {
-                "projection": f.projection.matrix.tolist(),
-                "complement": f.complement.matrix.tolist(),
+                "projection": f.projection.tolist(),
+                "complement": f.complement.tolist(),
             }
             for name, f in filters.items()
         }
@@ -90,7 +90,7 @@ def model_from_dict(d: dict) -> tuple[ModelSpace, dict]:
         p, c = (np.array(spec[part], dtype=float) for part in ("projection", "complement"))
         if p.shape != (model.dimension,) * 2 or c.shape != p.shape:
             raise ValueError(f"filter {name!r} is not {model.dimension} x {model.dimension}")
-        filters[name] = Filter(projection=Transformation(p), complement=Transformation(c))
+        filters[name] = Filter(projection=p, complement=c)
     return model, filters
 
 

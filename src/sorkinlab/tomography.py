@@ -15,13 +15,10 @@ import numpy as np
 
 from .gpt import (
     EPS_RANK_REL,
-    Effect,
-    Face,
-    Measurement,
+    Filter,
     ModelSpace,
     State,
     face_of,
-    probability,
     apply,
     with_blocked,
 )
@@ -39,17 +36,13 @@ def _flat_seed(seed) -> list[int]:
 
 @dataclass(eq=False)
 class FaceMeasurementPlan:
-    """Measurements that are informationally complete on one face."""
+    """Measurements that are informationally complete on one face: each
+    setting is a tuple of effect coordinate vectors summing to the order unit."""
 
     model: ModelSpace
-    face: Face
-    settings: tuple[Measurement, ...]
-    design_matrix: np.ndarray  # (n_effects_total, face.rank)
-
-
-def _supporting_projector(face: Face, model: ModelSpace) -> np.ndarray:
-    """Hilbert-space projector whose conjugation map generated the face."""
-    return model.unembed(face.projection_matrix @ model.order_unit)
+    image_basis: np.ndarray  # (m, rank), orthonormal columns spanning the face
+    settings: tuple[tuple[np.ndarray, ...], ...]
+    design_matrix: np.ndarray  # (n_effects_total, rank)
 
 
 def _subspace_vectors(pi: np.ndarray) -> list[np.ndarray]:
@@ -57,18 +50,23 @@ def _subspace_vectors(pi: np.ndarray) -> list[np.ndarray]:
     return [v[:, i] for i in range(len(w)) if w[i] > 0.5]
 
 
-def build_face_measurement(face: Face, model: ModelSpace) -> FaceMeasurementPlan:
-    """Tomographic measurement family for the states fixed on a face.
+def build_face_measurement(f: Filter, model: ModelSpace) -> FaceMeasurementPlan:
+    """Tomographic measurement family for the states fixed by a filter (the
+    face of face_of).
 
     Matrix models use basis projectors of the supporting subspace plus, for
     each basis pair, superposition bases (and for complex models the
     phase-shifted ones); every family is completed to a measurement with the
     effect u - sum.  Classical faces need only their indicator measurement.
+    Each effect vector keeps the layout it is computed in (a row of the
+    embedding, or u - sum on its own): dot products round by layout.
     """
+    basis = face_of(f)
     kind = model.cone.kind
-    settings: list[Measurement] = []
+    settings: list[tuple[np.ndarray, ...]] = []
     if kind in ("quantum", "real_quantum"):
-        pi = _supporting_projector(face, model)
+        # the Hilbert-space projector whose conjugation map is the filter
+        pi = model.unembed(f.projection @ model.order_unit)
         vecs = _subspace_vectors(pi)
         families: list[list[np.ndarray]] = []
         families.append([np.outer(v, v.conj()) for v in vecs])
@@ -84,36 +82,28 @@ def build_face_measurement(face: Face, model: ModelSpace) -> FaceMeasurementPlan
         lo = 0
         for fam in families:
             fam_coords, lo = coords[lo : lo + len(fam)], lo + len(fam)
-            rest = model.order_unit - np.sum(fam_coords, axis=0)
-            effects = tuple(Effect(model, c) for c in fam_coords) + (Effect(model, rest),)
-            settings.append(Measurement(model, effects))
+            settings.append((*fam_coords, model.order_unit - np.sum(fam_coords, axis=0)))
     elif kind == "classical":
-        mask = np.round(np.diagonal(face.projection_matrix))
-        effects = tuple(
-            Effect(model, np.eye(model.dimension)[i])
-            for i in np.flatnonzero(mask)
-        ) + (Effect(model, 1.0 - mask),)
-        settings.append(Measurement(model, effects))
+        mask = np.round(np.diagonal(f.projection))
+        settings.append((*np.eye(model.dimension)[np.flatnonzero(mask)], 1.0 - mask))
     else:
         raise ValueError("no tomographic family available for custom cones")
 
-    rows = np.array(
-        [e.coords @ face.image_basis for ms in settings for e in ms.effects]
-    )
+    rows = np.array([e @ basis for effects in settings for e in effects])
     rank = np.linalg.matrix_rank(rows, tol=EPS_RANK_REL * max(1.0, np.abs(rows).max()))
-    if rank < face.rank:
+    if rank < basis.shape[1]:
         raise ValueError(
             f"measurement family is not informationally complete on the face "
-            f"(design rank {rank} < face rank {face.rank})"
+            f"(design rank {rank} < face rank {basis.shape[1]})"
         )
-    return FaceMeasurementPlan(model, face, tuple(settings), rows)
+    return FaceMeasurementPlan(model, basis, tuple(settings), rows)
 
 
 def exact_frequencies(plan: FaceMeasurementPlan, s_filtered: State) -> list[np.ndarray]:
-    """Per-setting joint outcome probabilities for an already-filtered state."""
+    """Per-setting joint outcome probabilities for an already-filtered state,
+    one dot product per effect."""
     return [
-        np.array([probability(e, s_filtered) for e in ms.effects])
-        for ms in plan.settings
+        np.array([float(e @ s_filtered.coords) for e in effects]) for effects in plan.settings
     ]
 
 
@@ -136,7 +126,7 @@ def estimate_filtered_state(plan: FaceMeasurementPlan, freqs: list[np.ndarray]) 
     if b.shape[0] != plan.design_matrix.shape[0]:
         raise ValueError("frequency vector does not match the plan's settings")
     x, *_ = np.linalg.lstsq(plan.design_matrix, b, rcond=None)
-    coords = plan.face.image_basis @ x
+    coords = plan.image_basis @ x
     return State(plan.model, coords)
 
 
@@ -206,7 +196,7 @@ def tomography_roundtrip(
     estimates: dict = {}
     for pair_idx, J in enumerate(subsets_of_size(ss.k, 2)):
         filt = ss.derived[J]
-        plan = build_face_measurement(face_of(filt), ss.model)
+        plan = build_face_measurement(filt, ss.model)
         s_filtered = apply(filt.projection, s)
         if mode == "exact":
             freqs = exact_frequencies(plan, s_filtered)

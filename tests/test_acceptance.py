@@ -16,7 +16,6 @@ from sorkinlab.fixtures import (
 )
 from sorkinlab.models import (
     build_quantum_model,
-    measurement_from_matrices,
     subset_filters,
 )
 
@@ -28,7 +27,7 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 def sweep_i3_i2(model, ss, n_pairs, seed):
     """Max |I3| (both paths) and max |I2| over random (state, effect) pairs."""
-    defect = sl.defect_operator(ss).matrix
+    defect = sl.defect_operator(ss)
     sup_i3_op = sup_i3_tab = max_i2 = 0.0
     for i in range(n_pairs):
         s = sl.random_state(model, [seed, i, 0])
@@ -90,7 +89,7 @@ def test_criterion_4_signed_sum_idempotence():
     worst = 0.0
     for name, fixture in SHIPPED.items():
         ss = fixture()[1]
-        p3 = sl.p3_operator(ss).matrix
+        p3 = sl.p3_operator(ss)
         worst = max(worst, np.linalg.norm(p3 @ p3 - p3, "fro"))
     report(4, worst < 1e-10, f"worst idempotence residual {worst:.3e} across shipped systems")
 
@@ -127,7 +126,7 @@ def test_criterion_5_three_way_equivalence():
 
 def test_criterion_6_exact_tomography():
     model, ss, _, _ = qutrit_fixture()
-    defect = sl.defect_operator(ss).matrix
+    defect = sl.defect_operator(ss)
     worst_err = worst_gap = 0.0
     for i in range(20):
         s = sl.random_state(model, [108, i])
@@ -188,7 +187,7 @@ def test_criterion_8_monte_carlo_consistency():
         d /= np.linalg.norm(d)
         setup = sl.spin1_feynman_setup(b, d)
         ss = sl.slit_system(model, subset_filters(list(setup.slit_projectors), model))
-        detector = measurement_from_matrices(list(setup.detector_effects), model)
+        detector = model.embed(np.array(setup.detector_effects))
         s = sl.random_state(model, [112, seed])
         plan = sl.ExperimentPlan(ss, detector, s, 10**6, seed)
         est = sl.estimate_i3(sl.run_experiment(plan))
@@ -203,7 +202,7 @@ def test_criterion_8_monte_carlo_consistency():
 def test_criterion_9_real_quantum_case():
     model, ss, _, _ = qutrit_fixture(float)
     op, tab, _ = sweep_i3_i2(model, ss, 1000, seed=114)
-    p3 = sl.p3_operator(ss).matrix
+    p3 = sl.p3_operator(ss)
     idem = np.linalg.norm(p3 @ p3 - p3, "fro")
     rep = sl.prop1_verify(ss, n_samples=500, seed=115)
     worst_err = 0.0

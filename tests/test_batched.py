@@ -24,6 +24,7 @@ from sorkinlab.fixtures import basis_projectors, quantum4_subspace_fixture
 from sorkinlab.gpt import random_pairs, sample_states
 from sorkinlab.interference import random_tables
 from sorkinlab.models import build_quantum_model, build_real_quantum_model, subset_filters
+from sorkinlab.tomography import exact_frequencies
 
 MATRIX_MODELS = [(kind, d) for kind in ("quantum", "real_quantum") for d in (3, 4, 6, 10, 16)]
 
@@ -66,7 +67,7 @@ def loop_effect(model, seed):
 
 def loop_validate_filter(f, model, states):
     """Reference: the filter checks with one test vector at a time."""
-    P, Pc, u = f.projection.matrix, f.complement.matrix, model.order_unit
+    P, Pc, u = f.projection, f.complement, model.order_unit
     rel = gpt._rel_fro
     idem = max(rel(P @ P - P, P), rel(Pc @ Pc - Pc, Pc))
     prod = max(rel(P @ Pc, P), rel(Pc @ P, P))
@@ -230,7 +231,7 @@ class TestStackedChecks:
 
     def test_prop1_supremum_matches_loop(self):
         ss = spin1_system()
-        defect = sl.defect_operator(ss).matrix
+        defect = sl.defect_operator(ss)
         sup = 0.0
         for i in range(120):
             s, r = loop_state(ss.model, [5, i, 0]), loop_effect(ss.model, [5, i, 1])
@@ -243,15 +244,19 @@ class TestStackedChecks:
         dtype = complex if kind == "quantum" else float
         ss = sl.slit_system(model, subset_filters(basis_projectors(d, dtype)[:3], model))
         for J in sl.interference.subsets_of_size(3, 2):
-            face = sl.face_of(ss.derived[J])
-            plan = sl.build_face_measurement(face, model)
-            assert plan.design_matrix.tobytes() == loop_design_matrix(face, model).tobytes()
+            f = ss.derived[J]
+            plan = sl.build_face_measurement(f, model)
+            assert plan.design_matrix.tobytes() == loop_design_matrix(f, model).tobytes()
 
 
-def loop_design_matrix(face, model):
-    """Reference: the face's tomography design matrix, one embedding per
-    family matrix."""
-    pi = model.unembed(face.projection_matrix @ dense_embed(model, np.eye(model.cone.d)))
+def loop_face_settings(f, model):
+    """Reference: the tomography settings of a filter's face, one embedding
+    per family matrix and u - sum on its own."""
+    if model.cone.kind == "classical":
+        mask = np.round(np.diagonal(f.projection))
+        eye = np.eye(model.dimension)
+        return [[eye[i] for i in np.flatnonzero(mask)] + [1.0 - mask]]
+    pi = model.unembed(f.projection @ dense_embed(model, np.eye(model.cone.d)))
     w, v = np.linalg.eigh(pi)
     vecs = [v[:, i] for i in range(len(w)) if w[i] > 0.5]
     families = [[np.outer(v, v.conj()) for v in vecs]]
@@ -263,12 +268,64 @@ def loop_design_matrix(face, model):
             ip = (vecs[a] + 1j * vecs[b]) / np.sqrt(2.0)
             im = (vecs[a] - 1j * vecs[b]) / np.sqrt(2.0)
             families.append([np.outer(ip, ip.conj()), np.outer(im, im.conj())])
-    rows = []
+    settings = []
     for fam in families:
         coords = [dense_embed(model, m) for m in fam]
-        coords.append(model.order_unit - np.sum(coords, axis=0))
-        rows.extend(c @ face.image_basis for c in coords)
-    return np.array(rows)
+        settings.append(coords + [model.order_unit - np.sum(coords, axis=0)])
+    return settings
+
+
+def loop_design_matrix(f, model):
+    """Reference: the tomography design matrix of a filter's face."""
+    basis = sl.face_of(f)
+    return np.array([e @ basis for effects in loop_face_settings(f, model) for e in effects])
+
+
+def layout_case(name):
+    """A three-slit system and its detector as the CLI builds them: the
+    detector matrices (None for the classical identity detector)."""
+    if name == "spin1":
+        model = build_quantum_model(3)
+        setup = sl.spin1_feynman_setup([0.48, -0.6, 0.64], [0.6, 0, 0.8])
+        ss = sl.slit_system(model, subset_filters(list(setup.slit_projectors), model))
+        return ss, list(setup.detector_effects)
+    if name == "real_quantum:3":
+        model = build_real_quantum_model(3)
+        ss = sl.slit_system(model, subset_filters(basis_projectors(3, float), model))
+        return ss, basis_projectors(3)
+    model = sl.build_classical_model(4)
+    return sl.slit_system(model, sl.classical_subset_filters([[0], [1], [2]], model)), None
+
+
+@pytest.mark.parametrize("name", ["spin1", "real_quantum:3", "classical:4"])
+def test_probabilities_are_one_dot_per_effect(name):
+    """Experiment and tomography probabilities equal float(e @ v) over effect
+    vectors embedded one at a time.  Effects are used in the layout they are
+    computed in and dotted one by one: a contiguous copy of a stacked
+    embedding, or E @ v, rounds differently."""
+    ss, mats = layout_case(name)
+    model = ss.model
+    if mats is None:
+        detector = np.eye(model.dimension)
+        reference = list(np.eye(model.dimension))
+    else:
+        detector = model.embed(np.array(mats))
+        reference = [model.embed(m) for m in mats]
+    pairs = sl.interference.subsets_of_size(3, 2)
+    plans = {J: sl.build_face_measurement(ss.derived[J], model) for J in pairs}
+    settings = {J: loop_face_settings(ss.derived[J], model) for J in pairs}
+    for i in range(50):
+        s = sl.random_state(model, [23, i])
+        plan = sl.ExperimentPlan(ss, detector, s, 0, 0)
+        for J in sl.interference.all_subsets(3):
+            v = ss.derived[J].projection @ s.coords
+            want = gpt.with_blocked(np.array([float(e @ v) for e in reference]))
+            assert plan.setting_probabilities(J).tobytes() == want.tobytes()
+        for J in pairs:
+            v = ss.derived[J].projection @ s.coords
+            got = exact_frequencies(plans[J], sl.State(model, v))
+            want = [np.array([float(e @ v) for e in effects]) for effects in settings[J]]
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
 @pytest.mark.parametrize("command", ["validate", "prop1"])

@@ -13,7 +13,7 @@ from sorkinlab import cli, serialize
 from sorkinlab.cli import main, resolve_model, resolve_slits
 from sorkinlab.fixtures import qutrit_fixture
 from sorkinlab.gpt import sample_states, validate_filter
-from sorkinlab.interference import ProbabilityTable, all_subsets, subset_key
+from sorkinlab.interference import ProbabilityTable, SlitSystem, all_subsets, subset_key
 
 
 def three_slit_entries(**changes):
@@ -56,15 +56,27 @@ class TestValidate:
             key = "".join(str(i) for i in sorted(J))
             named[key] = ss.filter_for(J)
         bad = ss.filter_for({1, 2, 3})
-        from sorkinlab.gpt import Filter, Transformation
+        from sorkinlab.gpt import Filter
 
-        named["123"] = Filter(
-            Transformation(bad.projection.matrix * 2.0), bad.complement
-        )
+        named["123"] = Filter(bad.projection * 2.0, bad.complement)
         path = tmp_path / "model.json"
         path.write_text(serialize.dumps(serialize.model_to_dict(model, named)))
         code, out = run(capsys, "validate", "--model", str(path), "--slits", "from-model")
         assert code == 1
+
+    def test_checks_the_slit_system_once(self, capsys, monkeypatch):
+        calls = []
+        check = SlitSystem.validate
+
+        def counted(ss):
+            calls.append(ss)
+            return check(ss)
+
+        monkeypatch.setattr(SlitSystem, "validate", counted)
+        code, out = run(capsys, "validate", "--model", "quantum:10", "--samples", "5")
+        assert code == 0
+        assert len(calls) == 1
+        assert json.loads(out)["reports"][0] == check(calls[0]).to_dict()
 
     def test_malformed_json_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -122,6 +134,8 @@ class TestValidate:
         ["interference", "--model", "real_quantum:3", "--effect", "order-unit",
          "--state", {"re": [[0.4, 0, 0], [0, 0.3, 0], [0, 0, 0.3]],
                      "im": [[0, 0.1, 0], [-0.1, 0, 0], [0, 0, 0]]}],
+        ["interference", "--model", "classical:9"],
+        ["tomography", "--model", "classical:9"],
     ],
     ids=["state-dimension", "classical-state-dimension", "negative-shots",
          "table-negative-shots", "state-seed-not-integer",
@@ -139,7 +153,8 @@ class TestValidate:
          "axis-nan", "axis-infinite", "classical-state-unnormalized",
          "classical-state-outside-cone", "classical-effect-above-one",
          "table-k-not-integer", "table-k-string", "state-not-hermitian",
-         "real-state-imaginary-part"],
+         "real-state-imaginary-part", "interference-qutrit-fixture-classical9",
+         "tomography-qutrit-fixture-classical9"],
 )
 def test_bad_arguments_are_input_errors(capsys, tmp_path, argv):
     # a JSON value in argv stands for a file holding it

@@ -7,7 +7,6 @@ import sorkinlab as sl
 from sorkinlab.fixtures import qutrit_fixture, table_06
 from sorkinlab.models import (
     build_quantum_model,
-    measurement_from_matrices,
     subset_filters,
 )
 from sorkinlab.interference import all_subsets, slit_system
@@ -19,7 +18,7 @@ SETTING_ORDER = all_subsets(3)
 def qutrit_plan():
     model, ss, s, _ = qutrit_fixture()
     setup = sl.spin1_feynman_setup([0, 0, 1], [1, 0, 0])
-    detector = measurement_from_matrices(list(setup.detector_effects), model)
+    detector = model.embed(np.array(setup.detector_effects))
     return sl.ExperimentPlan(ss, detector, s, 100000, 17)
 
 
@@ -39,7 +38,7 @@ class TestSimulateSetting:
     def test_zero_shots(self, qutrit_plan):
         plan = sl.ExperimentPlan(
             qutrit_plan.slits,
-            qutrit_plan.detector_measurement,
+            qutrit_plan.detector,
             qutrit_plan.source_state,
             0,
             17,
@@ -65,7 +64,7 @@ class TestRunExperiment:
     def test_frequencies_converge(self):
         model, ss, s, _ = qutrit_fixture()
         setup = sl.spin1_feynman_setup([0, 0, 1], [1, 0, 0])
-        detector = measurement_from_matrices(list(setup.detector_effects), model)
+        detector = model.embed(np.array(setup.detector_effects))
         plan = sl.ExperimentPlan(ss, detector, s, 10**6, 23)
         record = sl.run_experiment(plan)
         for J in SETTING_ORDER:
@@ -136,7 +135,7 @@ class TestCalibration:
         # I3 = 0 exactly, so ~95% of runs should sit inside 1.96 SE
         model, ss, s, _ = qutrit_fixture()
         setup = sl.spin1_feynman_setup([0, 0, 1], [1, 0, 0])
-        detector = measurement_from_matrices(list(setup.detector_effects), model)
+        detector = model.embed(np.array(setup.detector_effects))
         hits = 0
         runs = 200
         for seed in range(runs):

@@ -24,7 +24,6 @@ from sorkinlab.models import (
     build_classical_model,
     build_quantum_model,
     classical_subset_filters,
-    measurement_from_matrices,
     subset_filters,
 )
 
@@ -52,7 +51,7 @@ def ik_reference(t):
 
 
 def defect_reference(ss):
-    mats = {J: f.projection.matrix for J, f in ss.derived.items()}
+    mats = {J: f.projection for J, f in ss.derived.items()}
     p3 = sum(mats[J] for J in PAIRS) - sum(mats[J] for J in SINGLES)
     return mats[TRIPLE] - p3
 
@@ -103,13 +102,13 @@ class TestThreeSlitBytes:
         rng = np.random.default_rng(0)
         for _ in range(40):
             ss = spin1_system(random_axis(rng))
-            got = sl.defect_operator(ss).matrix
+            got = sl.defect_operator(ss)
             assert got.tobytes() == defect_reference(ss).tobytes()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_defect_on_rank1_quantum4(self, seed):
         _, ss = quantum4_subspace_fixture(seed)
-        assert sl.defect_operator(ss).matrix.tobytes() == defect_reference(ss).tobytes()
+        assert sl.defect_operator(ss).tobytes() == defect_reference(ss).tobytes()
 
     def test_tables(self):
         rng = np.random.default_rng(1)
@@ -176,7 +175,7 @@ class TestOtherSlitCounts:
         ss = basis_system(5, 4)
         assert span_condition_check(ss) < 1e-12
         # a coordinate that no filter reaches: im(P_1234) leaves the span
-        top = ss.derived[ss.top].projection.matrix
+        top = ss.derived[ss.top].projection
         j = np.flatnonzero(~top.any(axis=0))[0]
         bump = np.zeros_like(top)
         bump[j, j] = 1e-3
@@ -186,7 +185,7 @@ class TestOtherSlitCounts:
         ss = basis_system(4, 4)
         model = ss.model
         plan = sl.ExperimentPlan(
-            ss, measurement_from_matrices(basis_projectors(4), model),
+            ss, model.embed(np.array(basis_projectors(4))),
             sl.random_state(model, 6), 1000, 7,
         )
         record = sl.run_experiment(plan)

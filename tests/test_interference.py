@@ -46,7 +46,7 @@ def make_table(k, values):
 def dense_validate(ss):
     """Reference: the three slit-system residuals from the 49 products
     P_J P_K of the full m x m matrices."""
-    mats = {J: f.projection.matrix for J, f in ss.derived.items()}
+    mats = {J: f.projection for J, f in ss.derived.items()}
     zero = np.zeros((ss.model.dimension,) * 2)
     ortho = prod = idem = 0.0
     for J in mats:
@@ -99,7 +99,7 @@ class TestSlitSystemValidate:
         # in Frobenius norm, and so does each residual; the factor 4 leaves
         # room for the norms' own rounding.
         m = ss.model.dimension
-        scale = max(1.0, *(np.linalg.norm(f.projection.matrix) for f in ss.derived.values()))
+        scale = max(1.0, *(np.linalg.norm(f.projection) for f in ss.derived.values()))
         bound = 4 * m * np.finfo(float).eps * scale**2
         for residual, reference in zip(got, dense_validate(ss)):
             assert abs(residual - reference) <= bound
@@ -108,7 +108,7 @@ class TestSlitSystemValidate:
         # a bump on a coordinate where every filter is zero: the support is
         # read off the perturbed matrices, so every check still sees it
         ss = basis_system(6)
-        mats = np.stack([f.projection.matrix for f in ss.derived.values()])
+        mats = np.stack([f.projection for f in ss.derived.values()])
         off = np.flatnonzero(~mats.any(axis=(0, 1)) & ~mats.any(axis=(0, 2)))
         assert off.size > 0
         bump = np.zeros_like(mats[0])
@@ -202,11 +202,11 @@ class TestIkFromTable:
 class TestOperatorPicture:
     def test_p3_identity_on_qutrit_basis_slits(self):
         _, ss, _, _ = qutrit_fixture()
-        np.testing.assert_allclose(sl.p3_operator(ss).matrix, np.eye(9), atol=1e-12)
+        np.testing.assert_allclose(sl.p3_operator(ss), np.eye(9), atol=1e-12)
 
     def test_p3_identity_on_classical(self):
         _, ss, _, _ = classical_fixture()
-        np.testing.assert_allclose(sl.p3_operator(ss).matrix, np.eye(3), atol=1e-14)
+        np.testing.assert_allclose(sl.p3_operator(ss), np.eye(3), atol=1e-14)
 
     @pytest.mark.parametrize(
         "fixture",
@@ -214,16 +214,16 @@ class TestOperatorPicture:
     )
     def test_p3_idempotent(self, fixture):
         ss = fixture()[1]
-        p3 = sl.p3_operator(ss).matrix
+        p3 = sl.p3_operator(ss)
         assert np.linalg.norm(p3 @ p3 - p3, "fro") < 1e-10
 
     def test_defect_zero_on_qutrit(self):
         _, ss, _, _ = qutrit_fixture()
-        assert np.linalg.norm(sl.defect_operator(ss).matrix) < 1e-12
+        assert np.linalg.norm(sl.defect_operator(ss)) < 1e-12
 
     def test_defect_zero_on_quantum4_subspace(self):
         _, ss = quantum4_subspace_fixture()
-        assert np.linalg.norm(sl.defect_operator(ss).matrix) < 1e-10
+        assert np.linalg.norm(sl.defect_operator(ss)) < 1e-10
 
     @pytest.mark.parametrize(
         "fixture",
@@ -231,8 +231,8 @@ class TestOperatorPicture:
     )
     def test_defect_annihilates_p3(self, fixture):
         ss = fixture()[1]
-        r = sl.defect_operator(ss).matrix
-        p3 = sl.p3_operator(ss).matrix
+        r = sl.defect_operator(ss)
+        p3 = sl.p3_operator(ss)
         assert np.linalg.norm(r @ p3, "fro") < 1e-10
         assert np.linalg.norm(p3 @ r, "fro") < 1e-10
 
@@ -273,9 +273,9 @@ class TestSpanCondition:
         for fixture in (qutrit_fixture, classical_fixture, quantum4_subspace_fixture):
             ss = fixture()[1]
             pair_cols = np.hstack(
-                [ss.filter_for(J).projection.matrix for J in ({1, 2}, {1, 3}, {2, 3})]
+                [ss.filter_for(J).projection for J in ({1, 2}, {1, 3}, {2, 3})]
             )
-            resid = mutual_span_residual(sl.p3_operator(ss).matrix, pair_cols)
+            resid = mutual_span_residual(sl.p3_operator(ss), pair_cols)
             assert resid < 1e-10
 
 

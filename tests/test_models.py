@@ -89,14 +89,14 @@ class TestConjugation:
     def test_identity_projector(self):
         model = build_quantum_model(3)
         t = sl.conjugation_superoperator(np.eye(3, dtype=complex), model)
-        np.testing.assert_allclose(t.matrix, np.eye(9), atol=1e-12)
+        np.testing.assert_allclose(t, np.eye(9), atol=1e-12)
 
     def test_rank1_conjugation_value(self):
         model = build_quantum_model(3)
         pi = np.zeros((3, 3), dtype=complex)
         pi[0, 0] = 1.0
         t = sl.conjugation_superoperator(pi, model)
-        out = t.matrix @ model.embed(PSI_PROJ)
+        out = t @ model.embed(PSI_PROJ)
         np.testing.assert_allclose(
             model.unembed(out), np.diag([1 / 3, 0, 0]), atol=1e-12
         )
@@ -105,7 +105,7 @@ class TestConjugation:
         model = build_quantum_model(3)
         pi = np.diag([1.0, 1.0, 0.0]).astype(complex)
         t = sl.conjugation_superoperator(pi, model)
-        assert np.linalg.matrix_rank(t.matrix, tol=1e-10) == 4
+        assert np.linalg.matrix_rank(t, tol=1e-10) == 4
 
     def test_non_projector_rejected(self):
         model = build_quantum_model(3)
@@ -120,7 +120,7 @@ class TestConjugation:
         rebuilt = np.column_stack(
             [model.embed(pi @ model.basis[k] @ pi) for k in range(9)]
         )
-        np.testing.assert_allclose(t.matrix, rebuilt, atol=1e-12)
+        np.testing.assert_allclose(t, rebuilt, atol=1e-12)
 
 
 class TestConjugationKernel:
@@ -134,16 +134,16 @@ class TestConjugationKernel:
         for rank in range(d + 1):
             pi = random_projector(d, rank, rng)
             f = lueders_filter(pi, model)
-            assert np.array_equal(f.projection.matrix, dense_superoperator(pi, model))
+            assert np.array_equal(f.projection, dense_superoperator(pi, model))
             assert np.array_equal(
-                f.complement.matrix, dense_superoperator(np.eye(d) - pi, model)
+                f.complement, dense_superoperator(np.eye(d) - pi, model)
             )
 
     def test_quantum16_byte_identical_to_dense(self):
         model = build_quantum_model(16)
         pi = random_projector(16, 5, np.random.default_rng(16))
         t = sl.conjugation_superoperator(pi, model)
-        assert np.array_equal(t.matrix, dense_superoperator(pi, model))
+        assert np.array_equal(t, dense_superoperator(pi, model))
 
     def test_partial_support_byte_identical_to_dense(self):
         # projectors that are dense on a coordinate subspace and zero off it:
@@ -154,9 +154,9 @@ class TestConjugationKernel:
         pi = np.zeros((d, d), dtype=complex)
         pi[np.ix_([0, 1, 4], [0, 1, 4])] = random_projector(3, 2, rng)
         f = lueders_filter(pi, model)
-        assert np.array_equal(f.projection.matrix, dense_superoperator(pi, model))
+        assert np.array_equal(f.projection, dense_superoperator(pi, model))
         assert np.array_equal(
-            f.complement.matrix, dense_superoperator(np.eye(d) - pi, model)
+            f.complement, dense_superoperator(np.eye(d) - pi, model)
         )
         # a family whose members have different supports: {0, 1} twice, {4}
         half = np.zeros((d, d), dtype=complex)
@@ -166,9 +166,9 @@ class TestConjugationKernel:
         pis = [half, rest, basis_projectors(d)[4]]
         for J, f in subset_filters(pis, model).items():
             pj = np.sum([pis[i - 1] for i in sorted(J)], axis=0)
-            assert np.array_equal(f.projection.matrix, dense_superoperator(pj, model))
+            assert np.array_equal(f.projection, dense_superoperator(pj, model))
             assert np.array_equal(
-                f.complement.matrix, dense_superoperator(np.eye(d) - pj, model)
+                f.complement, dense_superoperator(np.eye(d) - pj, model)
             )
 
     @pytest.mark.parametrize("axis", [[0.48, -0.6, 0.64], [0, 0, 1]])
@@ -179,9 +179,9 @@ class TestConjugationKernel:
         assert len(filters) == 7
         for J, f in filters.items():
             pi = np.sum([setup.slit_projectors[i - 1] for i in sorted(J)], axis=0)
-            assert np.array_equal(f.projection.matrix, dense_superoperator(pi, model))
+            assert np.array_equal(f.projection, dense_superoperator(pi, model))
             assert np.array_equal(
-                f.complement.matrix, dense_superoperator(np.eye(3) - pi, model)
+                f.complement, dense_superoperator(np.eye(3) - pi, model)
             )
 
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
@@ -198,8 +198,8 @@ class TestConjugationKernel:
             pi = random_projector(d, rank, rng, complex_=False)
             f = lueders_filter(pi, model)
             for mat, ref in (
-                (f.projection.matrix, dense_superoperator(pi, model)),
-                (f.complement.matrix, dense_superoperator(np.eye(d) - pi, model)),
+                (f.projection, dense_superoperator(pi, model)),
+                (f.complement, dense_superoperator(np.eye(d) - pi, model)),
             ):
                 assert np.max(np.abs(mat - ref)) <= bound
 
@@ -217,8 +217,8 @@ class TestConjugationKernel:
     def test_matrices_are_plain_contiguous_arrays(self):
         model = build_quantum_model(4)
         filters = subset_filters(basis_projectors(4), model)
-        mats = [t.matrix for f in filters.values() for t in (f.projection, f.complement)]
-        mats.append(sl.conjugation_superoperator(basis_projectors(4)[0], model).matrix)
+        mats = [t for f in filters.values() for t in (f.projection, f.complement)]
+        mats.append(sl.conjugation_superoperator(basis_projectors(4)[0], model))
         for mat in mats:
             assert mat.dtype == np.float64
             assert mat.flags.c_contiguous
@@ -248,7 +248,7 @@ class TestLazyComplements:
         first = filters[frozenset({2})].complement
         assert calls == [7, 7]
         for f in filters.values():
-            f.complement.matrix
+            f.complement
         assert filters[frozenset({2})].complement is first
         assert calls == [7, 7]
 
@@ -257,7 +257,7 @@ class TestLazyComplements:
         filters = subset_filters(basis_projectors(3), model)
         copies = pickle.loads(pickle.dumps(filters))
         for J, f in filters.items():
-            assert np.array_equal(copies[J].complement.matrix, f.complement.matrix)
+            assert np.array_equal(copies[J].complement, f.complement)
 
     def test_lueders_filter_complement_on_read(self, calls):
         model = build_quantum_model(3)
@@ -276,7 +276,7 @@ class TestLazyComplements:
         sl.prop1_verify(ss, n_samples=5, seed=0)
         sl.table_from_system(r, ss, s)
         sl.tomography_roundtrip(ss, s, mode="sampled", shots=1000, seed=3)
-        detector = sl.models.measurement_from_matrices(list(setup.detector_effects), model)
+        detector = model.embed(np.array(setup.detector_effects))
         sl.run_experiment(sl.ExperimentPlan(ss, detector, s, 1000, 4))
         assert calls == [7]
 
@@ -286,13 +286,13 @@ class TestSlitSystemConstruction:
         model = build_quantum_model(3)
         ss = slit_system(model, subset_filters(basis_projectors(3), model))
         np.testing.assert_allclose(
-            ss.filter_for({1, 2, 3}).projection.matrix, np.eye(9), atol=1e-12
+            ss.filter_for({1, 2, 3}).projection, np.eye(9), atol=1e-12
         )
 
     def test_proper_subspace_on_d4(self):
         model = build_quantum_model(4)
         ss = slit_system(model, subset_filters(basis_projectors(4)[:3], model))
-        p123 = ss.filter_for({1, 2, 3}).projection.matrix
+        p123 = ss.filter_for({1, 2, 3}).projection
         assert np.linalg.norm(p123 - np.eye(16)) > 1.0
 
     def test_non_orthogonal_rejected(self):
@@ -375,7 +375,7 @@ class TestJointProbability:
 
     def test_open_filter_total_probability(self):
         model = build_quantum_model(3)
-        ident = sl.Transformation(np.eye(9))
+        ident = np.eye(9)
         s = sl.random_state(model, 9)
         u = sl.Effect(model, model.order_unit)
         assert sl.probability(u, sl.apply(ident, s)) == pytest.approx(1.0, abs=1e-12)

@@ -30,7 +30,7 @@ class TestModel:
         assert model2.cone.kind == "quantum"
         np.testing.assert_allclose(model2.order_unit, model.order_unit, atol=1e-15)
         np.testing.assert_array_equal(
-            filters2["1"].projection.matrix, ss.filter_for({1}).projection.matrix
+            filters2["1"].projection, ss.filter_for({1}).projection
         )
 
     def test_dimension_mismatch_rejected(self):
