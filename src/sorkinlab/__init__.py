@@ -4,15 +4,11 @@ finite-dimensional operational probabilistic models."""
 from .gpt import (
     ConeDescriptor,
     DimensionMismatch,
-    Effect,
     Filter,
     ModelSpace,
     NotAProjection,
-    State,
     ValidationReport,
-    apply,
     face_of,
-    probability,
     random_effect,
     random_state,
     validate_filter,

@@ -21,9 +21,7 @@ import numpy as np
 from . import fixtures, serialize
 from .gpt import (
     EPS_TOL,
-    Effect,
     ModelSpace,
-    State,
     random_effect,
     random_state,
     sample_states,
@@ -159,7 +157,7 @@ def _coords_from_file(spec: str, model: ModelSpace) -> np.ndarray:
     d = _load_json(spec)
     try:
         if "coords" in d:
-            coords = np.array(d["coords"], dtype=float)
+            coords = serialize.read_numbers(d["coords"])
         elif "re" in d:
             mat = serialize.hermitian_from_dict(d)
             # embed keeps only the Hermitian (symmetric) part; reject the rest
@@ -192,41 +190,41 @@ def _random_seed(spec: str) -> int:
     return resolve_count(seed, "random:<seed>")
 
 
-def _resolve_vector(spec: str, model: ModelSpace, kind, draw):
-    """'fixture:qutrit', 'random:<seed>' or a JSON file as a kind (State or
-    Effect); draw makes the random ones."""
+def _resolve_vector(spec: str, model: ModelSpace, noun: str, draw) -> np.ndarray:
+    """The coordinates of 'fixture:qutrit', 'random:<seed>' or a JSON file
+    as a noun ("state" or "effect"); draw makes the random ones."""
     if spec == "fixture:qutrit":
         if model.cone.kind != "quantum" or model.cone.d != 3:
             raise InputError("fixture:qutrit needs a quantum:3 model")
-        return kind(model, model.embed(fixtures.qutrit_projector()))
+        return model.embed(fixtures.qutrit_projector())
     if spec.startswith("random:"):
         return draw(model, seed=_random_seed(spec))
     if spec.endswith(".json"):
-        v = kind(model, _coords_from_file(spec, model))
-        if kind is State:
-            valid = model.contains(v.coords) and 0.0 < v.normalization <= 1.0 + EPS_TOL
+        v = _coords_from_file(spec, model)
+        if noun == "state":
+            valid = model.contains(v) and 0.0 < model.order_unit @ v <= 1.0 + EPS_TOL
             need = "in the cone with normalization in (0, 1]"
         else:
             valid = validate_effect(v, model).passed
             need = "between 0 and the order unit"
         if not valid:
-            raise InputError(f"{spec} is not a {kind.__name__.lower()}: it must be {need}")
+            raise InputError(f"{spec} is not a {noun}: it must be {need}")
         return v
-    raise InputError(f"unknown {kind.__name__.lower()} spec {spec!r}")
+    raise InputError(f"unknown {noun} spec {spec!r}")
 
 
-def resolve_state(spec: str, model: ModelSpace) -> State:
+def resolve_state(spec: str, model: ModelSpace) -> np.ndarray:
     if spec == "uniform":
         if model.cone.kind != "classical":
             raise InputError("'uniform' is a classical fixture")
-        return State(model, np.full(model.dimension, 1.0 / model.dimension))
-    return _resolve_vector(spec, model, State, random_state)
+        return np.full(model.dimension, 1.0 / model.dimension)
+    return _resolve_vector(spec, model, "state", random_state)
 
 
-def resolve_effect(spec: str, model: ModelSpace) -> Effect:
+def resolve_effect(spec: str, model: ModelSpace) -> np.ndarray:
     if spec == "order-unit":
-        return Effect(model, model.order_unit.copy())
-    return _resolve_vector(spec, model, Effect, random_effect)
+        return model.order_unit.copy()
+    return _resolve_vector(spec, model, "effect", random_effect)
 
 
 def resolve_count(n: int, name: str) -> int:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gpt import EPS_TOL, State, with_blocked
+from .gpt import EPS_TOL, with_blocked
 from .interference import (
     ProbabilityTable,
     SlitSystem,
@@ -27,7 +27,7 @@ class ExperimentPlan:
 
     slits: SlitSystem
     detector: np.ndarray
-    source_state: State
+    source_state: np.ndarray
     shots_per_setting: int
     seed: int
 
@@ -38,7 +38,7 @@ class ExperimentPlan:
         matrix-vector product, or a copy of the effects into another layout,
         rounds differently and would move the output bytes.
         """
-        s_f = self.slits.derived[J].projection @ self.source_state.coords
+        s_f = self.slits.derived[J].projection @ self.source_state
         probs = np.array([float(e @ s_f) for e in self.detector])
         if probs.min() < -EPS_TOL or probs.max() > 1.0 + EPS_TOL:
             raise ValueError(
@@ -77,7 +77,7 @@ class ExperimentRecord:
 def plan_hash(plan: ExperimentPlan) -> str:
     h = hashlib.sha256()
     h.update(plan.slits.model.label.encode())
-    h.update(np.ascontiguousarray(plan.source_state.coords).tobytes())
+    h.update(np.ascontiguousarray(plan.source_state).tobytes())
     for e in plan.detector:
         h.update(np.ascontiguousarray(e).tobytes())
     for J in all_subsets(plan.slits.k):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gpt import Effect, State
 from .interference import ProbabilityTable, slit_system
 from .models import (
     basis_projectors,
@@ -17,8 +16,6 @@ from .models import (
     build_quantum_model,
     build_real_quantum_model,
     classical_subset_filters,
-    effect_from_matrix,
-    state_from_matrix,
     subset_filters,
 )
 
@@ -35,16 +32,14 @@ def qutrit_fixture(dtype=complex):
     model = (build_quantum_model if dtype is complex else build_real_quantum_model)(3)
     ss = slit_system(model, subset_filters(basis_projectors(3, dtype), model))
     proj = qutrit_projector(dtype)
-    return model, ss, state_from_matrix(proj, model), effect_from_matrix(proj, model)
+    return model, ss, model.embed(proj), model.embed(proj)
 
 
 def classical_fixture():
     """(model, slit system, uniform state, first-coordinate effect)."""
     model = build_classical_model(3)
     ss = slit_system(model, classical_subset_filters([[0], [1], [2]], model))
-    s = State(model, np.full(3, 1.0 / 3.0))
-    e = Effect(model, np.array([1.0, 0.0, 0.0]))
-    return model, ss, s, e
+    return model, ss, np.full(3, 1.0 / 3.0), np.array([1.0, 0.0, 0.0])
 
 
 def quantum4_subspace_fixture(seed: int = 0):

@@ -1,13 +1,13 @@
 """Core operational-probabilistic model objects: states, effects and filters
 on a finite-dimensional ordered vector space.
 
-Everything lives in real coordinates.  Probabilities are plain dot products
-between effect and state vectors; for the matrix-algebra models the embedding
-basis is orthonormal under the trace inner product, so the dot product equals
-the trace pairing exactly.  A transformation is an m x m array acting on
-state coordinates, a measurement a sequence of effect coordinate vectors
-summing to the order unit, and the face of a filter the image of its
-projection.
+Everything lives in real coordinates.  A state or an effect is its (m,)
+coordinate array, and a probability is the dot product e @ s; for the
+matrix-algebra models the embedding basis is orthonormal under the trace inner
+product, so the dot product equals the trace pairing exactly.  A
+transformation is an m x m array acting on state coordinates, a measurement a
+sequence of effect coordinate vectors summing to the order unit, and the face
+of a filter the image of its projection.
 """
 
 from __future__ import annotations
@@ -182,22 +182,6 @@ class ModelSpace:
         return self.cone_residual(coords) <= EPS_CONE
 
 
-@dataclass(frozen=True, eq=False)
-class State:
-    model: ModelSpace
-    coords: np.ndarray
-
-    @property
-    def normalization(self) -> float:
-        return float(self.model.order_unit @ self.coords)
-
-
-@dataclass(frozen=True, eq=False)
-class Effect:
-    model: ModelSpace
-    coords: np.ndarray
-
-
 class _BuiltOnFirstRead:
     """A dataclass field that holds its value or a zero-argument builder of
     it; the builder runs on the first read, and its result replaces it."""
@@ -274,22 +258,6 @@ class ValidationReport:
                 for c in self.checks
             ],
         }
-
-
-def probability(e: Effect, s: State) -> float:
-    """Outcome probability e . s."""
-    if e.model.dimension != s.model.dimension:
-        raise DimensionMismatch(f"dimension mismatch: {e.model.dimension} vs {s.model.dimension}")
-    return float(e.coords @ s.coords)
-
-
-def apply(t: np.ndarray, s: State) -> State:
-    """Image of a state under a transformation, an m x m array."""
-    if t.shape[1] != s.coords.shape[0]:
-        raise DimensionMismatch(
-            f"matrix is {t.shape}, state has length {s.coords.shape[0]}"
-        )
-    return State(s.model, t @ s.coords)
 
 
 def with_blocked(probs: np.ndarray) -> np.ndarray:
@@ -375,20 +343,18 @@ def validate_filter(f: Filter, model: ModelSpace, states: np.ndarray) -> Validat
     )
 
 
-def validate_effect(e: Effect, model: ModelSpace, n_samples: int = 100, seed: int = 0) -> ValidationReport:
-    """Check 0 <= e.s <= 1 on normalized states (exactly where possible)."""
+def validate_effect(e: np.ndarray, model: ModelSpace, n_samples: int = 100, seed: int = 0) -> ValidationReport:
+    """Check 0 <= e.s <= 1 on normalized states (exactly where possible);
+    custom cones check the states of sample_states(model, n_samples, seed)."""
     if model.cone.kind in ("quantum", "real_quantum"):
-        w = np.linalg.eigvalsh(model.unembed(e.coords))
+        w = np.linalg.eigvalsh(model.unembed(e))
         low, high = float(-min(w.min(), 0.0)), float(max(w.max() - 1.0, 0.0))
     elif model.cone.kind == "classical":
-        c = e.coords
-        low, high = float(-min(c.min(), 0.0)), float(max(c.max() - 1.0, 0.0))
+        low, high = float(-min(e.min(), 0.0)), float(max(e.max() - 1.0, 0.0))
     else:
-        low = high = 0.0
-        for i in range(n_samples):
-            p = probability(e, random_state(model, seed=[seed, i]))
-            low = max(low, -p)
-            high = max(high, p - 1.0)
+        probs = rowdots(e[None], sample_states(model, n_samples, seed))
+        low = max(0.0, -float(probs.min(initial=np.inf)))
+        high = max(0.0, float(probs.max(initial=-np.inf)) - 1.0)
     return ValidationReport(
         subject="effect",
         checks=(
@@ -405,7 +371,7 @@ def validate_measurement(effects, model: ModelSpace) -> ValidationReport:
     sum_resid = float(np.linalg.norm(total - model.order_unit))
     range_resid = 0.0
     for e in effects:
-        rep = validate_effect(Effect(model, e), model)
+        rep = validate_effect(e, model)
         range_resid = max(range_resid, *(c.residual for c in rep.checks))
     return ValidationReport(
         subject="measurement",
@@ -528,23 +494,23 @@ def _draw(model: ModelSpace, seeds, effect: bool) -> np.ndarray:
     return out
 
 
-def random_state(model: ModelSpace, seed) -> State:
-    """A normalized random state, deterministic in the seed.
+def random_state(model: ModelSpace, seed) -> np.ndarray:
+    """The coordinates of a normalized random state, deterministic in the seed.
 
     quantum / real_quantum draw a full-rank Ginibre density matrix, classical
     a flat Dirichlet point on the simplex, custom a convex mix of generators.
     """
-    return State(model, _draw(model, [seed], effect=False)[0])
+    return _draw(model, [seed], effect=False)[0]
 
 
-def random_effect(model: ModelSpace, seed) -> Effect:
-    """A random valid effect, deterministic in the seed.
+def random_effect(model: ModelSpace, seed) -> np.ndarray:
+    """The coordinates of a random valid effect, deterministic in the seed.
 
     Matrix models use a Haar-random eigenbasis with eigenvalues uniform in
     [0, 1]; classical models draw coordinates uniform in [0, 1]; custom cones
     draw coordinates uniform in [0, 1] and map them into [0, u].
     """
-    return Effect(model, _draw(model, [seed], effect=True)[0])
+    return _draw(model, [seed], effect=True)[0]
 
 
 def random_pairs(model: ModelSpace, n: int, seed: int):

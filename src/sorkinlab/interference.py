@@ -17,15 +17,11 @@ from .gpt import (
     EPS_PROJ,
     EPS_PROP,
     CheckResult,
-    Effect,
     Filter,
     ModelSpace,
-    State,
     ValidationReport,
     matvecs,
     orthonormal_column_basis,
-    probability,
-    apply,
     random_pairs,
     rowdots,
     support_mask,
@@ -216,9 +212,9 @@ def ik_from_table(t: ProbabilityTable) -> float:
     return signed_subset_sum(t.entries, t.k)
 
 
-def table_from_system(r: Effect, ss: SlitSystem, s: State) -> ProbabilityTable:
+def table_from_system(r: np.ndarray, ss: SlitSystem, s: np.ndarray) -> ProbabilityTable:
     """Joint probabilities r . P_J(s) for every nonempty subset setting."""
-    entries = {J: probability(r, apply(ss.derived[J].projection, s)) for J in all_subsets(ss.k)}
+    entries = {J: float(r @ (ss.derived[J].projection @ s)) for J in all_subsets(ss.k)}
     return ProbabilityTable(ss.k, entries)
 
 
@@ -246,11 +242,11 @@ def defect_operator(ss: SlitSystem) -> np.ndarray:
     return ss.derived[ss.top].projection - p3_operator(ss)
 
 
-def i3_operator(r: Effect, ss: SlitSystem, s: State) -> float:
+def i3_operator(r: np.ndarray, ss: SlitSystem, s: np.ndarray) -> float:
     """Interference in operator form, r . (P_[k] - P^(k)) s; I3 for three slits."""
-    if r.coords.shape[0] != s.coords.shape[0]:
+    if r.shape[0] != s.shape[0]:
         raise ValueError("effect and state dimensions differ")
-    return float(r.coords @ (defect_operator(ss) @ s.coords))
+    return float(r @ (defect_operator(ss) @ s))
 
 
 def span_condition_check(ss: SlitSystem) -> float:

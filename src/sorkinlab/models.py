@@ -19,11 +19,9 @@ from .gpt import (
     CHUNK_ELEMENTS,
     ConeDescriptor,
     DimensionMismatch,
-    Effect,
     Filter,
     ModelSpace,
     NotAProjection,
-    State,
     support_mask,
 )
 from .interference import all_subsets
@@ -289,12 +287,3 @@ def spin1_feynman_setup(b, d) -> Spin1Setup:
     if np.linalg.norm(total - np.eye(3)) > 1e-12:
         raise ValueError("slit projectors do not resolve the identity")
     return Spin1Setup(tuple(slits), tuple(dets))
-
-
-def effect_from_matrix(mat: np.ndarray, model: ModelSpace) -> Effect:
-    return Effect(model, model.embed(mat))
-
-
-def state_from_matrix(mat: np.ndarray, model: ModelSpace) -> State:
-    return State(model, model.embed(mat))
-

@@ -28,8 +28,28 @@ def hermitian_to_dict(mat: np.ndarray) -> dict:
     return {"re": mat.real.tolist(), "im": mat.imag.tolist()}
 
 
+def read_numbers(value) -> np.ndarray:
+    """A JSON number, or nested lists of them, as a float array.
+
+    Raises ValueError on any other leaf, such as a string or a boolean, which
+    float() and np.array would read as a number, and on an integer too large
+    for a float.
+    """
+    leaves = [value]
+    while leaves:
+        leaf = leaves.pop()
+        if isinstance(leaf, list):
+            leaves.extend(leaf)
+        elif type(leaf) not in (int, float):
+            raise ValueError(f"{leaf!r} is not a number")
+    try:
+        return np.array(value, dtype=float)
+    except OverflowError as exc:
+        raise ValueError(str(exc)) from exc
+
+
 def hermitian_from_dict(d: dict) -> np.ndarray:
-    return np.array(d["re"], dtype=float) + 1j * np.array(d["im"], dtype=float)
+    return read_numbers(d["re"]) + 1j * read_numbers(d["im"])
 
 
 def model_to_dict(model: ModelSpace, filters: dict | None = None) -> dict:
@@ -59,7 +79,12 @@ def model_to_dict(model: ModelSpace, filters: dict | None = None) -> dict:
 
 def model_from_dict(d: dict) -> tuple[ModelSpace, dict]:
     """Rebuild a model (and any stored named filters) from the interchange
-    schema."""
+    schema.
+
+    Raises ValueError unless every matrix and vector holds JSON numbers, and
+    unless a custom cone has an (n >= 1, dimension) array of generators and
+    a finite order unit of dimension entries, positive on every generator.
+    """
     cone = d["cone"]
     kind = cone["type"]
     if kind == "quantum":
@@ -69,11 +94,18 @@ def model_from_dict(d: dict) -> tuple[ModelSpace, dict]:
     elif kind == "classical":
         model = build_classical_model(int(cone["n"]))
     elif kind == "custom":
-        gens = np.array(cone["generators"], dtype=float)
+        m = int(d["dimension"])
+        gens, u = read_numbers(cone["generators"]), read_numbers(d["order_unit"])
+        if gens.ndim != 2 or gens.shape[0] < 1 or gens.shape[1] != m:
+            raise ValueError(f"generators are {gens.shape}, not an (n >= 1, {m}) array")
+        if u.shape != (m,):
+            raise ValueError(f"order_unit has shape {u.shape}, not ({m},)")
+        if not (np.isfinite(gens).all() and np.isfinite(u).all() and (gens @ u > 0).all()):
+            raise ValueError("order_unit @ g must be finite and positive for every generator g")
         model = ModelSpace(
             label=d.get("label", "custom"),
-            dimension=int(d["dimension"]),
-            order_unit=np.array(d["order_unit"], dtype=float),
+            dimension=m,
+            order_unit=u,
             cone=ConeDescriptor("custom", generators=gens),
         )
     else:
@@ -87,7 +119,7 @@ def model_from_dict(d: dict) -> tuple[ModelSpace, dict]:
         )
     filters = {}
     for name, spec in d.get("filters", {}).items():
-        p, c = (np.array(spec[part], dtype=float) for part in ("projection", "complement"))
+        p, c = (read_numbers(spec[part]) for part in ("projection", "complement"))
         if p.shape != (model.dimension,) * 2 or c.shape != p.shape:
             raise ValueError(f"filter {name!r} is not {model.dimension} x {model.dimension}")
         filters[name] = Filter(projection=p, complement=c)
@@ -106,7 +138,7 @@ def table_from_dict(d: dict) -> ProbabilityTable:
     writes it (a subset of 1..k as its digits in increasing order).
 
     Raises ValueError on a k that is not an integer from 2 to 9, on missing
-    subsets or other keys, and on entries outside [0, 1].
+    subsets or other keys, and on entries that are not numbers in [0, 1].
     """
     k = d["k"]
     if type(k) is not int or not 2 <= k <= 9:
@@ -116,7 +148,10 @@ def table_from_dict(d: dict) -> ProbabilityTable:
     if given != wanted:
         missing, unknown = sorted(wanted - given), sorted(given - wanted)
         raise ValueError(f"missing keys {missing}, unknown keys {unknown}")
-    t = ProbabilityTable(k, {subsets[key]: p for key, p in d["entries"].items()})
+    values = read_numbers(list(d["entries"].values()))
+    if values.shape != (len(wanted),):
+        raise ValueError("table entries must be numbers")
+    t = ProbabilityTable(k, {subsets[key]: p for key, p in zip(d["entries"], values)})
     bad = sorted(subset_key(J) for J, p in t.entries.items() if not 0.0 <= p <= 1.0)
     if bad:
         raise ValueError("entries outside [0, 1]: " + ", ".join(bad))

@@ -17,9 +17,7 @@ from .gpt import (
     EPS_RANK_REL,
     Filter,
     ModelSpace,
-    State,
     face_of,
-    apply,
     with_blocked,
 )
 from .interference import SlitSystem, subset_key, subsets_of_size
@@ -39,7 +37,6 @@ class FaceMeasurementPlan:
     """Measurements that are informationally complete on one face: each
     setting is a tuple of effect coordinate vectors summing to the order unit."""
 
-    model: ModelSpace
     image_basis: np.ndarray  # (m, rank), orthonormal columns spanning the face
     settings: tuple[tuple[np.ndarray, ...], ...]
     design_matrix: np.ndarray  # (n_effects_total, rank)
@@ -96,19 +93,19 @@ def build_face_measurement(f: Filter, model: ModelSpace) -> FaceMeasurementPlan:
             f"measurement family is not informationally complete on the face "
             f"(design rank {rank} < face rank {basis.shape[1]})"
         )
-    return FaceMeasurementPlan(model, basis, tuple(settings), rows)
+    return FaceMeasurementPlan(basis, tuple(settings), rows)
 
 
-def exact_frequencies(plan: FaceMeasurementPlan, s_filtered: State) -> list[np.ndarray]:
+def exact_frequencies(plan: FaceMeasurementPlan, s_filtered: np.ndarray) -> list[np.ndarray]:
     """Per-setting joint outcome probabilities for an already-filtered state,
     one dot product per effect."""
     return [
-        np.array([float(e @ s_filtered.coords) for e in effects]) for effects in plan.settings
+        np.array([float(e @ s_filtered) for e in effects]) for effects in plan.settings
     ]
 
 
 def sample_frequencies(
-    plan: FaceMeasurementPlan, s_filtered: State, shots: int, seed
+    plan: FaceMeasurementPlan, s_filtered: np.ndarray, shots: int, seed
 ) -> list[np.ndarray]:
     """Finite-shot frequencies; the blocked (not passed) event absorbs the
     missing normalization so joint frequencies stay estimable."""
@@ -120,17 +117,16 @@ def sample_frequencies(
     return out
 
 
-def estimate_filtered_state(plan: FaceMeasurementPlan, freqs: list[np.ndarray]) -> State:
+def estimate_filtered_state(plan: FaceMeasurementPlan, freqs: list[np.ndarray]) -> np.ndarray:
     """Least-squares fit of face coordinates to observed joint frequencies."""
     b = np.concatenate(freqs)
     if b.shape[0] != plan.design_matrix.shape[0]:
         raise ValueError("frequency vector does not match the plan's settings")
     x, *_ = np.linalg.lstsq(plan.design_matrix, b, rcond=None)
-    coords = plan.image_basis @ x
-    return State(plan.model, coords)
+    return plan.image_basis @ x
 
 
-def reconstruct(estimates: dict, ss: SlitSystem) -> State:
+def reconstruct(estimates: dict, ss: SlitSystem) -> np.ndarray:
     """Signed sum of pair states minus (k - 2) times the single-slit states.
 
     P_[k] = sum of the P_ij - (k - 2) sum of the P_i when there is no
@@ -143,21 +139,17 @@ def reconstruct(estimates: dict, ss: SlitSystem) -> State:
     for J in pairs:
         if J not in estimates:
             raise KeyError(f"missing pair estimate for slits {sorted(J)}")
-    total = np.sum([estimates[J].coords for J in pairs], axis=0)
+    total = np.sum([estimates[J] for J in pairs], axis=0)
     for i in range(1, ss.k + 1):
-        parts = [
-            apply(ss.filter_for({i}).projection, estimates[J]).coords
-            for J in pairs
-            if i in J
-        ]
+        parts = [ss.filter_for({i}).projection @ estimates[J] for J in pairs if i in J]
         total = total - (ss.k - 2) * np.mean(parts, axis=0)
-    return State(ss.model, total)
+    return total
 
 
 @dataclass(eq=False)
 class TomographyResult:
-    reconstructed: State
-    per_face: dict  # frozenset -> State
+    reconstructed: np.ndarray
+    per_face: dict  # frozenset -> filtered state coordinates
     mode: str  # "exact" | "sampled"
     shots: Optional[int]
     seed: Optional[int]
@@ -169,10 +161,8 @@ class TomographyResult:
             "mode": self.mode,
             "shots": self.shots,
             "seed": self.seed,
-            "reconstruction": self.reconstructed.coords.tolist(),
-            "per_face": {
-                subset_key(J): s.coords.tolist() for J, s in self.per_face.items()
-            },
+            "reconstruction": self.reconstructed.tolist(),
+            "per_face": {subset_key(J): s.tolist() for J, s in self.per_face.items()},
             "reconstruction_error": self.reconstruction_error,
             "cone_distance": self.cone_distance,
         }
@@ -180,7 +170,7 @@ class TomographyResult:
 
 def tomography_roundtrip(
     ss: SlitSystem,
-    s: State,
+    s: np.ndarray,
     mode: str = "exact",
     shots: int = 100000,
     seed: int = 0,
@@ -192,19 +182,19 @@ def tomography_roundtrip(
     """
     if mode not in ("exact", "sampled"):
         raise ValueError("mode must be 'exact' or 'sampled'")
-    truth = apply(ss.derived[ss.top].projection, s)
+    truth = ss.derived[ss.top].projection @ s
     estimates: dict = {}
     for pair_idx, J in enumerate(subsets_of_size(ss.k, 2)):
         filt = ss.derived[J]
         plan = build_face_measurement(filt, ss.model)
-        s_filtered = apply(filt.projection, s)
+        s_filtered = filt.projection @ s
         if mode == "exact":
             freqs = exact_frequencies(plan, s_filtered)
         else:
             freqs = sample_frequencies(plan, s_filtered, shots, [seed, pair_idx])
         estimates[J] = estimate_filtered_state(plan, freqs)
     recon = reconstruct(estimates, ss)
-    err = float(np.linalg.norm(recon.coords - truth.coords))
+    err = float(np.linalg.norm(recon - truth))
     return TomographyResult(
         reconstructed=recon,
         per_face=estimates,
@@ -212,5 +202,5 @@ def tomography_roundtrip(
         shots=shots if mode == "sampled" else None,
         seed=seed if mode == "sampled" else None,
         reconstruction_error=err,
-        cone_distance=ss.model.cone_residual(recon.coords),
+        cone_distance=ss.model.cone_residual(recon),
     )

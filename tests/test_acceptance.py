@@ -34,7 +34,7 @@ def sweep_i3_i2(model, ss, n_pairs, seed):
         r = sl.random_effect(model, [seed, i, 1])
         t = sl.table_from_system(r, ss, s)
         sup_i3_tab = max(sup_i3_tab, abs(sl.i3_from_table(t)))
-        sup_i3_op = max(sup_i3_op, abs(float(r.coords @ (defect @ s.coords))))
+        sup_i3_op = max(sup_i3_op, abs(float(r @ (defect @ s))))
         for a, b in ((1, 2), (1, 3), (2, 3)):
             max_i2 = max(max_i2, abs(sl.i2_from_table(t[{a, b}], t[{a}], t[{b}])))
     return sup_i3_op, sup_i3_tab, max_i2
@@ -134,7 +134,7 @@ def test_criterion_6_exact_tomography():
         worst_err = max(worst_err, res.reconstruction_error)
         worst_gap = max(
             worst_gap,
-            abs(res.reconstruction_error - np.linalg.norm(defect @ s.coords)),
+            abs(res.reconstruction_error - np.linalg.norm(defect @ s)),
         )
     report(
         6,

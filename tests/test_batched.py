@@ -90,6 +90,29 @@ def loop_validate_filter(f, model, states):
     ))
 
 
+def loop_validate_effect(e, model, n_samples, seed):
+    """Reference: the custom-cone effect check with one random state at a time."""
+    low = high = 0.0
+    for i in range(n_samples):
+        p = float(e @ sl.random_state(model, [seed, i]))
+        low = max(low, -p)
+        high = max(high, p - 1.0)
+    return sl.ValidationReport("effect", (
+        gpt.CheckResult("lower_bound", low, gpt.EPS_TOL),
+        gpt.CheckResult("upper_bound", high, gpt.EPS_TOL),
+    ))
+
+
+def random_custom_model(seed):
+    """A custom cone in R^4: 3 to 6 random generators and a random order unit,
+    positive (at least 0.2) on each of them."""
+    rng = np.random.default_rng(seed)
+    gens = rng.uniform(-2.0, 2.0, (int(rng.integers(3, 7)), 4))
+    gens[:, 0] = rng.uniform(0.5, 2.0, len(gens))
+    u = np.concatenate([[1.0], rng.uniform(-0.05, 0.05, 3)])
+    return sl.ModelSpace("custom", 4, u, sl.ConeDescriptor("custom", generators=gens))
+
+
 def assert_same_rows(rows, refs):
     """Equal bytes and equal element strides, row by row."""
     assert len(rows) == len(refs)
@@ -186,8 +209,8 @@ class TestBatchedDraws:
     def test_single_draws_are_batches_of_one(self, kind, d):
         model = build(kind, d)
         for seed in (0, 7, [3, 1]):
-            assert_same_rows([sl.random_state(model, seed).coords], [loop_state(model, seed)])
-            assert_same_rows([sl.random_effect(model, seed).coords], [loop_effect(model, seed)])
+            assert_same_rows([sl.random_state(model, seed)], [loop_state(model, seed)])
+            assert_same_rows([sl.random_effect(model, seed)], [loop_effect(model, seed)])
 
     def test_zero_draws(self):
         for model in (build_quantum_model(3), sl.build_classical_model(3)):
@@ -217,13 +240,23 @@ class TestStackedChecks:
         rep = sl.validate_filter(ss.filter_for({1}), ss.model, sample_states(ss.model, 0, 0))
         assert rep.worst("neutrality") == rep.worst("complement_equivalence") == 0.0
 
+    @pytest.mark.parametrize("cone_seed", range(8))
+    def test_validate_effect_matches_loop_on_custom_cones(self, cone_seed):
+        model = random_custom_model(cone_seed)
+        for i, scale in enumerate((1.0, 1.7, -0.4)):  # valid, above u, below 0
+            e = scale * sl.random_effect(model, [cone_seed, i])
+            for n_samples, seed in ((0, 0), (1, 2), (100, 0), (37, cone_seed)):
+                got = gpt.validate_effect(e, model, n_samples, seed).to_dict()
+                want = loop_validate_effect(e, model, n_samples, seed).to_dict()
+                assert serialize.dumps(got) == serialize.dumps(want)
+
     def test_sweep_tables_match_table_from_system(self):
         ss = spin1_system()
         n = 0
         for probs in random_tables(ss, 150, 7):
             for row in range(len(probs[ss.top])):
-                s = sl.State(ss.model, loop_state(ss.model, [7, n, 0]))
-                r = sl.Effect(ss.model, loop_effect(ss.model, [7, n, 1]))
+                s = loop_state(ss.model, [7, n, 0])
+                r = loop_effect(ss.model, [7, n, 1])
                 t = sl.table_from_system(r, ss, s)
                 assert {J: float(p[row]) for J, p in probs.items()} == t.entries
                 n += 1
@@ -318,12 +351,12 @@ def test_probabilities_are_one_dot_per_effect(name):
         s = sl.random_state(model, [23, i])
         plan = sl.ExperimentPlan(ss, detector, s, 0, 0)
         for J in sl.interference.all_subsets(3):
-            v = ss.derived[J].projection @ s.coords
+            v = ss.derived[J].projection @ s
             want = gpt.with_blocked(np.array([float(e @ v) for e in reference]))
             assert plan.setting_probabilities(J).tobytes() == want.tobytes()
         for J in pairs:
-            v = ss.derived[J].projection @ s.coords
-            got = exact_frequencies(plans[J], sl.State(model, v))
+            v = ss.derived[J].projection @ s
+            got = exact_frequencies(plans[J], v)
             want = [np.array([float(e @ v) for e in effects]) for effects in settings[J]]
             assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 

@@ -23,6 +23,22 @@ def three_slit_entries(**changes):
     return {key: p for key, p in entries.items() if p is not None}
 
 
+def custom_model(**changes):
+    """A custom-cone model file for dimension 3 with the seven filters that
+    --slits from-model reads, with some top-level or cone fields changed."""
+    filters = {}
+    for J in all_subsets(3):
+        mask = np.isin([1, 2, 3], list(J)).astype(float)
+        filters[subset_key(J)] = {"projection": np.diag(mask).tolist(),
+                                  "complement": np.diag(1.0 - mask).tolist()}
+    model = {"label": "c3", "dimension": 3, "order_unit": [1.0, 1.0, 1.0],
+             "cone": {"type": "custom", "generators": [[1, 0, 0], [0, 2, 0], [0, 0, 0.5]]},
+             "filters": filters}
+    for key, value in changes.items():
+        (model["cone"] if key == "generators" else model)[key] = value
+    return model
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -136,6 +152,20 @@ class TestValidate:
                      "im": [[0, 0.1, 0], [-0.1, 0, 0], [0, 0, 0]]}],
         ["interference", "--model", "classical:9"],
         ["tomography", "--model", "classical:9"],
+        ["validate", "--model", custom_model(generators=[[1, 0], [0, 1], [1, 1]]),
+         "--slits", "from-model"],
+        ["interference", "--model", custom_model(order_unit=[1.0, 1.0]), "--slits", "from-model",
+         "--state", "random:1", "--effect", "random:2"],
+        ["interference", "--model", custom_model(order_unit=[1, 1, 0]), "--slits", "from-model",
+         "--state", "random:1", "--effect", "random:2"],
+        ["prop1", "--model", custom_model(order_unit=[1, -1, 1]), "--slits", "from-model"],
+        ["interference", "--table", {"k": 3, "entries": three_slit_entries(**{"1": "0.1"})}],
+        ["interference", "--table", {"k": 3, "entries": three_slit_entries(**{"123": True})}],
+        ["interference", "--table", {"k": 3, "entries": three_slit_entries(**{"1": 10**400})}],
+        ["interference", "--model", "classical:3", "--effect", "order-unit",
+         "--state", {"coords": ["1", 0, 0]}],
+        ["interference", "--model", "classical:3", "--effect", "order-unit",
+         "--state", {"coords": [True, False, False]}],
     ],
     ids=["state-dimension", "classical-state-dimension", "negative-shots",
          "table-negative-shots", "state-seed-not-integer",
@@ -154,7 +184,10 @@ class TestValidate:
          "classical-state-outside-cone", "classical-effect-above-one",
          "table-k-not-integer", "table-k-string", "state-not-hermitian",
          "real-state-imaginary-part", "interference-qutrit-fixture-classical9",
-         "tomography-qutrit-fixture-classical9"],
+         "tomography-qutrit-fixture-classical9", "custom-generators-2-wide",
+         "custom-order-unit-2-entries", "custom-order-unit-zero-on-generator",
+         "custom-order-unit-negative-on-generator", "table-entry-string",
+         "table-entry-bool", "table-entry-int-overflows", "coords-string", "coords-bool"],
 )
 def test_bad_arguments_are_input_errors(capsys, tmp_path, argv):
     # a JSON value in argv stands for a file holding it
@@ -425,8 +458,10 @@ def _json_file(directory, value) -> str:
 
 @pytest.fixture(scope="module")
 def argv_files(tmp_path_factory):
-    """JSON inputs for generated argv: models with and without filters, and
-    state coordinates, good and bad."""
+    """JSON inputs for generated argv: models with and without filters (a
+    quantum:3 one and a 3-coordinate custom cone, each with malformed
+    variants), and state coordinates, good and bad; and the valid custom
+    cone's path on its own."""
     directory = tmp_path_factory.mktemp("argv")
     model, ss, _, _ = qutrit_fixture()
     named = {subset_key(J): ss.filter_for(J) for J in all_subsets(3)}
@@ -437,26 +472,36 @@ def argv_files(tmp_path_factory):
     short["filters"]["1"]["projection"] = [[1.0]]
     custom = {"label": "c", "dimension": 2, "order_unit": [1, 1],
               "cone": {"type": "custom", "generators": [[1, 0], [0, 1]]}}
-    values = [good, bad, short, custom, {"cone": 5}, [1, 2],
+    custom_cones = [custom_model(generators=[[1, 0], [0, 1], [1, 1]]),
+                    custom_model(order_unit=[1.0, 1.0]), custom_model(order_unit=[1, 1, 0]),
+                    custom_model(order_unit=[1, -1, 1]), custom_model(generators=[])]
+    values = [good, bad, short, custom, *custom_cones, {"cone": 5}, [1, 2],
               {"coords": [1 / 3, 0, 0, 0, 0, 0, 0, 0, 0]}, {"coords": [float("nan")] * 9},
               {"coords": [5.0] + [0.0] * 8}, {"coords": "x"}, {"coords": [0.9, 0.9, 0.9]},
-              {"coords": [0.5, 0.8, -0.3]}, {"coords": [0.0, 1.0] + [0.0] * 7}]
-    return [_json_file(directory, v) for v in values] + [str(directory / "missing.json")], directory
+              {"coords": [0.5, 0.8, -0.3]}, {"coords": [0.0, 1.0] + [0.0] * 7},
+              {"coords": [0.2, 0.1, 0.5]}, {"coords": ["1", 0, 0]}, {"coords": [True, 0, 0]}]
+    paths = [_json_file(directory, v) for v in values] + [str(directory / "missing.json")]
+    return paths, _json_file(directory, custom_model()), directory
 
 
 @st.composite
 def generated_argv(draw, files):
-    paths, directory = files
+    paths, custom, directory = files
     command = draw(st.sampled_from(["validate", "interference", "prop1", "tomography",
                                     "experiment"]))
     argv = [command]
     count = st.integers(-2, 6).map(str)
-    model = draw(st.sampled_from(ARGV_MODELS + paths))
-    if draw(st.booleans()):
+    # about half of the runs take the valid custom cone, always with --slits
+    # and most often with its own filters, so that custom-cone sampling is
+    # reached
+    model = draw(st.sampled_from(ARGV_MODELS + paths) | st.just(custom))
+    if model == custom or draw(st.booleans()):
         argv += ["--model", model]
     slits = st.sampled_from(["basis", "from-model", "junk"])
     slits = slits | st.sampled_from(ARGV_AXES).map(lambda a: "spin1:" + a)
-    if draw(st.booleans()):
+    if model == custom:
+        slits = st.just("from-model") | slits
+    if model == custom or draw(st.booleans()):
         argv += ["--slits", draw(slits)]
     argv += ["--seed", draw(st.integers(-1, 9).map(str))]
     vector = st.sampled_from(ARGV_VECTORS + paths)

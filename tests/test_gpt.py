@@ -11,9 +11,7 @@ from sorkinlab.models import (
     build_classical_model,
     build_quantum_model,
     classical_filter,
-    effect_from_matrix,
     lueders_filter,
-    state_from_matrix,
 )
 
 PSI = np.ones(3, dtype=complex) / np.sqrt(3.0)
@@ -32,29 +30,23 @@ def c3():
 
 class TestProbability:
     def test_pure_state_self_overlap(self, q3):
-        e = effect_from_matrix(PSI_PROJ, q3)
-        s = state_from_matrix(PSI_PROJ, q3)
-        assert sl.probability(e, s) == pytest.approx(1.0, abs=1e-12)
+        e = q3.embed(PSI_PROJ)
+        s = q3.embed(PSI_PROJ)
+        assert float(e @ s) == pytest.approx(1.0, abs=1e-12)
 
     def test_classical_coordinate_readout(self, c3):
-        e = sl.Effect(c3, np.array([1.0, 0.0, 0.0]))
-        s = sl.State(c3, np.full(3, 1.0 / 3.0))
-        assert sl.probability(e, s) == pytest.approx(1.0 / 3.0, abs=1e-15)
+        e = np.array([1.0, 0.0, 0.0])
+        s = np.full(3, 1.0 / 3.0)
+        assert float(e @ s) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_basis_effect_on_superposition(self, q3):
         # oracle: Tr(|0><0| |psi><psi|) = |<0|psi>|^2 = 1/3
         e0 = np.zeros((3, 3), dtype=complex)
         e0[0, 0] = 1.0
         expected = np.trace(e0 @ PSI_PROJ).real
-        got = sl.probability(effect_from_matrix(e0, q3), state_from_matrix(PSI_PROJ, q3))
+        got = float(q3.embed(e0) @ q3.embed(PSI_PROJ))
         assert got == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(1.0 / 3.0, abs=1e-14)
-
-    def test_dimension_mismatch(self, q3, c3):
-        with pytest.raises(sl.DimensionMismatch):
-            sl.probability(
-                sl.Effect(c3, np.ones(3)), state_from_matrix(PSI_PROJ, q3)
-            )
 
     def test_born_rule_matches_trace(self, q3):
         rng = np.random.default_rng(5)
@@ -62,34 +54,28 @@ class TestProbability:
             a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             ea, rb = (a + a.conj().T) / 2, (b + b.conj().T) / 2
-            got = sl.probability(effect_from_matrix(ea, q3), state_from_matrix(rb, q3))
+            got = float(q3.embed(ea) @ q3.embed(rb))
             assert got == pytest.approx(np.trace(ea @ rb).real, abs=1e-12)
 
 
 class TestApply:
     def test_identity(self, q3):
-        s = state_from_matrix(PSI_PROJ, q3)
+        s = q3.embed(PSI_PROJ)
         t = np.eye(9)
-        np.testing.assert_allclose(sl.apply(t, s).coords, s.coords, atol=1e-15)
+        np.testing.assert_allclose(t @ s, s, atol=1e-15)
 
     def test_quantum_conjugation(self, q3):
         # oracle: Pi12 |psi><psi| Pi12 = (1/3)(|0>+|1>)(<0|+<1|)
         pi12 = np.diag([1.0, 1.0, 0.0]).astype(complex)
         t = lueders_filter(pi12, q3).projection
-        s = state_from_matrix(PSI_PROJ, q3)
+        s = q3.embed(PSI_PROJ)
         expected = q3.embed(pi12 @ PSI_PROJ @ pi12)
-        np.testing.assert_allclose(sl.apply(t, s).coords, expected, atol=1e-12)
+        np.testing.assert_allclose(t @ s, expected, atol=1e-12)
 
     def test_classical_mask(self, c3):
         f = classical_filter(np.array([1.0, 1.0, 0.0]), c3)
-        s = sl.State(c3, np.full(3, 1.0 / 3.0))
-        np.testing.assert_allclose(
-            sl.apply(f.projection, s).coords, [1 / 3, 1 / 3, 0.0], atol=1e-15
-        )
-
-    def test_dimension_mismatch(self, c3):
-        with pytest.raises(sl.DimensionMismatch):
-            sl.apply(np.eye(4), sl.State(c3, np.ones(3)))
+        s = np.full(3, 1.0 / 3.0)
+        np.testing.assert_allclose(f.projection @ s, [1 / 3, 1 / 3, 0.0], atol=1e-15)
 
     @given(
         a=st.floats(-2, 2, allow_nan=False),
@@ -102,36 +88,36 @@ class TestApply:
         s1 = sl.random_state(model, [seed, 0])
         s2 = sl.random_state(model, [seed, 1])
         t = lueders_filter(np.diag([1.0, 1.0, 0.0]).astype(complex), model).projection
-        combo = sl.State(model, a * s1.coords + b * s2.coords)
-        lhs = sl.apply(t, combo).coords
-        rhs = a * sl.apply(t, s1).coords + b * sl.apply(t, s2).coords
+        combo = a * s1 + b * s2
+        lhs = t @ combo
+        rhs = a * (t @ s1) + b * (t @ s2)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 class TestConditionalState:
     """The state after a branch is P(s) / p with p = e . s, the probability of
-    the branch's effect; these check the two sides through apply and
-    probability."""
+    the branch's effect; these check the two sides as the products P @ s and
+    e @ s."""
 
     def test_trivial_branch(self, q3):
-        s = state_from_matrix(PSI_PROJ, q3)
-        out = sl.apply(np.eye(9), s)
-        assert sl.probability(sl.Effect(q3, q3.order_unit), s) == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(out.coords, s.coords, atol=1e-12)
+        s = q3.embed(PSI_PROJ)
+        out = np.eye(9) @ s
+        assert float(q3.order_unit @ s) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(out, s, atol=1e-12)
 
     def test_lueders_update(self, q3):
         # oracle: Pi rho Pi / Tr(Pi rho) = (1/2)(|0>+|1>)(<0|+<1|)
         pi12 = np.diag([1.0, 1.0, 0.0]).astype(complex)
-        s = state_from_matrix(PSI_PROJ, q3)
-        p = sl.probability(effect_from_matrix(pi12, q3), s)
-        out = sl.apply(lueders_filter(pi12, q3).projection, s).coords / p
+        s = q3.embed(PSI_PROJ)
+        p = float(q3.embed(pi12) @ s)
+        out = (lueders_filter(pi12, q3).projection @ s) / p
         expected = q3.embed(pi12 @ PSI_PROJ @ pi12 / np.trace(pi12 @ PSI_PROJ).real)
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_classical_conditioning(self, c3):
-        s = sl.State(c3, np.full(3, 1.0 / 3.0))
-        p = sl.probability(sl.Effect(c3, np.array([1.0, 0.0, 0.0])), s)
-        out = sl.apply(np.diag([1.0, 0.0, 0.0]), s).coords / p
+        s = np.full(3, 1.0 / 3.0)
+        p = float(np.array([1.0, 0.0, 0.0]) @ s)
+        out = (np.diag([1.0, 0.0, 0.0]) @ s) / p
         np.testing.assert_allclose(out, [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_normalization_preserved(self, q3):
@@ -139,9 +125,9 @@ class TestConditionalState:
         pi = np.diag([1.0, 0.0, 0.0]).astype(complex)
         for seed in range(10):
             s = sl.random_state(q3, seed)
-            passed = sl.apply(lueders_filter(pi, q3).projection, s)
-            p = sl.probability(effect_from_matrix(pi, q3), s)
-            assert passed.normalization == pytest.approx(p, abs=1e-10)
+            passed = lueders_filter(pi, q3).projection @ s
+            p = float(q3.embed(pi) @ s)
+            assert q3.order_unit @ passed == pytest.approx(p, abs=1e-10)
 
 
 class TestValidateFilter:
@@ -267,7 +253,7 @@ def test_custom_cone_effects_lie_between_zero_and_unit(seed, cone_seed):
     u = np.eye(gens.shape[1])[0]
     model = sl.ModelSpace("custom", gens.shape[1], u, sl.ConeDescriptor("custom", generators=gens))
     e = sl.random_effect(model, seed)
-    vals = (gens @ e.coords) / (gens @ u)
+    vals = (gens @ e) / (gens @ u)
     assert vals.min() >= -1e-12
     assert vals.max() <= 1.0 + 1e-12
 
@@ -275,23 +261,23 @@ def test_custom_cone_effects_lie_between_zero_and_unit(seed, cone_seed):
 class TestRandomGenerators:
     def test_classical_state_on_simplex(self, c3):
         s = sl.random_state(c3, 7)
-        assert s.coords.min() >= 0.0
-        assert s.coords.sum() == pytest.approx(1.0, abs=1e-12)
+        assert s.min() >= 0.0
+        assert s.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_quantum_state_is_density_matrix(self, q3):
         s = sl.random_state(q3, 7)
-        rho = q3.unembed(s.coords)
+        rho = q3.unembed(s)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(rho).min() >= -1e-12
 
     def test_state_determinism(self, q3):
         np.testing.assert_array_equal(
-            sl.random_state(q3, 3).coords, sl.random_state(q3, 3).coords
+            sl.random_state(q3, 3), sl.random_state(q3, 3)
         )
 
     def test_effect_determinism(self, q3):
         np.testing.assert_array_equal(
-            sl.random_effect(q3, 3).coords, sl.random_effect(q3, 3).coords
+            sl.random_effect(q3, 3), sl.random_effect(q3, 3)
         )
 
     def test_effect_valid_on_random_states(self, q3):
@@ -301,5 +287,5 @@ class TestRandomGenerators:
             e = sl.random_effect(q3, seed)
             assert validate_effect(e, q3).passed
             for i in range(10):
-                p = sl.probability(e, sl.random_state(q3, [seed, i]))
+                p = float(e @ sl.random_state(q3, [seed, i]))
                 assert -1e-12 <= p <= 1.0 + 1e-12

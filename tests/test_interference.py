@@ -16,8 +16,6 @@ from sorkinlab.fixtures import (
 from sorkinlab.interference import ProbabilityTable, all_subsets, slit_system
 from sorkinlab.models import (
     build_quantum_model,
-    effect_from_matrix,
-    state_from_matrix,
     subset_filters,
 )
 from sorkinlab.gpt import orthonormal_column_basis
@@ -153,7 +151,7 @@ class TestTableFormulas:
     def test_i2_diagonal_detector(self):
         model, ss, s, _ = qutrit_fixture()
         e0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        r = effect_from_matrix(e0, model)
+        r = model.embed(e0)
         t = sl.table_from_system(r, ss, s)
         assert sl.i2_from_table(t[{1, 2}], t[{1}], t[{2}]) == pytest.approx(0.0, abs=1e-12)
 
@@ -245,7 +243,7 @@ class TestOperatorPicture:
 
     def test_zero_effect(self):
         model, ss, s, _ = qutrit_fixture()
-        zero = sl.Effect(model, np.zeros(9))
+        zero = np.zeros(9)
         assert sl.i3_operator(zero, ss, s) == 0.0
 
     def test_operator_matches_table_on_quantum4(self):
@@ -312,8 +310,8 @@ class TestProp1:
             psi /= np.linalg.norm(psi)
             phi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             phi /= np.linalg.norm(phi)
-            s = state_from_matrix(np.outer(psi, psi.conj()), model)
-            r = effect_from_matrix(np.outer(phi, phi.conj()), model)
+            s = model.embed(np.outer(psi, psi.conj()))
+            r = model.embed(np.outer(phi, phi.conj()))
             t = sl.table_from_system(r, ss, s)
             for a, b in ((1, 2), (1, 3), (2, 3)):
                 best = max(best, abs(sl.i2_from_table(t[{a, b}], t[{a}], t[{b}])))

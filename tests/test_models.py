@@ -14,9 +14,7 @@ from sorkinlab.models import (
     build_classical_model,
     build_quantum_model,
     build_real_quantum_model,
-    effect_from_matrix,
     lueders_filter,
-    state_from_matrix,
     subset_filters,
 )
 from sorkinlab.interference import slit_system
@@ -369,23 +367,23 @@ class TestJointProbability:
         # oracle: Tr(|psi><psi| Pi12 |psi><psi| Pi12) = |<psi|Pi12|psi>|^2 = 4/9
         model = build_quantum_model(3)
         pi12 = np.diag([1.0, 1.0, 0.0]).astype(complex)
-        passed = sl.apply(lueders_filter(pi12, model).projection, state_from_matrix(PSI_PROJ, model))
-        p = sl.probability(effect_from_matrix(PSI_PROJ, model), passed)
+        passed = lueders_filter(pi12, model).projection @ model.embed(PSI_PROJ)
+        p = float(model.embed(PSI_PROJ) @ passed)
         assert p == pytest.approx(4.0 / 9.0, abs=1e-12)
 
     def test_open_filter_total_probability(self):
         model = build_quantum_model(3)
         ident = np.eye(9)
         s = sl.random_state(model, 9)
-        u = sl.Effect(model, model.order_unit)
-        assert sl.probability(u, sl.apply(ident, s)) == pytest.approx(1.0, abs=1e-12)
+        u = model.order_unit
+        assert float(u @ (ident @ s)) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_supports(self):
         model = build_quantum_model(3)
         pi2 = np.diag([0.0, 1.0, 0.0]).astype(complex)
         e0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        passed = sl.apply(lueders_filter(pi2, model).projection, state_from_matrix(PSI_PROJ, model))
-        assert abs(sl.probability(effect_from_matrix(e0, model), passed)) < 1e-12
+        passed = lueders_filter(pi2, model).projection @ model.embed(PSI_PROJ)
+        assert abs(float(model.embed(e0) @ passed)) < 1e-12
 
     def test_matches_matrix_picture(self):
         # 100 random (rho, Pi, D) triples against Tr[D Pi rho Pi]
@@ -402,7 +400,7 @@ class TestJointProbability:
             h = (a + a.conj().T) / 2
             w, v = np.linalg.eigh(h)
             dmat = (v * np.clip(w, 0, 1)) @ v.conj().T
-            passed = sl.apply(lueders_filter(pi, model).projection, state_from_matrix(rho, model))
-            got = sl.probability(effect_from_matrix(dmat, model), passed)
+            passed = lueders_filter(pi, model).projection @ model.embed(rho)
+            got = float(model.embed(dmat) @ passed)
             expected = np.trace(dmat @ pi @ rho @ pi).real
             assert got == pytest.approx(expected, abs=1e-11)

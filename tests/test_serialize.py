@@ -47,9 +47,9 @@ class TestModel:
 
     def test_floats_round_trip_exactly(self):
         model, _, s, _ = qutrit_fixture()
-        d = {"coords": s.coords.tolist()}
+        d = {"coords": s.tolist()}
         back = np.array(json.loads(serialize.dumps(d))["coords"])
-        np.testing.assert_array_equal(back, s.coords)
+        np.testing.assert_array_equal(back, s)
 
 
 class TestTable:

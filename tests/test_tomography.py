@@ -6,7 +6,6 @@ import pytest
 
 import sorkinlab as sl
 from sorkinlab.fixtures import classical_fixture, qutrit_fixture
-from sorkinlab.models import state_from_matrix
 from sorkinlab.tomography import exact_frequencies, sample_frequencies
 
 PSI = np.ones(3, dtype=complex) / np.sqrt(3.0)
@@ -51,29 +50,29 @@ class TestEstimateFilteredState:
         model, ss, s, _ = qutrit_fixture()
         filt = ss.filter_for({1, 2})
         plan = sl.build_face_measurement(filt, model)
-        s12 = sl.apply(filt.projection, s)
+        s12 = filt.projection @ s
         est = sl.estimate_filtered_state(plan, exact_frequencies(plan, s12))
         # oracle: Pi12 |psi><psi| Pi12 with psi the uniform superposition
         pi12 = np.diag([1.0, 1.0, 0.0]).astype(complex)
         expected = model.embed(pi12 @ PSI_PROJ @ pi12)
-        np.testing.assert_allclose(est.coords, expected, atol=1e-10)
+        np.testing.assert_allclose(est, expected, atol=1e-10)
 
     def test_sampled_close_at_many_shots(self):
         model, ss, s, _ = qutrit_fixture()
         filt = ss.filter_for({1, 2})
         plan = sl.build_face_measurement(filt, model)
-        s12 = sl.apply(filt.projection, s)
+        s12 = filt.projection @ s
         freqs = sample_frequencies(plan, s12, shots=10**6, seed=13)
         est = sl.estimate_filtered_state(plan, freqs)
-        assert np.linalg.norm(est.coords - s12.coords) < 0.01
+        assert np.linalg.norm(est - s12) < 0.01
 
     def test_zero_state(self):
         model, ss, _, _ = qutrit_fixture()
         filt = ss.filter_for({1, 2})
         plan = sl.build_face_measurement(filt, model)
-        zero = sl.State(model, np.zeros(9))
+        zero = np.zeros(9)
         est = sl.estimate_filtered_state(plan, exact_frequencies(plan, zero))
-        np.testing.assert_allclose(est.coords, np.zeros(9), atol=1e-12)
+        np.testing.assert_allclose(est, np.zeros(9), atol=1e-12)
 
     def test_frequency_shape_mismatch(self):
         model, ss, _, _ = qutrit_fixture()
@@ -88,11 +87,9 @@ class TestEstimateFilteredState:
         plan = sl.build_face_measurement(filt, model)
         for i in range(10):
             s = sl.random_state(model, [70, i])
-            s12 = sl.apply(filt.projection, s)
+            s12 = filt.projection @ s
             est = sl.estimate_filtered_state(plan, exact_frequencies(plan, s12))
-            np.testing.assert_allclose(
-                sl.apply(filt.projection, est).coords, est.coords, atol=1e-10
-            )
+            np.testing.assert_allclose(filt.projection @ est, est, atol=1e-10)
 
 
 class TestExtractComponents:
@@ -100,66 +97,64 @@ class TestExtractComponents:
 
     def test_hand_value(self):
         model, ss, s, _ = qutrit_fixture()
-        s12 = sl.apply(ss.filter_for({1, 2}).projection, s)
-        s1 = sl.apply(ss.filter_for({1}).projection, s12)
-        s2 = sl.apply(ss.filter_for({2}).projection, s12)
+        s12 = ss.filter_for({1, 2}).projection @ s
+        s1 = ss.filter_for({1}).projection @ s12
+        s2 = ss.filter_for({2}).projection @ s12
         np.testing.assert_allclose(
-            model.unembed(s1.coords), np.diag([1 / 3, 0, 0]), atol=1e-12
+            model.unembed(s1), np.diag([1 / 3, 0, 0]), atol=1e-12
         )
         np.testing.assert_allclose(
-            model.unembed(s2.coords), np.diag([0, 1 / 3, 0]), atol=1e-12
+            model.unembed(s2), np.diag([0, 1 / 3, 0]), atol=1e-12
         )
 
     def test_state_already_in_single_face(self):
         model, ss, _, _ = qutrit_fixture()
-        s = state_from_matrix(np.diag([1.0, 0.0, 0.0]).astype(complex), model)
-        s1 = sl.apply(ss.filter_for({1}).projection, s)
-        s2 = sl.apply(ss.filter_for({2}).projection, s)
-        np.testing.assert_allclose(s1.coords, s.coords, atol=1e-12)
-        np.testing.assert_allclose(s2.coords, np.zeros(9), atol=1e-12)
+        s = model.embed(np.diag([1.0, 0.0, 0.0]).astype(complex))
+        s1 = ss.filter_for({1}).projection @ s
+        s2 = ss.filter_for({2}).projection @ s
+        np.testing.assert_allclose(s1, s, atol=1e-12)
+        np.testing.assert_allclose(s2, np.zeros(9), atol=1e-12)
 
     def test_components_agree_across_faces(self):
         model, ss, _, _ = qutrit_fixture()
         p1 = ss.filter_for({1}).projection
         for i in range(10):
             s = sl.random_state(model, [80, i])
-            s12 = sl.apply(ss.filter_for({1, 2}).projection, s)
-            s13 = sl.apply(ss.filter_for({1, 3}).projection, s)
-            a, b = sl.apply(p1, s12), sl.apply(p1, s13)
-            np.testing.assert_allclose(a.coords, b.coords, atol=1e-10)
+            s12 = ss.filter_for({1, 2}).projection @ s
+            s13 = ss.filter_for({1, 3}).projection @ s
+            a, b = p1 @ s12, p1 @ s13
+            np.testing.assert_allclose(a, b, atol=1e-10)
 
 
 class TestReconstruct:
     def test_exact_signed_sum(self):
         model, ss, s, _ = qutrit_fixture()
         estimates = {
-            J: sl.apply(ss.filter_for(J).projection, s)
+            J: ss.filter_for(J).projection @ s
             for J in (frozenset({1, 2}), frozenset({1, 3}), frozenset({2, 3}))
         }
         recon = sl.reconstruct(estimates, ss)
-        np.testing.assert_allclose(recon.coords, s.coords, atol=1e-10)
+        np.testing.assert_allclose(recon, s, atol=1e-10)
 
     def test_classical_recovery(self):
         model, ss, _, _ = classical_fixture()
         s = sl.random_state(model, 3)
         estimates = {
-            J: sl.apply(ss.filter_for(J).projection, s)
+            J: ss.filter_for(J).projection @ s
             for J in (frozenset({1, 2}), frozenset({1, 3}), frozenset({2, 3}))
         }
-        np.testing.assert_allclose(
-            sl.reconstruct(estimates, ss).coords, s.coords, atol=1e-14
-        )
+        np.testing.assert_allclose(sl.reconstruct(estimates, ss), s, atol=1e-14)
 
     def test_state_in_single_pair_face(self):
         model, ss, _, _ = qutrit_fixture()
         pi12 = np.diag([1.0, 1.0, 0.0]).astype(complex)
         raw = sl.random_state(model, 5)
-        s = sl.State(model, ss.filter_for({1, 2}).projection @ raw.coords)
+        s = ss.filter_for({1, 2}).projection @ raw
         estimates = {
-            J: sl.apply(ss.filter_for(J).projection, s)
+            J: ss.filter_for(J).projection @ s
             for J in (frozenset({1, 2}), frozenset({1, 3}), frozenset({2, 3}))
         }
-        np.testing.assert_allclose(sl.reconstruct(estimates, ss).coords, s.coords, atol=1e-10)
+        np.testing.assert_allclose(sl.reconstruct(estimates, ss), s, atol=1e-10)
 
     def test_missing_face_raises(self):
         model, ss, s, _ = qutrit_fixture()
@@ -192,14 +187,14 @@ class TestRoundtrip:
         for i in range(5):
             s = sl.random_state(model, [92, i])
             res = sl.tomography_roundtrip(ss, s, mode="exact")
-            expected = np.linalg.norm(defect @ s.coords)
+            expected = np.linalg.norm(defect @ s)
             assert abs(res.reconstruction_error - expected) < 1e-9
 
     def test_sampled_deterministic(self):
         model, ss, s, _ = qutrit_fixture()
         a = sl.tomography_roundtrip(ss, s, mode="sampled", shots=1000, seed=4)
         b = sl.tomography_roundtrip(ss, s, mode="sampled", shots=1000, seed=4)
-        np.testing.assert_array_equal(a.reconstructed.coords, b.reconstructed.coords)
+        np.testing.assert_array_equal(a.reconstructed, b.reconstructed)
 
     def test_sampled_error_decreases(self):
         model, ss, _, _ = qutrit_fixture()
