@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -242,13 +243,23 @@ def resolve_table(spec: str):
         raise InputError(f"bad table file {spec}: {exc}") from exc
 
 
+def _print(text: str) -> None:
+    """Print to stdout.  A reader that stops early (``| head``) closes the
+    pipe: the rest of the output, and the flush at exit, then go to
+    os.devnull, so the command still ends with its own exit code."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def emit(payload: dict, args) -> None:
     text = serialize.dumps(payload)
     if getattr(args, "out", None):
         Path(args.out).write_text(text + "\n")
         print(f"# wrote {args.out} at {time.strftime('%Y-%m-%dT%H:%M:%S')}", file=sys.stderr)
     else:
-        print(text)
+        _print(text)
 
 
 def cmd_validate(args) -> int:
@@ -440,7 +451,7 @@ def main(argv=None) -> int:
         return 2
     except InvalidSlitSystem as exc:
         # constructed but invalid filters: a validation failure, not bad input
-        print(serialize.dumps({"passed": False, "error": str(exc)}))
+        _print(serialize.dumps({"passed": False, "error": str(exc)}))
         return 1
 
 

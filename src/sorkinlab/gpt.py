@@ -382,14 +382,6 @@ def validate_measurement(effects, model: ModelSpace) -> ValidationReport:
     )
 
 
-def support_mask(mats: np.ndarray) -> np.ndarray:
-    """Mask of the indices i where row i or column i of some matrix in a
-    stack (n, k, k) is nonzero.  Off it every matrix of the stack, and every
-    product of them, is exactly zero."""
-    nonzero = mats != 0
-    return nonzero.any(axis=(0, 1)) | nonzero.any(axis=(0, 2))
-
-
 def orthonormal_column_basis(mat: np.ndarray, rtol: float = EPS_RANK_REL) -> np.ndarray:
     """Orthonormal basis for the column space of mat (SVD with relative cutoff).
 

@@ -6,7 +6,7 @@ and the three-way equivalence check for slit systems.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations
 from typing import Optional
 
@@ -24,7 +24,6 @@ from .gpt import (
     orthonormal_column_basis,
     random_pairs,
     rowdots,
-    support_mask,
 )
 
 
@@ -62,6 +61,21 @@ def signed_subset_sum(terms: dict, k: int):
     return total
 
 
+# Cached, as read-only arrays: a system's subsets come in a few orders.
+@lru_cache(maxsize=16)
+def _product_table(keys: tuple) -> tuple[np.ndarray, tuple]:
+    """For subsets keys, the position of J & K in keys for each pair (J, K),
+    len(keys) where J & K is empty, and the index arrays of the pairs of
+    single slits."""
+    pos = {J: i for i, J in enumerate(keys)}
+    target = np.array([[pos.get(J & K, len(keys)) for K in keys] for J in keys])
+    target.flags.writeable = False
+    singles = [pos[J] for J in keys if len(J) == 1]
+    pairs = np.array(list(combinations(singles, 2)), dtype=np.intp).reshape(-1, 2)
+    pairs.flags.writeable = False
+    return target, (pairs[:, 0], pairs[:, 1])
+
+
 @dataclass(eq=False)
 class SlitSystem:
     """k pairwise-orthogonal filters and the joins of every nonempty subset
@@ -90,20 +104,23 @@ class SlitSystem:
 
         The products are formed in batched matmuls on the joint support of
         the filters, the rows and columns where some P_J is nonzero: outside
-        that block every product and its target are exactly zero.
+        that block every product and its target are exactly zero.  Only the
+        block is copied out of the m x m matrices.
         """
-        keys = list(self.derived)
+        keys = tuple(self.derived)
         n = len(keys)
-        pos = {J: i for i, J in enumerate(keys)}
-        mats = np.stack([self.derived[J].projection for J in keys])
-        on = np.flatnonzero(support_mask(mats))
-        block = np.take(np.take(mats, on, axis=1), on, axis=2)
+        mats = [self.derived[J].projection for J in keys]
+        nonzero = mats[0] != 0
+        for mat in mats[1:]:
+            np.logical_or(nonzero, mat, out=nonzero)
+        on = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+        block = np.stack([mat.take(on, axis=0) for mat in mats]).take(on, axis=2)
         # resid[J, K] = ||P_J P_K - P_{J&K}||, the target being the zero matrix
         # appended after the n filters when J & K is empty: its J = K entries
         # give idempotence, its single-slit pairs orthogonality.  Rows J go in
         # batches of CHUNK_ELEMENTS product entries.
         targets = np.concatenate([block, np.zeros((1,) + block.shape[1:])])
-        target = np.array([[pos.get(J & K, n) for K in keys] for J in keys])
+        target, singles = _product_table(keys)
         resid = np.empty((n, n))
         rows = max(1, CHUNK_ELEMENTS // max(1, n * on.size**2))
         for lo in range(0, n, rows):
@@ -114,10 +131,7 @@ class SlitSystem:
         prod = resid.max()
         norms = np.linalg.norm(block.reshape(n, -1), axis=1)
         idem = (np.diagonal(resid) / np.maximum(1.0, norms)).max()
-        singles = [J for J in keys if len(J) == 1]
-        ortho = max(
-            (resid[pos[J], pos[K]] for J, K in combinations(singles, 2)), default=0.0
-        )
+        ortho = resid[singles].max(initial=0.0)
         return ValidationReport(
             "slit_system",
             (

@@ -10,7 +10,7 @@ orthant with the all-ones order unit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -22,7 +22,8 @@ from .gpt import (
     Filter,
     ModelSpace,
     NotAProjection,
-    support_mask,
+    basis_entries,
+    hermitian_basis,
 )
 from .interference import all_subsets
 
@@ -77,22 +78,143 @@ def _cmul(xr, xi, yr, yi):
     return xr * yr - xi * yi, xr * yi + xi * yr
 
 
+@dataclass(frozen=True, eq=False)
+class _ConjugationPlan:
+    """The bookkeeping of _conjugation_matrices for one basis and one joint
+    nonzero pattern of a stack of projectors; the arrays are read-only.
+
+    The pattern is closed to its connected blocks (of width w at most), so
+    a position within a block names the same row or column for every entry:
+    Pi[a, row] can be nonzero only for a in the block of row.  Stage 1 forms
+    the terms Pi[a, row] B_e Pi[col, b] of the basis entries e = (k, row,
+    col), a over the block of row and b over the block of col, in a
+    (w, w, entries) grid.  Step q of c_steps holds the q-th entry of each of
+    the first (end - start) triples (k, block of row, block of col), so the
+    C sums run in place in the first columns of the grid.  Stage 2 sums the
+    terms m_vr * Re C - m_vi * Im C read at m_at into the output entries
+    out_at, in steps m_steps.
+
+    The index arrays are flat indices into a chunk of `rows` projectors,
+    one row per projector: numpy gathers fastest from a flat array, and
+    np.take would copy a read-only index array on every call.
+    """
+
+    rows: int
+    x_at: np.ndarray
+    y_at: np.ndarray
+    vr: np.ndarray
+    vi: np.ndarray
+    c_steps: tuple
+    m_at: np.ndarray
+    m_vr: np.ndarray
+    m_vi: np.ndarray
+    m_steps: tuple
+    out_at: np.ndarray
+
+
+def _in_order(target: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Schedule sequential sums: given the target of each term, with the
+    terms of every target listed in the order it sums them, return the
+    targets by descending number of terms (ties in increasing order), the
+    term order that puts term q of each target in step q, and the step
+    bounds.  Step q holds one term for each of the first (bounds[q + 1] -
+    bounds[q]) targets, in target order, so every step adds a contiguous
+    slice to a prefix.
+    """
+    keys, inverse, counts = np.unique(target, return_inverse=True, return_counts=True)
+    by_count = np.argsort(-counts, kind="stable")
+    rank = np.empty_like(by_count)
+    rank[by_count] = np.arange(by_count.size)
+    grouped = np.argsort(inverse, kind="stable")
+    step = np.empty_like(grouped)
+    step[grouped] = np.arange(grouped.size) - (np.cumsum(counts) - counts)[inverse[grouped]]
+    bounds = np.cumsum(np.bincount(step, minlength=1))
+    return keys[by_count], np.lexsort((rank[inverse], step)), (0, *bounds.tolist())
+
+
+# A plan depends only on the basis, the joint nonzero pattern of the stack
+# and the stack's size (its chunk), and a family's projections and
+# complements have one pattern each: a few plans serve a process.
+@lru_cache(maxsize=32)
+def _conjugation_plan(d: int, dtype, pattern: bytes, n: int) -> _ConjugationPlan:
+    on = np.frombuffer(pattern, dtype=bool).reshape(d, d)
+    m = len(hermitian_basis(d, dtype))
+    # connected blocks of the pattern, by squaring its reachability matrix
+    used = on.any(axis=0) | on.any(axis=1)
+    reach = on | on.T | np.diag(used)
+    while True:
+        wider = reach @ reach
+        if (wider == reach).all():
+            break
+        reach = wider
+    block = np.argmax(reach, axis=1)  # the lowest index of each block
+    where = np.tril(reach, -1).sum(axis=1)  # position within the block
+    w = int(reach.sum(axis=1).max(initial=0))
+    members = np.argsort(~reach, axis=1, kind="stable")[:, :w]
+
+    k, row, col, vr, vi = basis_entries(d, dtype)  # np.nonzero order
+    keep = used[row] & used[col]
+    k, row, col, vr, vi = k[keep], row[keep], col[keep], vr[keep], vi[keep]
+    # stage 1: C_k on the blocks of (row, col) sums the entries of B_k there
+    triples = (k * d + block[row]) * d + block[col]
+    triples, order, c_steps = _in_order(triples)
+    # stage 2: M[j, kk] sums Re(B_e C_kk[col, row]) over the entries e of
+    # B_j, where C_kk is stored on the blocks of (col, row)
+    pair = triples % (d * d)
+    by_pair = np.argsort(pair, kind="stable")
+    want = block[col] * d + block[row]
+    first = np.searchsorted(pair[by_pair], want)
+    count = np.searchsorted(pair[by_pair], want, side="right") - first
+    e = np.repeat(np.arange(k.size), count)
+    t = by_pair[first[e] + np.arange(e.size) - np.repeat(np.cumsum(count) - count, count)]
+    m_at = (where[col[e]] * w + where[row[e]]) * k.size + t
+    out_at, terms, m_steps = _in_order(k[e] * m + triples[t] // (d * d))
+    e, m_at = e[terms], m_at[terms]
+
+    # projectors per chunk of CHUNK_ELEMENTS entries of C (the largest
+    # intermediates hold ~2.5x as many)
+    rows = min(n, max(1, CHUNK_ELEMENTS // max(1, w * w * c_steps[1])))
+    at = np.arange(rows)[:, None, None]
+    row, col = row[order], col[order]
+    plan = _ConjugationPlan(
+        rows,
+        (at * d + members[row].T) * d + row,
+        (at * d + col) * d + members[col].T,
+        vr[order],
+        vi[order],
+        c_steps,
+        at[:, 0] * w * w * k.size + m_at,
+        vr[e],
+        vi[e],
+        m_steps,
+        at[:, 0] * m * m + out_at,
+    )
+    for a in vars(plan).values():
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return plan
+
+
 def _conjugation_matrices(pis: np.ndarray, model: ModelSpace) -> np.ndarray:
     """Real matrices of rho -> Pi rho Pi in a matrix model's coordinates for a
     stack of projectors, (n, m, m).
 
-    Entry (j, k) is Re Tr(B_j Pi B_k Pi).  Both contractions run over the
-    nonzero entries of the basis only (about 2.5 d^2 of them), so a matrix
-    costs O(d^4) instead of the dense O(d^6).  They also skip the entries on
-    a row or column of Pi that is zero in every projector of the stack: all
-    their terms are exact zeros.  The support is read off the numbers, so a
-    dense stack keeps every entry, and a stack of basis projectors touches
-    a few rows of each m x m matrix.
+    Entry (j, k) is Re Tr(B_j Pi B_k Pi), from C_k = Pi B_k Pi.  Both
+    contractions run over the nonzero entries of the basis (about 2.5 d^2),
+    and they form only the terms whose projector factors can be nonzero:
+    C_k[a, b] sums Pi[a, row] B_e Pi[col, b] over the entries e = (k, row,
+    col) of B_k with a in the block of row and b in the block of col, the
+    blocks being the connected parts of the stack's joint nonzero pattern
+    (where some Pi[a, row] or Pi[row, a] is nonzero), and M[j, k] reads
+    only the entries of C_k that can be nonzero.  So a dense stack costs
+    O(d^4) per matrix, and a stack of diagonal projectors, such as basis
+    slits and their complements, one term per basis entry.  The
+    bookkeeping depends only on the basis, the pattern and n, and is cached.
 
-    Every sum adds its terms to zero in np.nonzero order of its basis
+    Every sum adds its terms to +0.0 in np.nonzero order of its basis
     element, which is the order of numpy's dense einsum over complex
-    operands; the zero entries the dense sum also visits, skipped ones
-    included, add exact zeros.  So for complex operands the result is
+    operands.  The terms left out are exact zeros, which change no sum but
+    at most the sign of a zero.  So for complex operands the result is
     byte-identical to the dense formula, which matters because
     experiment.plan_hash hashes filter bytes.  With real operands the dense
     einsum reduces in SIMD lanes, so results can differ from it in the last
@@ -100,60 +222,31 @@ def _conjugation_matrices(pis: np.ndarray, model: ModelSpace) -> np.ndarray:
     """
     n = pis.shape[0]
     m = model.dimension
-    on = support_mask(pis)
-    k, row, col, vr, vi = model.basis_entries
-    keep = on[row] & on[col]
-    k, row, col, vr, vi = k[keep], row[keep], col[keep], vr[keep], vi[keep]
-    if k.size == 0:
-        return np.zeros((n, m, m))
-    # work on the support: rows and columns of Pi in its order, and the basis
-    # elements with an entry there (the other rows and columns of out stay 0)
-    used = np.zeros(m, dtype=bool)
-    used[k] = True
-    support, elements = np.flatnonzero(on), np.flatnonzero(used)
-    local = np.cumsum(on) - 1
-    row, col, k = local[row], local[col], (np.cumsum(used) - 1)[k]
-    s, r = support.size, elements.size
-    # Entries sorted by (position within their element, element): step p of
-    # every element's sequential sum is then one contiguous slice, and step 0
-    # holds every element in order.
-    pos = np.arange(k.size) - np.searchsorted(k, k)
-    order = np.lexsort((k, pos))
-    k, row, col, pos = k[order], row[order], col[order], pos[order]
-    vr, vi = vr[order], vi[order]
-    bounds = np.searchsorted(pos, np.arange(1, pos[-1] + 2))
-    later = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-
-    # C order: the products below follow the operands' memory layout
-    pis = np.ascontiguousarray(pis[:, support[:, None], support])
-    sub = np.empty((n, r, r))
-    # elements of C per chunk of projectors (the largest intermediates hold
-    # ~2.5x as many); at d = 16 with dense projectors a chunk is one projector
-    chunk = max(1, CHUNK_ELEMENTS // (s * s * r))
-    for lo in range(0, n, chunk):
-        p = pis[lo : lo + chunk]
-        pr, pim = p.real, np.imag(p)
-        # C_k[a, b] = sum_e (Pi[a, row_e] B_e) Pi[col_e, b], stored (chunk, a, b, k)
-        xr, xi = _cmul(pr[:, :, row], pim[:, :, row], vr, vi)
-        yr, yi = pr.transpose(0, 2, 1)[:, :, col], pim.transpose(0, 2, 1)[:, :, col]
-        tr, ti = _cmul(xr[:, :, None], xi[:, :, None], yr[:, None], yi[:, None])
-        # step 0 covers every element in order; later steps read columns >= r
-        cr, ci = tr[..., :r], ti[..., :r]
-        for sl in later:
-            cr[..., k[sl]] += tr[..., sl]
-            ci[..., k[sl]] += ti[..., sl]
-        # M[j, k] = sum_e Re(B_e C_k[col_e, row_e]), e over the entries of B_j
-        terms = vr[:, None] * cr[:, col, row] - vi[:, None] * ci[:, col, row]
-        mats = sub[lo : lo + chunk]
-        # start from +0.0 as the dense sum does, so no zero entry comes out as
-        # -0.0 (the signs of zeros in C cannot reach the output past this)
-        np.add(terms[:, :r], 0.0, out=mats)
-        for sl in later:
-            mats[:, k[sl]] += terms[:, sl]
-    if r == m:
-        return sub
+    pattern = (pis != 0).any(axis=0).tobytes()
+    plan = _conjugation_plan(model.cone.d, model._matrix_dtype, pattern, n)
+    # complex and contiguous, so the plan's flat indices address it
+    pis = np.ascontiguousarray(pis, dtype=complex)
     out = np.zeros((n, m, m))
-    out[:, elements[:, None], elements] = sub
+    triples = plan.c_steps[1]
+    for lo in range(0, n, plan.rows):
+        c = min(plan.rows, n - lo)
+        p = pis[lo : lo + c].reshape(-1)
+        x, y = p[plan.x_at[:c]], p[plan.y_at[:c]]
+        # C order: the products below follow the operands' memory layout
+        xr, xi = _cmul(x.real, x.imag, plan.vr, plan.vi)
+        tr, ti = _cmul(xr[:, :, None], xi[:, :, None], y.real[:, None], y.imag[:, None])
+        for t in (tr, ti):
+            t[..., :triples] += 0.0
+            for a, b in zip(plan.c_steps[1:-1], plan.c_steps[2:]):
+                t[..., : b - a] += t[..., a:b]
+        at = plan.m_at[:c]
+        terms, im = tr.reshape(-1)[at], ti.reshape(-1)[at]
+        terms *= plan.m_vr
+        terms -= np.multiply(im, plan.m_vi, out=im)
+        mats = np.zeros((c, plan.out_at.shape[1]))
+        for a, b in zip(plan.m_steps[:-1], plan.m_steps[1:]):
+            mats[:, : b - a] += terms[:, a:b]
+        out[lo : lo + c].reshape(-1)[plan.out_at[:c]] = mats
     return out
 
 

@@ -48,6 +48,14 @@ def read_numbers(value) -> np.ndarray:
         raise ValueError(str(exc)) from exc
 
 
+def read_int(value, name: str) -> int:
+    """A JSON integer.  Raises ValueError on any other value, such as a
+    float, a string or a boolean, which int() would read as an integer."""
+    if type(value) is not int:
+        raise ValueError(f"{name} = {value!r} is not an integer")
+    return value
+
+
 def hermitian_from_dict(d: dict) -> np.ndarray:
     return read_numbers(d["re"]) + 1j * read_numbers(d["im"])
 
@@ -81,20 +89,21 @@ def model_from_dict(d: dict) -> tuple[ModelSpace, dict]:
     """Rebuild a model (and any stored named filters) from the interchange
     schema.
 
-    Raises ValueError unless every matrix and vector holds JSON numbers, and
-    unless a custom cone has an (n >= 1, dimension) array of generators and
-    a finite order unit of dimension entries, positive on every generator.
+    Raises ValueError unless dimension and the cone's d or n are JSON
+    integers, every matrix and vector holds JSON numbers, and a custom cone
+    has an (n >= 1, dimension) array of generators and a finite order unit
+    of dimension entries, positive on every generator.
     """
     cone = d["cone"]
     kind = cone["type"]
+    m = read_int(d["dimension"], "dimension")
     if kind == "quantum":
-        model = build_quantum_model(int(cone["d"]))
+        model = build_quantum_model(read_int(cone["d"], "d"))
     elif kind == "real_quantum":
-        model = build_real_quantum_model(int(cone["d"]))
+        model = build_real_quantum_model(read_int(cone["d"], "d"))
     elif kind == "classical":
-        model = build_classical_model(int(cone["n"]))
+        model = build_classical_model(read_int(cone["n"], "n"))
     elif kind == "custom":
-        m = int(d["dimension"])
         gens, u = read_numbers(cone["generators"]), read_numbers(d["order_unit"])
         if gens.ndim != 2 or gens.shape[0] < 1 or gens.shape[1] != m:
             raise ValueError(f"generators are {gens.shape}, not an (n >= 1, {m}) array")
@@ -112,10 +121,9 @@ def model_from_dict(d: dict) -> tuple[ModelSpace, dict]:
         raise ValueError(f"unknown cone type {kind!r}")
     if "label" in d:
         model.label = d["label"]
-    if int(d["dimension"]) != model.dimension:
+    if m != model.dimension:
         raise ValueError(
-            f"declared dimension {d['dimension']} does not match cone "
-            f"dimension {model.dimension}"
+            f"declared dimension {m} does not match cone dimension {model.dimension}"
         )
     filters = {}
     for name, spec in d.get("filters", {}).items():
@@ -140,9 +148,9 @@ def table_from_dict(d: dict) -> ProbabilityTable:
     Raises ValueError on a k that is not an integer from 2 to 9, on missing
     subsets or other keys, and on entries that are not numbers in [0, 1].
     """
-    k = d["k"]
-    if type(k) is not int or not 2 <= k <= 9:
-        raise ValueError(f"k = {k!r}: a table has an integer number of slits from 2 to 9")
+    k = read_int(d["k"], "k")
+    if not 2 <= k <= 9:
+        raise ValueError(f"k = {k}: a table has from 2 to 9 slits")
     subsets = {subset_key(J): J for J in all_subsets(k)}
     given, wanted = set(d["entries"]), set(subsets)
     if given != wanted:

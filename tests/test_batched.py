@@ -162,13 +162,16 @@ class TestEmbed:
         assert build_real_quantum_model(5).basis.dtype == np.float64
 
     def test_nothing_built_at_import(self):
-        code = ("import sorkinlab.cli, sorkinlab.gpt as g; "
+        code = ("import sorkinlab.cli, sorkinlab.gpt as g, sorkinlab.models as m, "
+                "sorkinlab.interference as i; "
                 "print(g.hermitian_basis.cache_info().currsize, "
-                "g.basis_entries.cache_info().currsize)")
+                "g.basis_entries.cache_info().currsize, "
+                "m._conjugation_plan.cache_info().currsize, "
+                "i._product_table.cache_info().currsize)")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env=env)
-        assert out.stdout.split() == ["0", "0"]
+        assert out.stdout.split() == ["0", "0", "0", "0"]
 
 
 class TestBatchedDraws:

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -166,6 +169,10 @@ class TestValidate:
          "--state", {"coords": ["1", 0, 0]}],
         ["interference", "--model", "classical:3", "--effect", "order-unit",
          "--state", {"coords": [True, False, False]}],
+        ["interference", "--model", {"dimension": 9, "cone": {"type": "quantum", "d": 3.9}}],
+        ["interference", "--model", {"dimension": 9, "cone": {"type": "quantum", "d": "3"}}],
+        ["interference", "--model", {"dimension": "9", "cone": {"type": "quantum", "d": 3}}],
+        ["interference", "--model", {"dimension": 3, "cone": {"type": "classical", "n": True}}],
     ],
     ids=["state-dimension", "classical-state-dimension", "negative-shots",
          "table-negative-shots", "state-seed-not-integer",
@@ -187,7 +194,8 @@ class TestValidate:
          "tomography-qutrit-fixture-classical9", "custom-generators-2-wide",
          "custom-order-unit-2-entries", "custom-order-unit-zero-on-generator",
          "custom-order-unit-negative-on-generator", "table-entry-string",
-         "table-entry-bool", "table-entry-int-overflows", "coords-string", "coords-bool"],
+         "table-entry-bool", "table-entry-int-overflows", "coords-string", "coords-bool",
+         "model-d-float", "model-d-string", "model-dimension-string", "model-n-bool"],
 )
 def test_bad_arguments_are_input_errors(capsys, tmp_path, argv):
     # a JSON value in argv stands for a file holding it
@@ -195,6 +203,32 @@ def test_bad_arguments_are_input_errors(capsys, tmp_path, argv):
     code, out = run(capsys, *argv)
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("reader", ["gone", "head-1"])
+def test_closed_stdout_ends_quietly_with_the_command_code(reader):
+    # `validate | head -1`: with the reader gone before the output is written
+    # every write fails; with head -1 the later writes may
+    argv = [sys.executable, "-m", "sorkinlab.cli", "validate", "--model", "quantum:6"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    if reader == "gone":
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(argv, stdout=write, stderr=subprocess.PIPE, env=env,
+                                  timeout=300)
+        finally:
+            os.close(write)
+        code, err = proc.returncode, proc.stderr
+    else:
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=env)
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        code = proc.wait(timeout=300)
+    assert (code, err) == (0, b"")
 
 
 def test_four_slit_table_runs(capsys, tmp_path):

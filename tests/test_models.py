@@ -17,7 +17,7 @@ from sorkinlab.models import (
     lueders_filter,
     subset_filters,
 )
-from sorkinlab.interference import slit_system
+from sorkinlab.interference import all_subsets, slit_system
 
 PSI = np.ones(3, dtype=complex) / np.sqrt(3.0)
 PSI_PROJ = np.outer(PSI, PSI.conj())
@@ -220,6 +220,131 @@ class TestConjugationKernel:
         for mat in mats:
             assert mat.dtype == np.float64
             assert mat.flags.c_contiguous
+
+
+def support_kernel(pis, model):
+    """Reference: the kernel that skipped only the rows and columns where every
+    projector of the stack is zero (its joint support), forming s^2 products
+    per basis entry on a support of size s; kept to pin the bytes of the
+    kernel that skips every term off the stack's nonzero pattern."""
+    from sorkinlab.gpt import CHUNK_ELEMENTS
+    from sorkinlab.models import _cmul
+
+    n = pis.shape[0]
+    m = model.dimension
+    nonzero = pis != 0
+    on = nonzero.any(axis=(0, 1)) | nonzero.any(axis=(0, 2))
+    k, row, col, vr, vi = model.basis_entries
+    keep = on[row] & on[col]
+    k, row, col, vr, vi = k[keep], row[keep], col[keep], vr[keep], vi[keep]
+    if k.size == 0:
+        return np.zeros((n, m, m))
+    used = np.zeros(m, dtype=bool)
+    used[k] = True
+    support, elements = np.flatnonzero(on), np.flatnonzero(used)
+    local = np.cumsum(on) - 1
+    row, col, k = local[row], local[col], (np.cumsum(used) - 1)[k]
+    s, r = support.size, elements.size
+    pos = np.arange(k.size) - np.searchsorted(k, k)
+    order = np.lexsort((k, pos))
+    k, row, col, pos = k[order], row[order], col[order], pos[order]
+    vr, vi = vr[order], vi[order]
+    bounds = np.searchsorted(pos, np.arange(1, pos[-1] + 2))
+    later = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    pis = np.ascontiguousarray(pis[:, support[:, None], support])
+    sub = np.empty((n, r, r))
+    chunk = max(1, CHUNK_ELEMENTS // (s * s * r))
+    for lo in range(0, n, chunk):
+        p = pis[lo : lo + chunk]
+        pr, pim = p.real, np.imag(p)
+        xr, xi = _cmul(pr[:, :, row], pim[:, :, row], vr, vi)
+        yr, yi = pr.transpose(0, 2, 1)[:, :, col], pim.transpose(0, 2, 1)[:, :, col]
+        tr, ti = _cmul(xr[:, :, None], xi[:, :, None], yr[:, None], yi[:, None])
+        cr, ci = tr[..., :r], ti[..., :r]
+        for sl in later:
+            cr[..., k[sl]] += tr[..., sl]
+            ci[..., k[sl]] += ti[..., sl]
+        terms = vr[:, None] * cr[:, col, row] - vi[:, None] * ci[:, col, row]
+        mats = sub[lo : lo + chunk]
+        np.add(terms[:, :r], 0.0, out=mats)
+        for sl in later:
+            mats[:, k[sl]] += terms[:, sl]
+    out = np.zeros((n, m, m))
+    out[:, elements[:, None], elements] = sub
+    return out
+
+
+def joins(pis):
+    """The 2^k - 1 sums of a list of projectors, in all_subsets order."""
+    return np.array([np.sum([pis[i - 1] for i in sorted(J)], axis=0)
+                     for J in all_subsets(len(pis))])
+
+
+def kernel_families():
+    """(id, model, projector stack) for the families the kernel is pinned on."""
+    rng = np.random.default_rng(10)
+    out = []
+    for kind, d in [("quantum", d) for d in (3, 4, 6, 10, 16)] + [
+        ("real_quantum", 4), ("real_quantum", 6)
+    ]:
+        quantum = kind == "quantum"
+        model = (build_quantum_model if quantum else build_real_quantum_model)(d)
+        out.append((f"{kind}{d}-basis", model,
+                    joins(basis_projectors(d, complex if quantum else float)[:3])))
+    q3 = build_quantum_model(3)
+    for axis in ("0.48,-0.6,0.64", "0,0,1"):
+        setup = sl.spin1_feynman_setup([float(a) for a in axis.split(",")], [0, 0, 1])
+        out.append((f"spin1-{axis}", q3, joins(list(setup.slit_projectors))))
+    # the partial-support family: members dense on {0, 1}, and one on {4}
+    q6 = build_quantum_model(6)
+    half = np.zeros((6, 6), dtype=complex)
+    half[:2, :2] = random_projector(2, 1, rng)
+    rest = np.zeros((6, 6), dtype=complex)
+    rest[:2, :2] = np.eye(2) - half[:2, :2]
+    out.append(("partial-support", q6, joins([half, rest, basis_projectors(6)[4]])))
+    # members whose patterns overlap without nesting: dense on {0, 1, 2},
+    # dense on {2, 3}, and diagonal
+    a = np.zeros((6, 6), dtype=complex)
+    a[:3, :3] = random_projector(3, 2, rng)
+    b = np.zeros((6, 6), dtype=complex)
+    b[2:4, 2:4] = random_projector(2, 1, rng)
+    out.append(("mixed-patterns", q6, np.array([a, b, np.diag([0, 1, 0, 1, 1, 0]) + 0j])))
+    for d in (3, 6, 10):
+        model = build_quantum_model(d)
+        for r in (1, d // 2):
+            stack = np.array([random_projector(d, r, rng) for _ in range(7)])
+            out.append((f"dense-q{d}-rank{r}", model, stack))
+    return out
+
+
+class TestKernelAgainstSupportKernel:
+    """The kernel skips every term whose projector factor is zero; the bytes
+    of each projection and complement are those of the support kernel."""
+
+    @pytest.mark.parametrize("model,pis", [f[1:] for f in kernel_families()],
+                             ids=[f[0] for f in kernel_families()])
+    def test_byte_identical(self, model, pis):
+        from sorkinlab.models import _conjugation_matrices
+
+        for stack in (pis, np.eye(pis.shape[1]) - pis):
+            assert _conjugation_matrices(stack, model).tobytes() == \
+                support_kernel(stack, model).tobytes()
+
+    def test_bookkeeping_is_shared_and_read_only(self):
+        from sorkinlab.models import _conjugation_plan
+
+        model = build_quantum_model(5)
+        subset_filters(basis_projectors(5)[:3], model)
+        before = _conjugation_plan.cache_info()
+        subset_filters(basis_projectors(5)[:3], model)
+        after = _conjugation_plan.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert after.maxsize is not None
+        pattern = np.zeros((5, 5), dtype=bool)
+        pattern[[0, 1, 2], [0, 1, 2]] = True
+        plan = _conjugation_plan(5, complex, pattern.tobytes(), 7)
+        arrays = [a for a in vars(plan).values() if isinstance(a, np.ndarray)]
+        assert arrays and not any(a.flags.writeable for a in arrays)
 
 
 class TestLazyComplements:
