@@ -2,7 +2,6 @@
 finite-dimensional operational probabilistic models."""
 
 from .gpt import (
-    ConeDescriptor,
     DimensionMismatch,
     Filter,
     ModelSpace,
@@ -18,7 +17,6 @@ from .models import (
     build_classical_model,
     build_quantum_model,
     build_real_quantum_model,
-    classical_subset_filters,
     conjugation_superoperator,
     spin1_feynman_setup,
     spin1_operator,

@@ -49,7 +49,6 @@ from .models import (
     build_classical_model,
     build_quantum_model,
     build_real_quantum_model,
-    classical_subset_filters,
     spin1_feynman_setup,
     subset_filters,
 )
@@ -97,19 +96,13 @@ def resolve_model(spec: str) -> tuple[ModelSpace, dict]:
 def resolve_slits(spec: str, model: ModelSpace, named_filters: dict) -> SlitSystem:
     """'basis', 'spin1:bx,by,bz', or filters carried by the model file."""
     if spec == "basis":
-        if model.cone.kind == "classical":
-            if model.cone.n < 3:
-                raise InputError("classical basis slits need n >= 3")
-            blocks = [[0], [1], [2]]
-            return slit_system(model, classical_subset_filters(blocks, model))
-        if model.cone.kind in ("quantum", "real_quantum"):
-            d = model.cone.d
-            if d < 3:
-                raise InputError("basis slits need d >= 3")
-            dtype = complex if model.cone.kind == "quantum" else float
-            pis = basis_projectors(d, dtype)[:3]
-            return slit_system(model, subset_filters(pis, model))
-        raise InputError("basis slits are not defined for custom cones")
+        if model.kind == "custom":
+            raise InputError("basis slits are not defined for custom cones")
+        if model.d < 3:
+            raise InputError("classical basis slits need n >= 3" if model.kind == "classical"
+                             else "basis slits need d >= 3")
+        pis = basis_projectors(model.d, complex if model.kind == "quantum" else float)[:3]
+        return slit_system(model, subset_filters(pis, model))
     if spec.startswith("spin1:"):
         return _spin1_system(model, spec.split(":", 1)[1])[0]
     if spec == "from-model":
@@ -121,13 +114,13 @@ def resolve_slits(spec: str, model: ModelSpace, named_filters: dict) -> SlitSyst
 
 
 def _spin1_system(model: ModelSpace, b: str, d: str | None = None):
-    """The slit system of spin-1 slits along axis b and the spin-1 setup with
-    detector axis d (default b); both need the quantum:3 model."""
-    if model.cone.kind != "quantum" or model.cone.d != 3:
+    """The slit system of spin-1 slits along axis b and the spin-1 detector
+    effects along axis d (default b); both need the quantum:3 model."""
+    if model.kind != "quantum" or model.d != 3:
         raise InputError("spin-1 slits need --model quantum:3")
     axis = _parse_vec3(b)
-    setup = spin1_feynman_setup(axis, axis if d is None else _parse_vec3(d))
-    return slit_system(model, subset_filters(list(setup.slit_projectors), model)), setup
+    slits, detectors = spin1_feynman_setup(axis, axis if d is None else _parse_vec3(d))
+    return slit_system(model, subset_filters(slits, model)), detectors
 
 
 def _parse_vec3(text: str) -> np.ndarray:
@@ -165,7 +158,7 @@ def _coords_from_file(spec: str, model: ModelSpace) -> np.ndarray:
             skew = np.linalg.norm(mat - mat.conj().T)
             if skew > EPS_TOL * max(1.0, np.linalg.norm(mat)):
                 raise InputError(f"matrix in {spec} is not Hermitian")
-            if model.cone.kind == "real_quantum" and np.any(mat.imag):
+            if model.kind == "real_quantum" and np.any(mat.imag):
                 raise InputError(f"matrix in {spec} has an imaginary part on a real model")
             coords = model.embed(mat)
         else:
@@ -195,7 +188,7 @@ def _resolve_vector(spec: str, model: ModelSpace, noun: str, draw) -> np.ndarray
     """The coordinates of 'fixture:qutrit', 'random:<seed>' or a JSON file
     as a noun ("state" or "effect"); draw makes the random ones."""
     if spec == "fixture:qutrit":
-        if model.cone.kind != "quantum" or model.cone.d != 3:
+        if model.kind != "quantum" or model.d != 3:
             raise InputError("fixture:qutrit needs a quantum:3 model")
         return model.embed(fixtures.qutrit_projector())
     if spec.startswith("random:"):
@@ -216,7 +209,7 @@ def _resolve_vector(spec: str, model: ModelSpace, noun: str, draw) -> np.ndarray
 
 def resolve_state(spec: str, model: ModelSpace) -> np.ndarray:
     if spec == "uniform":
-        if model.cone.kind != "classical":
+        if model.kind != "classical":
             raise InputError("'uniform' is a classical fixture")
         return np.full(model.dimension, 1.0 / model.dimension)
     return _resolve_vector(spec, model, "state", random_state)
@@ -232,6 +225,13 @@ def resolve_count(n: int, name: str) -> int:
     if n < 0:
         raise InputError(f"{name} must be >= 0, got {n}")
     return n
+
+
+def resolve_shots(n: int) -> int:
+    """--shots, at most 2^63 - 1: numpy draws the counts as int64."""
+    if n > 2**63 - 1:
+        raise InputError(f"--shots must be <= {2**63 - 1}, got {n}")
+    return resolve_count(n, "--shots")
 
 
 def resolve_table(spec: str):
@@ -323,34 +323,32 @@ def cmd_prop1(args) -> int:
 
 def cmd_tomography(args) -> int:
     model, named = resolve_model(args.model)
-    if model.cone.kind == "custom":
+    if model.kind == "custom":
         raise InputError("tomography has no measurement family for custom cones")
     ss = resolve_slits(args.slits, model, named)
     s = resolve_state(args.state, model)
     result = tomography_roundtrip(
-        ss, s, mode=args.mode, shots=resolve_count(args.shots, "--shots"), seed=args.seed
+        ss, s, mode=args.mode, shots=resolve_shots(args.shots), seed=args.seed
     )
     emit(result.to_dict(), args)
     return 0
 
 
 def cmd_experiment(args) -> int:
-    shots = resolve_count(args.shots, "--shots")
+    shots = resolve_shots(args.shots)
     if args.table:
         record = record_from_table(resolve_table(args.table), shots, args.seed)
     else:
         model, named = resolve_model(args.model)
         if args.spin1:
-            ss, setup = _spin1_system(model, args.b, args.d)
-            detector = model.embed(np.array(setup.detector_effects))
+            ss, detectors = _spin1_system(model, args.b, args.d)
+            detector = model.embed(np.array(detectors))
         else:
             ss = resolve_slits(args.slits, model, named)
-            if model.cone.kind == "classical":
-                detector = np.eye(model.dimension)
-            elif model.basis is not None:
-                detector = model.embed(np.array(basis_projectors(model.cone.d)))
-            else:
+            if model.kind == "custom":
                 raise InputError("experiments on custom cones take a --table")
+            detector = (np.eye(model.d) if model.kind == "classical"
+                        else model.embed(np.array(basis_projectors(model.d))))
         plan = ExperimentPlan(
             slits=ss,
             detector=detector,

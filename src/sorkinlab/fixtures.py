@@ -15,7 +15,6 @@ from .models import (
     build_classical_model,
     build_quantum_model,
     build_real_quantum_model,
-    classical_subset_filters,
     subset_filters,
 )
 
@@ -38,7 +37,7 @@ def qutrit_fixture(dtype=complex):
 def classical_fixture():
     """(model, slit system, uniform state, first-coordinate effect)."""
     model = build_classical_model(3)
-    ss = slit_system(model, classical_subset_filters([[0], [1], [2]], model))
+    ss = slit_system(model, subset_filters(basis_projectors(3, float), model))
     return model, ss, np.full(3, 1.0 / 3.0), np.array([1.0, 0.0, 0.0])
 
 

@@ -12,7 +12,7 @@ of a filter the image of its projection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Optional
 
@@ -38,23 +38,6 @@ class DimensionMismatch(ValueError):
 
 class NotAProjection(ValueError):
     """A map required to be idempotent is not."""
-
-
-@dataclass(eq=False)
-class ConeDescriptor:
-    """Which positive cone the model uses.
-
-    kind is one of "quantum", "real_quantum", "classical", "custom".
-    quantum(d) embeds Hermitian d x d matrices (m = d^2), real_quantum(d)
-    real symmetric ones (m = d(d+1)/2), classical(n) is the nonnegative
-    orthant (m = n).  Custom cones are given by a generator list; membership
-    is decided by a nonnegative-least-squares residual.
-    """
-
-    kind: str
-    d: Optional[int] = None
-    n: Optional[int] = None
-    generators: Optional[np.ndarray] = None  # (n_gen, m)
 
 
 @cache
@@ -104,32 +87,50 @@ def basis_entries(d: int, dtype=complex) -> tuple[np.ndarray, ...]:
 class ModelSpace:
     """A finite-dimensional model: coordinate space, order unit, cone.
 
-    Quantum / real_quantum models embed Hermitian (resp. symmetric) matrices
-    in the orthonormal basis ``basis`` of shape (m, d, d), so embed/unembed
-    round-trip exactly.
+    kind is one of "quantum", "real_quantum", "classical", "custom".
+    quantum(d) embeds Hermitian d x d matrices (m = d^2) and real_quantum(d)
+    real symmetric ones (m = d(d+1)/2) in the orthonormal basis ``basis`` of
+    shape (m, d, d), so embed/unembed round-trip exactly; classical(d) is the
+    nonnegative orthant on d outcomes (m = d).  For these the constructor
+    works out the dimension, the order unit and the default label "kind:d".
+    A custom cone is given by its generators (n_gen, m) and order unit, and
+    membership is decided by a nonnegative-least-squares residual; its
+    default label is "custom".
     """
 
-    label: str
-    dimension: int
-    order_unit: np.ndarray
-    cone: ConeDescriptor
+    kind: str
+    d: Optional[int] = None
+    generators: Optional[np.ndarray] = None
+    order_unit: Optional[np.ndarray] = None
+    label: Optional[str] = None
+    dimension: int = field(init=False)
+
+    def __post_init__(self):
+        if self.label is None:
+            self.label = "custom" if self.kind == "custom" else f"{self.kind}:{self.d}"
+        if self.kind == "custom":
+            self.dimension = self.generators.shape[1]
+            return
+        d = self.d
+        self.dimension = {"quantum": d * d, "real_quantum": d * (d + 1) // 2, "classical": d}[self.kind]
+        self.order_unit = np.ones(d) if self.kind == "classical" else self.embed(np.eye(d))
 
     @property
     def _matrix_dtype(self):
-        return {"quantum": complex, "real_quantum": float}.get(self.cone.kind)
+        return {"quantum": complex, "real_quantum": float}.get(self.kind)
 
     @property
     def basis(self) -> Optional[np.ndarray]:
         """The embedding basis of a matrix model, None for other cones."""
         dtype = self._matrix_dtype
-        return None if dtype is None else hermitian_basis(self.cone.d, dtype)
+        return None if dtype is None else hermitian_basis(self.d, dtype)
 
     @property
     def basis_entries(self) -> tuple[np.ndarray, ...]:
         """The nonzero entries of the embedding basis (see basis_entries)."""
         if self._matrix_dtype is None:
             raise ValueError(f"model {self.label!r} has no matrix embedding")
-        return basis_entries(self.cone.d, self._matrix_dtype)
+        return basis_entries(self.d, self._matrix_dtype)
 
     def _zero_coords(self, shape: tuple, complex_: bool) -> np.ndarray:
         """Zero coordinate vectors of a shape (..., m), laid out as embed lays
@@ -151,7 +152,7 @@ class ModelSpace:
         """
         k, i, j, vr, vi = self.basis_entries
         mat = np.asarray(mat)
-        d = self.cone.d
+        d = self.d
         if mat.shape[-2:] != (d, d):
             raise DimensionMismatch(f"matrix is {mat.shape[-2:]}, model needs {(d, d)}")
         x = mat[..., j, i]
@@ -169,12 +170,10 @@ class ModelSpace:
     def cone_residual(self, coords: np.ndarray) -> float:
         """How far a coordinate vector sits outside the cone (0 = inside)."""
         coords = np.asarray(coords, dtype=float)
-        if self.cone.kind in ("quantum", "real_quantum"):
-            w = np.linalg.eigvalsh(self.unembed(coords))
+        if self.kind != "custom":
+            w = coords if self.kind == "classical" else np.linalg.eigvalsh(self.unembed(coords))
             return float(max(0.0, -w.min()))
-        if self.cone.kind == "classical":
-            return float(max(0.0, -coords.min()))
-        gens = self.cone.generators
+        gens = self.generators
         _, resid = nnls(gens.T, coords)
         return float(resid)
 
@@ -346,11 +345,9 @@ def validate_filter(f: Filter, model: ModelSpace, states: np.ndarray) -> Validat
 def validate_effect(e: np.ndarray, model: ModelSpace, n_samples: int = 100, seed: int = 0) -> ValidationReport:
     """Check 0 <= e.s <= 1 on normalized states (exactly where possible);
     custom cones check the states of sample_states(model, n_samples, seed)."""
-    if model.cone.kind in ("quantum", "real_quantum"):
-        w = np.linalg.eigvalsh(model.unembed(e))
+    if model.kind != "custom":
+        w = e if model.kind == "classical" else np.linalg.eigvalsh(model.unembed(e))
         low, high = float(-min(w.min(), 0.0)), float(max(w.max() - 1.0, 0.0))
-    elif model.cone.kind == "classical":
-        low, high = float(-min(e.min(), 0.0)), float(max(e.max() - 1.0, 0.0))
     else:
         probs = rowdots(e[None], sample_states(model, n_samples, seed))
         low = max(0.0, -float(probs.min(initial=np.inf)))
@@ -419,8 +416,8 @@ def _random_matrices(model: ModelSpace, seeds, effect: bool) -> np.ndarray:
     Haar-random eigenbasis Q of G = QR (column signs fixed by diag R) and
     the drawn eigenvalues.
     """
-    d = model.cone.d
-    quantum = model.cone.kind == "quantum"
+    d = model.d
+    quantum = model.kind == "quantum"
     g = np.empty((len(seeds), d, d), complex if quantum else float)
     lam = np.empty((len(seeds), d))
     for row, seed in enumerate(seeds):
@@ -440,21 +437,21 @@ def _random_matrices(model: ModelSpace, seeds, effect: bool) -> np.ndarray:
 
 
 def _random_state_coords(model: ModelSpace, rng) -> np.ndarray:
-    if model.cone.kind == "classical":
-        return rng.dirichlet(np.ones(model.cone.n))
-    gens = model.cone.generators
+    if model.kind == "classical":
+        return rng.dirichlet(np.ones(model.d))
+    gens = model.generators
     coords = rng.dirichlet(np.ones(gens.shape[0])) @ gens
     return coords / float(model.order_unit @ coords)
 
 
 def _random_effect_coords(model: ModelSpace, rng) -> np.ndarray:
-    if model.cone.kind == "classical":
-        return rng.uniform(0.0, 1.0, size=model.cone.n)
+    if model.kind == "classical":
+        return rng.uniform(0.0, 1.0, size=model.d)
     # map a random functional affinely, e -> (e - lo u) / (hi - lo), so that
     # g.e / g.u lies in [0, 1] on every generator g; a draw already in [0, u]
     # is kept as it is
     coords = rng.uniform(0.0, 1.0, size=model.dimension)
-    gens = model.cone.generators
+    gens = model.generators
     norms = gens @ model.order_unit
     vals = (gens @ coords) / norms
     lo, hi = min(float(vals.min()), 0.0), max(float(vals.max()), 1.0)
@@ -478,8 +475,8 @@ def _draw(model: ModelSpace, seeds, effect: bool) -> np.ndarray:
         for row, seed in enumerate(seeds):
             out[row] = draw(model, np.random.default_rng(seed))
         return out
-    out = model._zero_coords((n,), model.cone.kind == "quantum")
-    rows = max(1, CHUNK_ELEMENTS // model.cone.d**2)
+    out = model._zero_coords((n,), model.kind == "quantum")
+    rows = max(1, CHUNK_ELEMENTS // model.d**2)
     for lo in range(0, n, rows):
         mats = _random_matrices(model, seeds[lo : lo + rows], effect)
         out[lo : lo + rows] = model.embed(mats)

@@ -17,7 +17,6 @@ import numpy as np
 
 from .gpt import (
     CHUNK_ELEMENTS,
-    ConeDescriptor,
     DimensionMismatch,
     Filter,
     ModelSpace,
@@ -35,41 +34,21 @@ def build_quantum_model(d: int) -> ModelSpace:
     """Hermitian d x d model; m = d^2."""
     if d < 2:
         raise ValueError("quantum model needs d >= 2")
-    model = ModelSpace(
-        label=f"quantum:{d}",
-        dimension=d * d,
-        order_unit=np.zeros(d * d),
-        cone=ConeDescriptor("quantum", d=d),
-    )
-    model.order_unit = model.embed(np.eye(d))
-    return model
+    return ModelSpace("quantum", d)
 
 
 def build_real_quantum_model(d: int) -> ModelSpace:
     """Real symmetric d x d model; m = d(d+1)/2."""
     if d < 2:
         raise ValueError("real quantum model needs d >= 2")
-    m = d * (d + 1) // 2
-    model = ModelSpace(
-        label=f"real_quantum:{d}",
-        dimension=m,
-        order_unit=np.zeros(m),
-        cone=ConeDescriptor("real_quantum", d=d),
-    )
-    model.order_unit = model.embed(np.eye(d))
-    return model
+    return ModelSpace("real_quantum", d)
 
 
 def build_classical_model(n: int) -> ModelSpace:
     """Probability simplex on n outcomes; order unit = all ones."""
     if n < 2:
         raise ValueError("classical model needs n >= 2")
-    return ModelSpace(
-        label=f"classical:{n}",
-        dimension=n,
-        order_unit=np.ones(n),
-        cone=ConeDescriptor("classical", n=n),
-    )
+    return ModelSpace("classical", n)
 
 
 def _cmul(xr, xi, yr, yi):
@@ -223,7 +202,7 @@ def _conjugation_matrices(pis: np.ndarray, model: ModelSpace) -> np.ndarray:
     n = pis.shape[0]
     m = model.dimension
     pattern = (pis != 0).any(axis=0).tobytes()
-    plan = _conjugation_plan(model.cone.d, model._matrix_dtype, pattern, n)
+    plan = _conjugation_plan(model.d, model._matrix_dtype, pattern, n)
     # complex and contiguous, so the plan's flat indices address it
     pis = np.ascontiguousarray(pis, dtype=complex)
     out = np.zeros((n, m, m))
@@ -292,15 +271,21 @@ def _lueders_filters(pis, model: ModelSpace) -> list[Filter]:
     return [Filter(mat, lambda i=i: complements()[i]) for i, mat in enumerate(mats)]
 
 
+def _mask_filters(pis, model: ModelSpace) -> list[Filter]:
+    """Coordinate-mask filter pairs (P, I - P) for a list of 0/1 diagonal
+    n x n projectors P of a classical model on n outcomes."""
+    pis = np.asarray(pis)
+    n = model.d
+    if pis.shape[1:] != (n, n):
+        raise DimensionMismatch(f"projectors are {pis.shape[1:]}, model needs {(n, n)}")
+    if not (np.isin(pis, (0, 1)) & (pis == pis * np.eye(n))).all():
+        raise NotAProjection("classical slits must be diagonal 0/1 matrices")
+    return [Filter(p, np.eye(n) - p) for p in pis.real.astype(float)]
+
+
 def lueders_filter(pi: np.ndarray, model: ModelSpace) -> Filter:
     """Filter pair (conjugation by Pi, conjugation by I - Pi)."""
     return _lueders_filters([pi], model)[0]
-
-
-def classical_filter(mask: np.ndarray, model: ModelSpace) -> Filter:
-    """Coordinate-mask filter on a classical model."""
-    mask = np.asarray(mask, dtype=float)
-    return Filter(projection=np.diag(mask), complement=np.diag(1.0 - mask))
 
 
 def basis_projectors(d: int, dtype=complex) -> list[np.ndarray]:
@@ -311,7 +296,9 @@ def basis_projectors(d: int, dtype=complex) -> list[np.ndarray]:
 
 def subset_filters(pis, model: ModelSpace) -> dict[frozenset, Filter]:
     """All 2^k - 1 join filters generated by k pairwise-orthogonal projectors,
-    keyed by subset of 1..k.
+    keyed by subset of 1..k.  On a classical model the projectors are 0/1
+    diagonal n x n matrices, and each filter is the coordinate mask pair
+    (P, I - P).
 
     Raises when the supplied projectors are not pairwise orthogonal.
     """
@@ -320,21 +307,8 @@ def subset_filters(pis, model: ModelSpace) -> dict[frozenset, Filter]:
             raise ValueError("slits not pairwise orthogonal")
     subsets = all_subsets(len(pis))
     joins = [np.sum([pis[i - 1] for i in sorted(J)], axis=0) for J in subsets]
-    return dict(zip(subsets, _lueders_filters(joins, model)))
-
-
-def classical_subset_filters(blocks, model: ModelSpace) -> dict[frozenset, Filter]:
-    """Join filters for a classical model from disjoint coordinate blocks."""
-    coords = [i for b in blocks for i in set(b)]
-    if len(coords) != len(set(coords)):
-        raise ValueError("slits not pairwise orthogonal")
-    out: dict[frozenset, Filter] = {}
-    for J in all_subsets(len(blocks)):
-        mask = np.zeros(model.dimension)
-        for i in J:
-            mask[list(blocks[i - 1])] = 1.0
-        out[J] = classical_filter(mask, model)
-    return out
+    build = _mask_filters if model.kind == "classical" else _lueders_filters
+    return dict(zip(subsets, build(joins, model)))
 
 
 # --- spin-1 Stern-Gerlach geometry ------------------------------------------
@@ -363,15 +337,7 @@ def _eigenprojectors_desc(op: np.ndarray) -> list[np.ndarray]:
     return [np.outer(v[:, i], v[:, i].conj()) for i in range(v.shape[1])]
 
 
-@dataclass(frozen=True, eq=False)
-class Spin1Setup:
-    """The spectral projectors of the filter and detector axes."""
-
-    slit_projectors: tuple[np.ndarray, ...]
-    detector_effects: tuple[np.ndarray, ...]
-
-
-def spin1_feynman_setup(b, d) -> Spin1Setup:
+def spin1_feynman_setup(b, d) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Three slit projectors along b and three detector effects along d,
     both ordered by descending spin eigenvalue."""
     slits = _eigenprojectors_desc(spin1_operator(b))
@@ -379,4 +345,4 @@ def spin1_feynman_setup(b, d) -> Spin1Setup:
     total = np.sum(slits, axis=0)
     if np.linalg.norm(total - np.eye(3)) > 1e-12:
         raise ValueError("slit projectors do not resolve the identity")
-    return Spin1Setup(tuple(slits), tuple(dets))
+    return slits, dets

@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 
-from .gpt import ConeDescriptor, Filter, ModelSpace
+from .gpt import Filter, ModelSpace
 from .models import (
     build_classical_model,
     build_quantum_model,
@@ -32,8 +32,9 @@ def read_numbers(value) -> np.ndarray:
     """A JSON number, or nested lists of them, as a float array.
 
     Raises ValueError on any other leaf, such as a string or a boolean, which
-    float() and np.array would read as a number, and on an integer too large
-    for a float.
+    float() and np.array would read as a number, on an integer too large for
+    a float, and on NaN and Infinity, which Python's json reads but JSON does
+    not allow.
     """
     leaves = [value]
     while leaves:
@@ -43,9 +44,12 @@ def read_numbers(value) -> np.ndarray:
         elif type(leaf) not in (int, float):
             raise ValueError(f"{leaf!r} is not a number")
     try:
-        return np.array(value, dtype=float)
+        out = np.array(value, dtype=float)
     except OverflowError as exc:
         raise ValueError(str(exc)) from exc
+    if not np.isfinite(out).all():
+        raise ValueError("NaN and Infinity are not JSON numbers")
+    return out
 
 
 def read_int(value, name: str) -> int:
@@ -61,13 +65,11 @@ def hermitian_from_dict(d: dict) -> np.ndarray:
 
 
 def model_to_dict(model: ModelSpace, filters: dict | None = None) -> dict:
-    cone = {"type": model.cone.kind}
-    if model.cone.kind in ("quantum", "real_quantum"):
-        cone["d"] = model.cone.d
-    elif model.cone.kind == "classical":
-        cone["n"] = model.cone.n
+    cone = {"type": model.kind}
+    if model.kind == "custom":
+        cone["generators"] = model.generators.tolist()
     else:
-        cone["generators"] = model.cone.generators.tolist()
+        cone["n" if model.kind == "classical" else "d"] = model.d
     out = {
         "label": model.label,
         "dimension": model.dimension,
@@ -90,13 +92,16 @@ def model_from_dict(d: dict) -> tuple[ModelSpace, dict]:
     schema.
 
     Raises ValueError unless dimension and the cone's d or n are JSON
-    integers, every matrix and vector holds JSON numbers, and a custom cone
-    has an (n >= 1, dimension) array of generators and a finite order unit
-    of dimension entries, positive on every generator.
+    integers, a label is a JSON string, every matrix and vector holds JSON
+    numbers, and a custom cone has an (n >= 1, dimension) array of
+    generators and an order unit of dimension entries, positive on every
+    generator.
     """
     cone = d["cone"]
     kind = cone["type"]
     m = read_int(d["dimension"], "dimension")
+    if type(d.get("label", "")) is not str:
+        raise ValueError(f"label = {d['label']!r} is not a string")
     if kind == "quantum":
         model = build_quantum_model(read_int(cone["d"], "d"))
     elif kind == "real_quantum":
@@ -109,14 +114,9 @@ def model_from_dict(d: dict) -> tuple[ModelSpace, dict]:
             raise ValueError(f"generators are {gens.shape}, not an (n >= 1, {m}) array")
         if u.shape != (m,):
             raise ValueError(f"order_unit has shape {u.shape}, not ({m},)")
-        if not (np.isfinite(gens).all() and np.isfinite(u).all() and (gens @ u > 0).all()):
+        if not (gens @ u > 0).all():
             raise ValueError("order_unit @ g must be finite and positive for every generator g")
-        model = ModelSpace(
-            label=d.get("label", "custom"),
-            dimension=m,
-            order_unit=u,
-            cone=ConeDescriptor("custom", generators=gens),
-        )
+        model = ModelSpace("custom", generators=gens, order_unit=u)
     else:
         raise ValueError(f"unknown cone type {kind!r}")
     if "label" in d:

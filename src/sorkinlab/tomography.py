@@ -59,7 +59,7 @@ def build_face_measurement(f: Filter, model: ModelSpace) -> FaceMeasurementPlan:
     embedding, or u - sum on its own): dot products round by layout.
     """
     basis = face_of(f)
-    kind = model.cone.kind
+    kind = model.kind
     settings: list[tuple[np.ndarray, ...]] = []
     if kind in ("quantum", "real_quantum"):
         # the Hilbert-space projector whose conjugation map is the filter

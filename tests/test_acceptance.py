@@ -186,8 +186,8 @@ def test_criterion_8_monte_carlo_consistency():
         d = rng.standard_normal(3)
         d /= np.linalg.norm(d)
         setup = sl.spin1_feynman_setup(b, d)
-        ss = sl.slit_system(model, subset_filters(list(setup.slit_projectors), model))
-        detector = model.embed(np.array(setup.detector_effects))
+        ss = sl.slit_system(model, subset_filters(list(setup[0]), model))
+        detector = model.embed(np.array(setup[1]))
         s = sl.random_state(model, [112, seed])
         plan = sl.ExperimentPlan(ss, detector, s, 10**6, seed)
         est = sl.estimate_i3(sl.run_experiment(plan))

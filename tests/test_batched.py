@@ -39,15 +39,15 @@ def dense_embed(model, mat):
 
 
 def _ginibre(model, rng):
-    g = rng.standard_normal((model.cone.d,) * 2)
-    return g + 1j * rng.standard_normal(g.shape) if model.cone.kind == "quantum" else g
+    g = rng.standard_normal((model.d,) * 2)
+    return g + 1j * rng.standard_normal(g.shape) if model.kind == "quantum" else g
 
 
 def loop_state(model, seed):
     """Reference: one random state, drawn and embedded on its own."""
     rng = np.random.default_rng(seed)
-    if model.cone.kind == "classical":
-        return rng.dirichlet(np.ones(model.cone.n))
+    if model.kind == "classical":
+        return rng.dirichlet(np.ones(model.d))
     g = _ginibre(model, rng)
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
@@ -57,11 +57,11 @@ def loop_state(model, seed):
 def loop_effect(model, seed):
     """Reference: one random effect, drawn and embedded on its own."""
     rng = np.random.default_rng(seed)
-    if model.cone.kind == "classical":
-        return rng.uniform(0.0, 1.0, size=model.cone.n)
+    if model.kind == "classical":
+        return rng.uniform(0.0, 1.0, size=model.d)
     q, r = np.linalg.qr(_ginibre(model, rng))
     q = q * np.sign(np.diagonal(r))
-    lam = rng.uniform(0.0, 1.0, size=model.cone.d)
+    lam = rng.uniform(0.0, 1.0, size=model.d)
     return dense_embed(model, (q * lam) @ q.conj().T)
 
 
@@ -110,7 +110,7 @@ def random_custom_model(seed):
     gens = rng.uniform(-2.0, 2.0, (int(rng.integers(3, 7)), 4))
     gens[:, 0] = rng.uniform(0.5, 2.0, len(gens))
     u = np.concatenate([[1.0], rng.uniform(-0.05, 0.05, 3)])
-    return sl.ModelSpace("custom", 4, u, sl.ConeDescriptor("custom", generators=gens))
+    return sl.ModelSpace("custom", generators=gens, order_unit=u)
 
 
 def assert_same_rows(rows, refs):
@@ -124,7 +124,7 @@ def assert_same_rows(rows, refs):
 def spin1_system():
     model = build_quantum_model(3)
     setup = sl.spin1_feynman_setup([0.48, -0.6, 0.64], [0, 0, 1])
-    return sl.slit_system(model, subset_filters(list(setup.slit_projectors), model))
+    return sl.slit_system(model, subset_filters(list(setup[0]), model))
 
 
 class TestEmbed:
@@ -288,11 +288,11 @@ class TestStackedChecks:
 def loop_face_settings(f, model):
     """Reference: the tomography settings of a filter's face, one embedding
     per family matrix and u - sum on its own."""
-    if model.cone.kind == "classical":
+    if model.kind == "classical":
         mask = np.round(np.diagonal(f.projection))
         eye = np.eye(model.dimension)
         return [[eye[i] for i in np.flatnonzero(mask)] + [1.0 - mask]]
-    pi = model.unembed(f.projection @ dense_embed(model, np.eye(model.cone.d)))
+    pi = model.unembed(f.projection @ dense_embed(model, np.eye(model.d)))
     w, v = np.linalg.eigh(pi)
     vecs = [v[:, i] for i in range(len(w)) if w[i] > 0.5]
     families = [[np.outer(v, v.conj()) for v in vecs]]
@@ -300,7 +300,7 @@ def loop_face_settings(f, model):
         plus = (vecs[a] + vecs[b]) / np.sqrt(2.0)
         minus = (vecs[a] - vecs[b]) / np.sqrt(2.0)
         families.append([np.outer(plus, plus.conj()), np.outer(minus, minus.conj())])
-        if model.cone.kind == "quantum":
+        if model.kind == "quantum":
             ip = (vecs[a] + 1j * vecs[b]) / np.sqrt(2.0)
             im = (vecs[a] - 1j * vecs[b]) / np.sqrt(2.0)
             families.append([np.outer(ip, ip.conj()), np.outer(im, im.conj())])
@@ -323,14 +323,14 @@ def layout_case(name):
     if name == "spin1":
         model = build_quantum_model(3)
         setup = sl.spin1_feynman_setup([0.48, -0.6, 0.64], [0.6, 0, 0.8])
-        ss = sl.slit_system(model, subset_filters(list(setup.slit_projectors), model))
-        return ss, list(setup.detector_effects)
+        ss = sl.slit_system(model, subset_filters(list(setup[0]), model))
+        return ss, list(setup[1])
     if name == "real_quantum:3":
         model = build_real_quantum_model(3)
         ss = sl.slit_system(model, subset_filters(basis_projectors(3, float), model))
         return ss, basis_projectors(3)
     model = sl.build_classical_model(4)
-    return sl.slit_system(model, sl.classical_subset_filters([[0], [1], [2]], model)), None
+    return sl.slit_system(model, subset_filters(basis_projectors(4, float)[:3], model)), None
 
 
 @pytest.mark.parametrize("name", ["spin1", "real_quantum:3", "classical:4"])

@@ -42,6 +42,14 @@ def custom_model(**changes):
     return model
 
 
+def custom_model_entry(name, part, value):
+    """custom_model() with entry (0, 0) of a filter's projection or
+    complement set to a value."""
+    model = custom_model()
+    model["filters"][name][part][0][0] = value
+    return model
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -173,6 +181,16 @@ class TestValidate:
         ["interference", "--model", {"dimension": 9, "cone": {"type": "quantum", "d": "3"}}],
         ["interference", "--model", {"dimension": "9", "cone": {"type": "quantum", "d": 3}}],
         ["interference", "--model", {"dimension": 3, "cone": {"type": "classical", "n": True}}],
+        ["experiment", "--shots", str(2**63)],
+        ["experiment", "--table", "fixture:0.6", "--shots", str(10**20)],
+        ["tomography", "--mode", "sampled", "--shots", str(10**20)],
+        ["experiment", "--model", {"label": 7, "dimension": 9, "cone": {"type": "quantum", "d": 3}},
+         "--state", "random:1"],
+        ["validate", "--model", {"label": 7, "dimension": 9, "cone": {"type": "quantum", "d": 3}}],
+        ["validate", "--model", custom_model_entry("1", "projection", float("nan")),
+         "--slits", "from-model"],
+        ["validate", "--model", custom_model_entry("2", "complement", float("inf")),
+         "--slits", "from-model"],
     ],
     ids=["state-dimension", "classical-state-dimension", "negative-shots",
          "table-negative-shots", "state-seed-not-integer",
@@ -195,7 +213,9 @@ class TestValidate:
          "custom-order-unit-2-entries", "custom-order-unit-zero-on-generator",
          "custom-order-unit-negative-on-generator", "table-entry-string",
          "table-entry-bool", "table-entry-int-overflows", "coords-string", "coords-bool",
-         "model-d-float", "model-d-string", "model-dimension-string", "model-n-bool"],
+         "model-d-float", "model-d-string", "model-dimension-string", "model-n-bool",
+         "experiment-shots-2^63", "table-shots-1e20", "tomography-shots-1e20",
+         "experiment-label-int", "validate-label-int", "filter-nan", "complement-infinity"],
 )
 def test_bad_arguments_are_input_errors(capsys, tmp_path, argv):
     # a JSON value in argv stands for a file holding it
@@ -203,6 +223,12 @@ def test_bad_arguments_are_input_errors(capsys, tmp_path, argv):
     code, out = run(capsys, *argv)
     assert code == 2
     assert out == ""
+
+
+def test_largest_shots_run(capsys):
+    code, out = run(capsys, "experiment", "--shots", str(2**63 - 1), "--seed", "1")
+    assert code == 0
+    assert json.loads(out)["record"]["shots_per_setting"] == 2**63 - 1
 
 
 @pytest.mark.parametrize("reader", ["gone", "head-1"])

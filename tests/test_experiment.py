@@ -18,7 +18,7 @@ SETTING_ORDER = all_subsets(3)
 def qutrit_plan():
     model, ss, s, _ = qutrit_fixture()
     setup = sl.spin1_feynman_setup([0, 0, 1], [1, 0, 0])
-    detector = model.embed(np.array(setup.detector_effects))
+    detector = model.embed(np.array(setup[1]))
     return sl.ExperimentPlan(ss, detector, s, 100000, 17)
 
 
@@ -64,7 +64,7 @@ class TestRunExperiment:
     def test_frequencies_converge(self):
         model, ss, s, _ = qutrit_fixture()
         setup = sl.spin1_feynman_setup([0, 0, 1], [1, 0, 0])
-        detector = model.embed(np.array(setup.detector_effects))
+        detector = model.embed(np.array(setup[1]))
         plan = sl.ExperimentPlan(ss, detector, s, 10**6, 23)
         record = sl.run_experiment(plan)
         for J in SETTING_ORDER:
@@ -135,7 +135,7 @@ class TestCalibration:
         # I3 = 0 exactly, so ~95% of runs should sit inside 1.96 SE
         model, ss, s, _ = qutrit_fixture()
         setup = sl.spin1_feynman_setup([0, 0, 1], [1, 0, 0])
-        detector = model.embed(np.array(setup.detector_effects))
+        detector = model.embed(np.array(setup[1]))
         hits = 0
         runs = 200
         for seed in range(runs):

@@ -10,8 +10,8 @@ from sorkinlab.gpt import EPS_RANK_REL, orthonormal_column_basis, sample_states
 from sorkinlab.models import (
     build_classical_model,
     build_quantum_model,
-    classical_filter,
     lueders_filter,
+    subset_filters,
 )
 
 PSI = np.ones(3, dtype=complex) / np.sqrt(3.0)
@@ -73,7 +73,7 @@ class TestApply:
         np.testing.assert_allclose(t @ s, expected, atol=1e-12)
 
     def test_classical_mask(self, c3):
-        f = classical_filter(np.array([1.0, 1.0, 0.0]), c3)
+        f = subset_filters([np.diag([1.0, 1.0, 0.0])], c3)[frozenset({1})]
         s = np.full(3, 1.0 / 3.0)
         np.testing.assert_allclose(f.projection @ s, [1 / 3, 1 / 3, 0.0], atol=1e-15)
 
@@ -147,7 +147,7 @@ class TestValidateFilter:
         assert rep.worst("idempotence") > 1e-3
 
     def test_classical_mask_passes(self, c3):
-        f = classical_filter(np.array([1.0, 1.0, 0.0]), c3)
+        f = subset_filters([np.diag([1.0, 1.0, 0.0])], c3)[frozenset({1})]
         rep = sl.validate_filter(f, c3, sample_states(c3, 50, 2))
         assert rep.passed
 
@@ -251,7 +251,7 @@ def test_custom_cone_effects_lie_between_zero_and_unit(seed, cone_seed):
         n = int(rng.integers(3, 7))
         gens = np.column_stack([np.ones(n), rng.uniform(-2.0, 2.0, (n, 3))])
     u = np.eye(gens.shape[1])[0]
-    model = sl.ModelSpace("custom", gens.shape[1], u, sl.ConeDescriptor("custom", generators=gens))
+    model = sl.ModelSpace("custom", generators=gens, order_unit=u)
     e = sl.random_effect(model, seed)
     vals = (gens @ e) / (gens @ u)
     assert vals.min() >= -1e-12

@@ -23,7 +23,6 @@ from sorkinlab.interference import (
 from sorkinlab.models import (
     build_classical_model,
     build_quantum_model,
-    classical_subset_filters,
     subset_filters,
 )
 
@@ -70,7 +69,7 @@ def random_axis(rng):
 def spin1_system(axis):
     model = build_quantum_model(3)
     setup = sl.spin1_feynman_setup(axis, axis)
-    return slit_system(model, subset_filters(list(setup.slit_projectors), model))
+    return slit_system(model, subset_filters(list(setup[0]), model))
 
 
 def basis_system(d, k):
@@ -152,7 +151,7 @@ class TestOtherSlitCounts:
 
     def test_prop1_two_classical_slits_hold(self):
         model = build_classical_model(4)
-        ss = slit_system(model, classical_subset_filters([[0], [1, 2]], model))
+        ss = slit_system(model, subset_filters([np.diag([1.0, 0, 0, 0]), np.diag([0, 1.0, 1, 0])], model))
         report = sl.prop1_verify(ss, n_samples=30, seed=1)
         assert report.verdicts == (True, True, True) and report.consistent
         assert report.operator_gap == 0.0

@@ -69,7 +69,7 @@ def basis_system(d):
 def spin1_system():
     model = build_quantum_model(3)
     setup = sl.spin1_feynman_setup([0.48, -0.6, 0.64], [0, 0, 1])
-    return slit_system(model, subset_filters(list(setup.slit_projectors), model))
+    return slit_system(model, subset_filters(list(setup[0]), model))
 
 
 class TestSlitSystemValidate:

@@ -17,6 +17,7 @@ from sorkinlab.models import (
     lueders_filter,
     subset_filters,
 )
+from sorkinlab.gpt import DimensionMismatch, Filter, ModelSpace, NotAProjection
 from sorkinlab.interference import all_subsets, slit_system
 
 PSI = np.ones(3, dtype=complex) / np.sqrt(3.0)
@@ -81,6 +82,127 @@ class TestBuilders:
     def test_order_unit_is_identity_embedding(self):
         model = build_quantum_model(3)
         np.testing.assert_allclose(model.unembed(model.order_unit), np.eye(3), atol=1e-13)
+
+
+def builder_order_unit(kind, d):
+    """Reference: the order unit the builders set before the model record
+    worked it out, the all-ones vector or the dense contraction of the
+    identity with the basis (for quantum:d a strided real view)."""
+    if kind == "classical":
+        return np.ones(d)
+    return np.real(np.einsum("kij,ji->k", ModelSpace(kind, d).basis, np.eye(d)))
+
+
+class TestModelRecord:
+    BUILDERS = {"quantum": build_quantum_model, "real_quantum": build_real_quantum_model,
+                "classical": build_classical_model}
+
+    @pytest.mark.parametrize("kind", ["quantum", "real_quantum", "classical"])
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_builders_values(self, kind, d):
+        model = self.BUILDERS[kind](d)
+        m = {"quantum": d * d, "real_quantum": d * (d + 1) // 2, "classical": d}[kind]
+        assert (model.kind, model.d, model.dimension, model.label) == (kind, d, m, f"{kind}:{d}")
+        assert model.generators is None
+        ref = builder_order_unit(kind, d)
+        assert model.order_unit.dtype == np.float64
+        assert model.order_unit.strides == ref.strides
+        assert model.order_unit.tobytes() == ref.tobytes()
+
+    def test_quantum_order_unit_is_a_strided_real_view(self):
+        assert build_quantum_model(3).order_unit.strides == (16,)
+
+    def test_label_given_or_default(self):
+        assert ModelSpace("quantum", 3, label="mine").label == "mine"
+        gens = np.array([[1.0, 0.0], [0.0, 1.0]])
+        custom = ModelSpace("custom", generators=gens, order_unit=np.ones(2))
+        assert (custom.dimension, custom.label) == (2, "custom")
+        assert ModelSpace("custom", generators=gens, order_unit=np.ones(2), label="c").label == "c"
+
+
+def classical_subset_filters(blocks, model):
+    """Reference: the builder of classical slit families from disjoint
+    coordinate blocks that subset_filters replaced; kept to pin the bytes
+    of subset_filters on 0/1 diagonal projectors."""
+    coords = [i for b in blocks for i in set(b)]
+    if len(coords) != len(set(coords)):
+        raise ValueError("slits not pairwise orthogonal")
+    out = {}
+    for J in all_subsets(len(blocks)):
+        mask = np.zeros(model.dimension)
+        for i in J:
+            mask[list(blocks[i - 1])] = 1.0
+        out[J] = Filter(projection=np.diag(mask), complement=np.diag(1.0 - mask))
+    return out
+
+
+def block_projectors(blocks, n, dtype=float):
+    return [np.diag(np.isin(np.arange(n), b)).astype(dtype) for b in blocks]
+
+
+def block_families():
+    for n in range(3, 7):
+        for blocks in ([[0], [1], [2]], [[i] for i in range(n)], [[0], list(range(1, n - 1))],
+                       [[n - 1, 0], [1]]):
+            yield pytest.param(n, blocks, id=f"classical:{n}-{blocks}")
+
+
+class TestClassicalSubsetFilters:
+    @pytest.mark.parametrize("n,blocks", block_families())
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_byte_identical_to_block_builder(self, n, blocks, dtype):
+        model = build_classical_model(n)
+        got = subset_filters(block_projectors(blocks, n, dtype), model)
+        want = classical_subset_filters(blocks, model)
+        assert list(got) == list(want)
+        for J, f in want.items():
+            for part in ("projection", "complement"):
+                a, b = getattr(got[J], part), getattr(f, part)
+                assert (a.dtype, a.shape, a.strides) == (b.dtype, b.shape, b.strides)
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_complement_is_the_diagonal_of_one_minus_the_mask(self, n):
+        masks = np.array(np.meshgrid(*[[0.0, 1.0]] * n)).reshape(n, -1).T
+        model = build_classical_model(n)
+        for mask in masks:
+            f = subset_filters([np.diag(mask)], model)[frozenset({1})]
+            assert f.complement.tobytes() == np.diag(1 - mask).tobytes()
+            assert f.projection.tobytes() == np.diag(mask).tobytes()
+
+    def test_classical_basis_system(self):
+        model = build_classical_model(4)
+        ss = slit_system(model, subset_filters(basis_projectors(4, float)[:3], model))
+        assert ss.k == 3 and ss.report.passed
+
+    @pytest.mark.parametrize("pis", [[np.eye(4)], [np.eye(2)], [np.zeros((3, 4))], [np.ones(3)]],
+                             ids=["4x4", "2x2", "3x4", "vector"])
+    def test_wrong_shape_rejected(self, pis):
+        with pytest.raises(DimensionMismatch):
+            subset_filters(pis, build_classical_model(3))
+
+    @pytest.mark.parametrize("pi", [
+        np.diag([0.5, 0.0, 0.0]),
+        np.diag([2.0, 0.0, 0.0]),
+        np.diag([-1.0, 0.0, 0.0]),
+        np.diag([np.nan, 0.0, 0.0]),
+        np.diag([np.inf, 0.0, 0.0]),
+        np.diag([1j, 0.0, 0.0]),
+        np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+        np.full((3, 3), 1.0 / 3.0),
+    ], ids=["half", "two", "minus-one", "nan", "inf", "imaginary", "off-diagonal-0/1",
+            "rank-1-not-diagonal"])
+    def test_not_a_0_1_diagonal_rejected(self, pi):
+        model = build_classical_model(3)
+        with pytest.raises(NotAProjection):
+            subset_filters([pi], model)
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            subset_filters([np.diag([0.0, 0.0, 1.0]), pi], model)
+
+    def test_overlapping_blocks_rejected(self):
+        model = build_classical_model(3)
+        with pytest.raises(ValueError, match="slits not pairwise orthogonal"):
+            subset_filters(block_projectors([[0, 1], [1, 2]], 3), model)
 
 
 class TestConjugation:
@@ -173,10 +295,10 @@ class TestConjugationKernel:
     def test_spin1_family_byte_identical_to_dense(self, axis):
         model = build_quantum_model(3)
         setup = sl.spin1_feynman_setup(axis, [0, 0, 1])
-        filters = subset_filters(list(setup.slit_projectors), model)
+        filters = subset_filters(list(setup[0]), model)
         assert len(filters) == 7
         for J, f in filters.items():
-            pi = np.sum([setup.slit_projectors[i - 1] for i in sorted(J)], axis=0)
+            pi = np.sum([setup[0][i - 1] for i in sorted(J)], axis=0)
             assert np.array_equal(f.projection, dense_superoperator(pi, model))
             assert np.array_equal(
                 f.complement, dense_superoperator(np.eye(3) - pi, model)
@@ -294,7 +416,7 @@ def kernel_families():
     q3 = build_quantum_model(3)
     for axis in ("0.48,-0.6,0.64", "0,0,1"):
         setup = sl.spin1_feynman_setup([float(a) for a in axis.split(",")], [0, 0, 1])
-        out.append((f"spin1-{axis}", q3, joins(list(setup.slit_projectors))))
+        out.append((f"spin1-{axis}", q3, joins(list(setup[0]))))
     # the partial-support family: members dense on {0, 1}, and one on {4}
     q6 = build_quantum_model(6)
     half = np.zeros((6, 6), dtype=complex)
@@ -393,13 +515,13 @@ class TestLazyComplements:
     def test_paper_checks_use_projections_only(self, calls):
         model = build_quantum_model(3)
         setup = sl.spin1_feynman_setup([0.48, -0.6, 0.64], [0, 0, 1])
-        ss = slit_system(model, subset_filters(list(setup.slit_projectors), model))
+        ss = slit_system(model, subset_filters(list(setup[0]), model))
         s = sl.random_state(model, seed=1)
         r = sl.random_effect(model, seed=2)
         sl.prop1_verify(ss, n_samples=5, seed=0)
         sl.table_from_system(r, ss, s)
         sl.tomography_roundtrip(ss, s, mode="sampled", shots=1000, seed=3)
-        detector = model.embed(np.array(setup.detector_effects))
+        detector = model.embed(np.array(setup[1]))
         sl.run_experiment(sl.ExperimentPlan(ss, detector, s, 1000, 4))
         assert calls == [7]
 
@@ -456,7 +578,7 @@ class TestSpin1:
 
     def test_zz_setup_is_computational_basis(self):
         setup = sl.spin1_feynman_setup([0, 0, 1], [0, 0, 1])
-        for i, pi in enumerate(setup.slit_projectors):
+        for i, pi in enumerate(setup[0]):
             expected = np.zeros((3, 3))
             expected[i, i] = 1.0
             np.testing.assert_allclose(pi, expected, atol=1e-12)
@@ -464,7 +586,7 @@ class TestSpin1:
     def test_detector_from_x_axis(self):
         setup = sl.spin1_feynman_setup([0, 0, 1], [1, 0, 0])
         sx = SPIN1_X
-        for pi, lam in zip(setup.detector_effects, (1.0, 0.0, -1.0)):
+        for pi, lam in zip(setup[1], (1.0, 0.0, -1.0)):
             np.testing.assert_allclose(sx @ pi, lam * pi, atol=1e-10)
 
     def test_projector_completeness_random_axes(self):
@@ -473,13 +595,13 @@ class TestSpin1:
             axis = rng.standard_normal(3)
             axis /= np.linalg.norm(axis)
             setup = sl.spin1_feynman_setup(axis, axis)
-            total = np.sum(setup.slit_projectors, axis=0)
+            total = np.sum(setup[0], axis=0)
             np.testing.assert_allclose(total, np.eye(3), atol=1e-10)
             for i in range(3):
                 for j in range(i + 1, 3):
                     assert (
                         np.linalg.norm(
-                            setup.slit_projectors[i] @ setup.slit_projectors[j]
+                            setup[0][i] @ setup[0][j]
                         )
                         < 1e-10
                     )

@@ -27,7 +27,7 @@ class TestModel:
         text = serialize.dumps(serialize.model_to_dict(model, named))
         model2, filters2 = serialize.model_from_dict(json.loads(text))
         assert model2.dimension == 9
-        assert model2.cone.kind == "quantum"
+        assert model2.kind == "quantum"
         np.testing.assert_allclose(model2.order_unit, model.order_unit, atol=1e-15)
         np.testing.assert_array_equal(
             filters2["1"].projection, ss.filter_for({1}).projection
@@ -45,11 +45,44 @@ class TestModel:
                 {"label": "x", "dimension": 2, "cone": {"type": "octonion"}, "order_unit": [1, 1]}
             )
 
+    @pytest.mark.parametrize("label", [7, None, True, ["mine"]])
+    def test_label_must_be_a_string(self, label):
+        d = serialize.model_to_dict(build_quantum_model(3))
+        d["label"] = label
+        with pytest.raises(ValueError, match="is not a string"):
+            serialize.model_from_dict(d)
+
+    def test_label_read_from_file(self):
+        d = {"label": "mine", "dimension": 9, "cone": {"type": "quantum", "d": 3}}
+        assert serialize.model_from_dict(d)[0].label == "mine"
+        del d["label"]
+        assert serialize.model_from_dict(d)[0].label == "quantum:3"
+
+    def test_custom_model_round_trip(self):
+        d = {"label": "c", "dimension": 2, "order_unit": [1.0, 1.0],
+             "cone": {"type": "custom", "generators": [[1.0, 0.0], [0.0, 1.0]]}}
+        model, _ = serialize.model_from_dict(d)
+        assert (model.kind, model.dimension, model.label) == ("custom", 2, "c")
+        assert serialize.model_to_dict(model) == d
+
     def test_floats_round_trip_exactly(self):
         model, _, s, _ = qutrit_fixture()
         d = {"coords": s.tolist()}
         back = np.array(json.loads(serialize.dumps(d))["coords"])
         np.testing.assert_array_equal(back, s)
+
+
+class TestReadNumbers:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"),
+                                       [[1.0, 0.5], [0.5, float("nan")]]])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="NaN and Infinity"):
+            serialize.read_numbers(value)
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+    def test_json_extensions_rejected(self, text):
+        with pytest.raises(ValueError):
+            serialize.read_numbers(json.loads(f"[0.5, {text}]"))
 
 
 class TestTable:
