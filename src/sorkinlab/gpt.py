@@ -208,10 +208,17 @@ class Filter:
     ``complement`` may be given as a zero-argument function returning the
     array; it is then called on the first read of the attribute, which
     pickling does.
+
+    ``blocks`` is a partition of the coordinates into blocks off whose
+    diagonal blocks both arrays are zero: per block width w, a pair of the
+    blocks' coordinates (n_blocks, w) and the flat indices of their entries
+    in an m x m array (n_blocks, w, w).  The filters of one family share it;
+    None stands for one block of all coordinates.
     """
 
     projection: np.ndarray
     complement: np.ndarray = _BuiltOnFirstRead()
+    blocks: Optional[tuple] = None
 
     def __getstate__(self):
         return {**self.__dict__, "complement": self.complement}
@@ -278,6 +285,18 @@ def _rel_fro(mat: np.ndarray, ref: np.ndarray) -> float:
     return float(np.linalg.norm(mat, "fro") / max(1.0, np.linalg.norm(ref, "fro")))
 
 
+def one_block(m: int) -> tuple:
+    """The partition of m coordinates into one block (see Filter.blocks)."""
+    return ((np.arange(m)[None], np.arange(m * m).reshape(1, m, m)),)
+
+
+def diagonal_blocks(mats, entries: np.ndarray) -> np.ndarray:
+    """The diagonal blocks of m x m arrays at the flat indices entries
+    (n_blocks, w, w) of a partition's blocks, stacked (len(mats), n_blocks,
+    w, w)."""
+    return np.array([mat.take(entries) for mat in mats])
+
+
 def sample_states(model: ModelSpace, n_samples: int, seed: int) -> np.ndarray:
     """Coordinates of n_samples random states, one per row; row i is the
     state random_state draws from the substream [seed, i]."""
@@ -310,26 +329,38 @@ def validate_filter(f: Filter, model: ModelSpace, states: np.ndarray) -> Validat
     cone states, coordinates one per row (plus their filtered images, which
     exercise the fixed-point sets), so several filters can be checked on one
     draw of ``sample_states``; the algebraic identities are checked exactly
-    on the matrices.
+    on the matrices, block by block of f.blocks: the Frobenius norms are
+    the square roots of the blocks' sums of squares.
     """
     P, Pc = f.projection, f.complement
     u = model.order_unit
 
-    idem = max(_rel_fro(P @ P - P, P), _rel_fro(Pc @ Pc - Pc, Pc))
-    prod = max(_rel_fro(P @ Pc, P), _rel_fro(Pc @ P, P))
+    # sums of squares of P P - P, P Pc, Pc P, Pc Pc - Pc, P and Pc
+    sq = np.zeros(6)
+    for _, entries in f.blocks or one_block(len(P)):
+        x = diagonal_blocks((P, Pc), entries)
+        y = np.matmul(x[:, None], x[None])  # y[i, j] = x[i] x[j]
+        y[0, 0] -= x[0]
+        y[1, 1] -= x[1]
+        terms = np.concatenate((y.reshape(4, -1), x.reshape(2, -1)))
+        sq += rowdots(terms, terms)
+    norm = np.sqrt(sq)
+    idem = float(max(norm[0] / max(1.0, norm[4]), norm[3] / max(1.0, norm[5])))
+    prod = float(max(norm[1], norm[2]) / max(1.0, norm[4]))
 
     passed, blocked = matvecs(P, states), matvecs(Pc, states)
+    # P t for t = states, passed, blocked
+    filtered = (passed, matvecs(P, passed), matvecs(P, blocked))
     neutral_worst = 0.0
-    for t in (states, passed, blocked):
+    for t, pt in zip((states, passed, blocked), filtered):
         nt = t @ u
-        pt = matvecs(P, t)
         # states the filter passes whole, of positive normalization
         kept = (nt > EPS_TOL) & (np.abs(pt @ u - nt) <= EPS_TOL * np.maximum(1.0, nt))
         dev = _rownorms(pt - t)[kept] / np.maximum(1.0, nt[kept])
         neutral_worst = max(neutral_worst, float(dev.max(initial=0.0)))
     # pass/block equivalences on the filtered samples
     equiv_worst = float(max(_rownorms(matvecs(Pc, passed)).max(initial=0.0),
-                            _rownorms(matvecs(P, blocked)).max(initial=0.0)))
+                            _rownorms(filtered[2]).max(initial=0.0)))
 
     return ValidationReport(
         subject="filter",

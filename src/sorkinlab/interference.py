@@ -5,8 +5,8 @@ and the three-way equivalence check for slit systems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cache, lru_cache
+from dataclasses import dataclass
+from functools import cache, cached_property, lru_cache
 from itertools import combinations
 from typing import Optional
 
@@ -20,7 +20,9 @@ from .gpt import (
     Filter,
     ModelSpace,
     ValidationReport,
+    diagonal_blocks,
     matvecs,
+    one_block,
     orthonormal_column_basis,
     random_pairs,
     rowdots,
@@ -99,38 +101,63 @@ class SlitSystem:
     def filter_for(self, J) -> Filter:
         return self.derived[frozenset(J)]
 
+    @property
+    def blocks(self) -> tuple:
+        """The coordinate partition that every filter of the system carries
+        (see Filter.blocks), or one block of all coordinates when they do
+        not share one."""
+        first = next(iter(self.derived.values())).blocks
+        if first is not None and all(f.blocks is first for f in self.derived.values()):
+            return first
+        return one_block(self.model.dimension)
+
+    @cached_property
+    def projection_blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per block width, the blocks (n_blocks, w) on which some projection
+        is nonzero, and the diagonal blocks of every projection there, in
+        derived order, (len(derived), n_blocks, w, w): every projection is
+        zero off them.  Gathered on first use, for validate and the defect
+        operator, and read-only."""
+        mats = [f.projection for f in self.derived.values()]
+        out = []
+        for coords, entries in self.blocks:
+            stack = diagonal_blocks(mats, entries)
+            on = stack.any(axis=(0, 2, 3))
+            if not on.all():
+                coords, stack = coords[on], stack[:, on]
+            stack.flags.writeable = False
+            out.append((coords, stack))
+        return out
+
     def validate(self) -> ValidationReport:
         """Pairwise orthogonality plus the product relations P_J P_K = P_{J&K}.
 
-        The products are formed in batched matmuls on the joint support of
-        the filters, the rows and columns where some P_J is nonzero: outside
-        that block every product and its target are exactly zero.  Only the
-        block is copied out of the m x m matrices.
+        The products are formed block by block of projection_blocks, in
+        batched matmuls: off those blocks every product and its target are
+        exactly zero.  The Frobenius norms are the square roots of the
+        blocks' sums of squares.
         """
         keys = tuple(self.derived)
         n = len(keys)
-        mats = [self.derived[J].projection for J in keys]
-        nonzero = mats[0] != 0
-        for mat in mats[1:]:
-            np.logical_or(nonzero, mat, out=nonzero)
-        on = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
-        block = np.stack([mat.take(on, axis=0) for mat in mats]).take(on, axis=2)
-        # resid[J, K] = ||P_J P_K - P_{J&K}||, the target being the zero matrix
+        target, singles = _product_table(keys)
+        # sq[J, K] = ||P_J P_K - P_{J&K}||^2, the target being the zero matrix
         # appended after the n filters when J & K is empty: its J = K entries
         # give idempotence, its single-slit pairs orthogonality.  Rows J go in
         # batches of CHUNK_ELEMENTS product entries.
-        targets = np.concatenate([block, np.zeros((1,) + block.shape[1:])])
-        target, singles = _product_table(keys)
-        resid = np.empty((n, n))
-        rows = max(1, CHUNK_ELEMENTS // max(1, n * on.size**2))
-        for lo in range(0, n, rows):
-            diff = np.matmul(block[lo : lo + rows, None], block[None])
-            diff -= targets[target[lo : lo + rows]]
-            flat = diff.reshape(diff.shape[0], n, -1)
-            resid[lo : lo + rows] = np.sqrt(np.einsum("jki,jki->jk", flat, flat))
+        sq, norms = np.zeros((n, n)), np.zeros(n)
+        for _, stack in self.projection_blocks:
+            entries = stack.reshape(n, -1)
+            norms += np.add.reduce(entries * entries, axis=1)
+            targets = np.concatenate([stack, np.zeros((1,) + stack.shape[1:])])
+            rows = max(1, CHUNK_ELEMENTS // max(1, n * entries.shape[1]))
+            for lo in range(0, n, rows):
+                diff = np.matmul(stack[lo : lo + rows, None], stack[None])
+                diff -= targets[target[lo : lo + rows]]
+                flat = diff.reshape(diff.shape[0], n, -1)
+                sq[lo : lo + rows] += np.einsum("jki,jki->jk", flat, flat)
+        resid = np.sqrt(sq)
         prod = resid.max()
-        norms = np.linalg.norm(block.reshape(n, -1), axis=1)
-        idem = (np.diagonal(resid) / np.maximum(1.0, norms)).max()
+        idem = (np.diagonal(resid) / np.maximum(1.0, np.sqrt(norms))).max()
         ortho = resid[singles].max(initial=0.0)
         return ValidationReport(
             "slit_system",
@@ -149,7 +176,8 @@ class SlitSystem:
         """
         f = self.derived[self.top]
         new = dict(self.derived)
-        new[self.top] = replace(f, projection=f.projection + bump)
+        # the bump may reach off the family's blocks: the copy has none
+        new[self.top] = Filter(f.projection + bump, f.complement)
         return SlitSystem(self.model, new)
 
 
@@ -243,17 +271,42 @@ def random_tables(ss: SlitSystem, n: int, seed: int):
         }
 
 
+def _p3(mats: dict, k: int):
+    """Minus the signed sum of the matrices of the proper subsets of 1..k."""
+    return -signed_subset_sum({J: P for J, P in mats.items() if len(J) < k}, k)
+
+
 def p3_operator(ss: SlitSystem) -> np.ndarray:
     """Minus the signed sum over the proper subsets of the slits; at k = 3
     P12 + P13 + P23 - P1 - P2 - P3 (an idempotent map)."""
-    proper = {J: f.projection for J, f in ss.derived.items() if J != ss.top}
-    return -signed_subset_sum(proper, ss.k)
+    return _p3({J: f.projection for J, f in ss.derived.items()}, ss.k)
+
+
+def _defect_blocks(ss: SlitSystem) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The defect operator on the blocks of ss.projection_blocks, per block
+    width: the blocks (n_blocks, w) and the defect's diagonal blocks there,
+    (n_blocks, w, w).  The defect is zero off them."""
+    out = []
+    for blocks, stack in ss.projection_blocks:
+        mats = dict(zip(ss.derived, stack))
+        out.append((blocks, mats[ss.top] - _p3(mats, ss.k)))
+    return out
 
 
 def defect_operator(ss: SlitSystem) -> np.ndarray:
     """P_[k] minus p3_operator, the operator of I_k: zero iff no k-th order
-    interference."""
-    return ss.derived[ss.top].projection - p3_operator(ss)
+    interference.
+
+    It is formed block by block of _defect_blocks; each entry is the same
+    signed sum of the same filter entries as in the dense formula, and the
+    dense formula gives +0.0 wherever every filter is zero, so the bytes are
+    those of the dense formula.
+    """
+    m = ss.model.dimension
+    out = np.zeros((m, m))
+    for blocks, defect in _defect_blocks(ss):
+        out[blocks[:, :, None], blocks[:, None, :]] = defect
+    return out
 
 
 def i3_operator(r: np.ndarray, ss: SlitSystem, s: np.ndarray) -> float:
@@ -315,6 +368,15 @@ class Prop1Report:
         }
 
 
+def _block_coords(xs: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """The coordinates of rows xs (n, m) on blocks coords (n_blocks, w), as
+    an (n, n_blocks, w) array; a view when the block holds every coordinate,
+    since the BLAS kernels round differently at other strides."""
+    if coords.shape[1] == xs.shape[-1]:
+        return xs[:, None]
+    return xs[:, coords]
+
+
 def prop1_verify(ss: SlitSystem, n_samples: int = 500, seed: int = 0) -> Prop1Report:
     """Evaluate the three equivalent conditions on a slit system.
 
@@ -322,12 +384,24 @@ def prop1_verify(ss: SlitSystem, n_samples: int = 500, seed: int = 0) -> Prop1Re
     supremum of |I3| and the span check are consistency probes.  On a valid
     system all three verdicts must agree.
     """
-    defect = defect_operator(ss)
-    gap = float(np.linalg.norm(defect, "fro"))
+    # blocks where the defect is zero add exact zeros to both sums
+    blocks = []
+    for coords, defect in _defect_blocks(ss):
+        on = defect.any(axis=(1, 2))
+        if on.all():
+            blocks.append((coords, defect))
+        elif on.any():
+            blocks.append((coords[on], defect[on]))
+    gap = float(np.sqrt(sum(np.dot(d.ravel(), d.ravel()) for _, d in blocks)))
 
     sup_i3 = 0.0
     for states, effects in random_pairs(ss.model, n_samples, seed):
-        i3 = rowdots(effects, matvecs(defect, states))
+        i3 = 0.0
+        for at, defect in blocks:
+            # effect . (defect state) per block, as rowdots of matvecs
+            s, e = _block_coords(states, at), _block_coords(effects, at)
+            v = np.matmul(defect, s[..., None])
+            i3 = i3 + np.matmul(e[..., None, :], v)[..., 0, 0].sum(axis=1)
         sup_i3 = max(sup_i3, float(np.abs(i3).max()))
 
     span = span_condition_check(ss)

@@ -91,6 +91,59 @@ class _ConjugationPlan:
     out_at: np.ndarray
 
 
+def _components(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """The connected components of the undirected graph on nodes 0..n-1 with
+    edges (a[i], b[i]): the lowest node of the component of each node, by
+    propagating the lowest label along the edges until nothing changes."""
+    label = np.arange(n)
+    while True:
+        low = label.copy()
+        np.minimum.at(low, a, label[b])
+        np.minimum.at(low, b, label[a])
+        low = low[low]
+        if (low == label).all():
+            return label
+        label = low
+
+
+# Cached beside the plans, by the same basis and pattern: the filters of a
+# family share the partition, read-only.
+@lru_cache(maxsize=32)
+def _coordinate_blocks(d: int, dtype, pattern: bytes) -> tuple:
+    """The coordinate partition of the filters of a family of projectors with
+    a joint nonzero pattern (d, d).
+
+    The Hilbert blocks are the connected blocks of the pattern, every index
+    outside it a block of its own, and two coordinates share a block when
+    their basis elements have entries (row, col) in a common pair of Hilbert
+    blocks.  A projector maps the entries of each pair of blocks to that
+    pair, so the conjugation matrix of every projector of the family, and of
+    its complement I - Pi, whose pattern lies in the family's plus the
+    diagonal, is zero off the coordinate blocks.  Returns the partition in
+    the form Filter.blocks describes, read-only: per block width w, in
+    increasing w, the coordinates (n_blocks, w), a row listing one block's
+    coordinates in increasing order and the rows ordered by their first
+    coordinate, and the flat indices (n_blocks, w, w) of the blocks'
+    entries.
+    """
+    on = np.frombuffer(pattern, dtype=bool).reshape(d, d)
+    block = _components(*np.nonzero(on), d)
+    k, row, col = basis_entries(d, dtype)[:3]
+    m = len(hermitian_basis(d, dtype))
+    lo, hi = np.minimum(block[row], block[col]), np.maximum(block[row], block[col])
+    label = _components(k, m + lo * d + hi, m + d * d)[:m]
+    width = np.bincount(label)[label]
+    order = np.lexsort((label, width))
+    groups = []
+    for at in np.split(order, np.flatnonzero(np.diff(width[order])) + 1):
+        coords = at.reshape(-1, width[at[0]])
+        group = (coords, coords[:, :, None] * m + coords[:, None, :])
+        for a in group:
+            a.flags.writeable = False
+        groups.append(group)
+    return tuple(groups)
+
+
 def _in_order(target: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Schedule sequential sums: given the target of each term, with the
     terms of every target listed in the order it sums them, return the
@@ -118,17 +171,12 @@ def _in_order(target: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
 def _conjugation_plan(d: int, dtype, pattern: bytes, n: int) -> _ConjugationPlan:
     on = np.frombuffer(pattern, dtype=bool).reshape(d, d)
     m = len(hermitian_basis(d, dtype))
-    # connected blocks of the pattern, by squaring its reachability matrix
+    # connected blocks of the pattern; an index outside it is its own block
     used = on.any(axis=0) | on.any(axis=1)
-    reach = on | on.T | np.diag(used)
-    while True:
-        wider = reach @ reach
-        if (wider == reach).all():
-            break
-        reach = wider
-    block = np.argmax(reach, axis=1)  # the lowest index of each block
+    block = _components(*np.nonzero(on), d)  # the lowest index of each block
+    reach = block[:, None] == block
     where = np.tril(reach, -1).sum(axis=1)  # position within the block
-    w = int(reach.sum(axis=1).max(initial=0))
+    w = int(reach[used].sum(axis=1).max(initial=0))
     members = np.argsort(~reach, axis=1, kind="stable")[:, :w]
 
     k, row, col, vr, vi = basis_entries(d, dtype)  # np.nonzero order
@@ -235,6 +283,8 @@ def _check_projectors(pis: np.ndarray, model: ModelSpace) -> None:
     d = model.basis.shape[1]
     if pis.shape[1:] != (d, d):
         raise DimensionMismatch(f"projectors are {pis.shape[1:]}, model needs {(d, d)}")
+    if not np.isfinite(pis).all():
+        raise NotAProjection("projector entries must be finite")
     idem = np.linalg.norm(pis @ pis - pis, axis=(1, 2))
     scale = np.maximum(1.0, np.linalg.norm(pis, axis=(1, 2)))
     herm = np.linalg.norm(pis - pis.conj().transpose(0, 2, 1), axis=(1, 2))
@@ -250,7 +300,8 @@ def conjugation_superoperator(pi: np.ndarray, model: ModelSpace) -> np.ndarray:
 
 
 def _lueders_filters(pis, model: ModelSpace) -> list[Filter]:
-    """Filter pairs for a list of projectors.
+    """Filter pairs for a list of projectors, sharing the coordinate blocks
+    of the list's joint nonzero pattern.
 
     The projections are built in one kernel call.  The complements are built
     in one more, for the whole list, on the first read of any of them: the
@@ -261,6 +312,8 @@ def _lueders_filters(pis, model: ModelSpace) -> list[Filter]:
     pis = np.asarray(pis)
     _check_projectors(pis, model)
     mats = _conjugation_matrices(pis, model)
+    pattern = (pis != 0).any(axis=0).tobytes()
+    blocks = _coordinate_blocks(model.d, model._matrix_dtype, pattern)
 
     @cache
     def complements() -> np.ndarray:
@@ -268,7 +321,7 @@ def _lueders_filters(pis, model: ModelSpace) -> list[Filter]:
         _check_projectors(stack, model)
         return _conjugation_matrices(stack, model)
 
-    return [Filter(mat, lambda i=i: complements()[i]) for i, mat in enumerate(mats)]
+    return [Filter(mat, lambda i=i: complements()[i], blocks) for i, mat in enumerate(mats)]
 
 
 def _mask_filters(pis, model: ModelSpace) -> list[Filter]:
@@ -303,7 +356,7 @@ def subset_filters(pis, model: ModelSpace) -> dict[frozenset, Filter]:
     Raises when the supplied projectors are not pairwise orthogonal.
     """
     for a, b in combinations(pis, 2):
-        if np.linalg.norm(a @ b, "fro") > _ORTHO_TOL:
+        if not np.linalg.norm(a @ b, "fro") <= _ORTHO_TOL:  # NaN fails too
             raise ValueError("slits not pairwise orthogonal")
     subsets = all_subsets(len(pis))
     joins = [np.sum([pis[i - 1] for i in sorted(J)], axis=0) for J in subsets]

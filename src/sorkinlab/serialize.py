@@ -94,8 +94,8 @@ def model_from_dict(d: dict) -> tuple[ModelSpace, dict]:
     Raises ValueError unless dimension and the cone's d or n are JSON
     integers, a label is a JSON string, every matrix and vector holds JSON
     numbers, and a custom cone has an (n >= 1, dimension) array of
-    generators and an order unit of dimension entries, positive on every
-    generator.
+    generators and an order unit of dimension entries whose pairing with
+    every generator is finite and positive.
     """
     cone = d["cone"]
     kind = cone["type"]
@@ -114,7 +114,9 @@ def model_from_dict(d: dict) -> tuple[ModelSpace, dict]:
             raise ValueError(f"generators are {gens.shape}, not an (n >= 1, {m}) array")
         if u.shape != (m,):
             raise ValueError(f"order_unit has shape {u.shape}, not ({m},)")
-        if not (gens @ u > 0).all():
+        with np.errstate(over="ignore", invalid="ignore"):
+            pairing = gens @ u
+        if not (np.isfinite(pairing) & (pairing > 0)).all():
             raise ValueError("order_unit @ g must be finite and positive for every generator g")
         model = ModelSpace("custom", generators=gens, order_unit=u)
     else:

@@ -50,6 +50,11 @@ def custom_model_entry(name, part, value):
     return model
 
 
+# order_unit @ g overflows to inf on the first generator
+OVERFLOWING_CONE = custom_model(generators=[[1e300, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                order_unit=[1e300, 1.0, 1.0])
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -191,6 +196,10 @@ class TestValidate:
          "--slits", "from-model"],
         ["validate", "--model", custom_model_entry("2", "complement", float("inf")),
          "--slits", "from-model"],
+        ["validate", "--model", OVERFLOWING_CONE, "--slits", "from-model"],
+        ["prop1", "--model", OVERFLOWING_CONE, "--slits", "from-model"],
+        ["interference", "--model", OVERFLOWING_CONE, "--slits", "from-model",
+         "--state", "random:1", "--effect", "random:2"],
     ],
     ids=["state-dimension", "classical-state-dimension", "negative-shots",
          "table-negative-shots", "state-seed-not-integer",
@@ -215,7 +224,9 @@ class TestValidate:
          "table-entry-bool", "table-entry-int-overflows", "coords-string", "coords-bool",
          "model-d-float", "model-d-string", "model-dimension-string", "model-n-bool",
          "experiment-shots-2^63", "table-shots-1e20", "tomography-shots-1e20",
-         "experiment-label-int", "validate-label-int", "filter-nan", "complement-infinity"],
+         "experiment-label-int", "validate-label-int", "filter-nan", "complement-infinity",
+         "validate-pairing-overflows", "prop1-pairing-overflows",
+         "interference-pairing-overflows"],
 )
 def test_bad_arguments_are_input_errors(capsys, tmp_path, argv):
     # a JSON value in argv stands for a file holding it

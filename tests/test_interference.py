@@ -13,12 +13,26 @@ from sorkinlab.fixtures import (
     qutrit_fixture,
     table_06,
 )
-from sorkinlab.interference import ProbabilityTable, all_subsets, slit_system
+from sorkinlab.interference import (
+    ProbabilityTable,
+    _product_table,
+    all_subsets,
+    signed_subset_sum,
+    slit_system,
+)
 from sorkinlab.models import (
+    build_classical_model,
     build_quantum_model,
+    build_real_quantum_model,
     subset_filters,
 )
-from sorkinlab.gpt import orthonormal_column_basis
+from sorkinlab.gpt import (
+    CHUNK_ELEMENTS,
+    matvecs,
+    orthonormal_column_basis,
+    random_pairs,
+    rowdots,
+)
 
 
 def real_qutrit_fixture():
@@ -61,9 +75,55 @@ def dense_validate(ss):
     return ortho, prod, idem
 
 
-def basis_system(d):
-    model = build_quantum_model(d)
-    return slit_system(model, subset_filters(basis_projectors(d)[:3], model))
+def support_validate(ss):
+    """Reference: the slit-system residuals as batched products on the joint
+    support of the filters, the rows and columns where some P_J is nonzero,
+    copied out of the m x m matrices as one block."""
+    keys = tuple(ss.derived)
+    n = len(keys)
+    mats = [ss.derived[J].projection for J in keys]
+    nonzero = mats[0] != 0
+    for mat in mats[1:]:
+        np.logical_or(nonzero, mat, out=nonzero)
+    on = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    block = np.stack([mat.take(on, axis=0) for mat in mats]).take(on, axis=2)
+    targets = np.concatenate([block, np.zeros((1,) + block.shape[1:])])
+    target, singles = _product_table(keys)
+    resid = np.empty((n, n))
+    rows = max(1, CHUNK_ELEMENTS // max(1, n * on.size**2))
+    for lo in range(0, n, rows):
+        diff = np.matmul(block[lo : lo + rows, None], block[None])
+        diff -= targets[target[lo : lo + rows]]
+        flat = diff.reshape(diff.shape[0], n, -1)
+        resid[lo : lo + rows] = np.sqrt(np.einsum("jki,jki->jk", flat, flat))
+    norms = np.linalg.norm(block.reshape(n, -1), axis=1)
+    idem = (np.diagonal(resid) / np.maximum(1.0, norms)).max()
+    return [float(resid[singles].max(initial=0.0)), float(resid.max()), float(idem)]
+
+
+def dense_defect(ss):
+    """Reference: the defect operator from the whole m x m matrices."""
+    proper = {J: f.projection for J, f in ss.derived.items() if J != ss.top}
+    return ss.derived[ss.top].projection - -signed_subset_sum(proper, ss.k)
+
+
+def dense_prop1_probes(ss, n_samples, seed):
+    """Reference: the operator gap and the sampled sup |I3| from the dense
+    defect operator."""
+    defect = dense_defect(ss)
+    sup = 0.0
+    for states, effects in random_pairs(ss.model, n_samples, seed):
+        sup = max(sup, float(np.abs(rowdots(effects, matvecs(defect, states))).max()))
+    return float(np.linalg.norm(defect, "fro")), sup
+
+
+def basis_system(d, kind="quantum", k=3):
+    if kind == "classical":
+        model = build_classical_model(d)
+    else:
+        model = (build_quantum_model if kind == "quantum" else build_real_quantum_model)(d)
+    dtype = complex if kind == "quantum" else float
+    return slit_system(model, subset_filters(basis_projectors(d, dtype)[:k], model))
 
 
 def spin1_system():
@@ -101,6 +161,49 @@ class TestSlitSystemValidate:
         bound = 4 * m * np.finfo(float).eps * scale**2
         for residual, reference in zip(got, dense_validate(ss)):
             assert abs(residual - reference) <= bound
+
+    @pytest.mark.parametrize(
+        "system",
+        [spin1_system, lambda: quantum4_subspace_fixture()[1],
+         lambda: quantum4_subspace_fixture(5)[1], lambda: classical_fixture()[1]],
+        ids=["spin1", "q4-subspace", "q4-subspace-5", "classical"],
+    )
+    def test_one_block_systems_match_support_products_bitwise(self, system):
+        ss = system()
+        assert len(ss.blocks) == 1 and ss.blocks[0][0].shape == (1, ss.model.dimension)
+        got = [c.residual for c in ss.validate().checks]
+        assert [r.hex() for r in got] == [r.hex() for r in support_validate(ss)]
+
+    @pytest.mark.parametrize("kind", ["quantum", "real_quantum"])
+    @pytest.mark.parametrize("d", [3, 6, 10, 16])
+    def test_blocks_match_support_products(self, kind, d):
+        ss = basis_system(d, kind)
+        assert len(ss.blocks) > 1
+        m = ss.model.dimension
+        scale = max(1.0, *(np.linalg.norm(f.projection) for f in ss.derived.values()))
+        bound = 4 * m * np.finfo(float).eps * scale**2
+        got = [c.residual for c in ss.validate().checks]
+        for residual, reference in zip(got, support_validate(ss)):
+            assert abs(residual - reference) <= bound
+
+    def test_system_uses_the_shared_partition(self):
+        ss = basis_system(6)
+        assert ss.blocks is ss.derived[ss.top].blocks
+        # a filter without the family's partition: one block of everything
+        bumped = ss.with_triple_perturbation(np.zeros((36, 36)))
+        assert bumped.derived[ss.top].blocks is None
+        assert [coords.tolist() for coords, _ in bumped.blocks] == [[list(range(36))]]
+
+    def test_dense_bump_is_seen_off_the_blocks(self):
+        ss = basis_system(10)
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((100, 100))
+        bad = ss.with_triple_perturbation(1e-6 * (a + a.T))
+        rep = sl.prop1_verify(bad, n_samples=20, seed=0)
+        assert rep.operator_gap == pytest.approx(
+            np.linalg.norm(dense_defect(bad)), rel=1e-12)
+        assert rep.verdicts[1] is False
+        assert not bad.validate().passed
 
     def test_bump_off_the_filters_support_fails(self):
         # a bump on a coordinate where every filter is zero: the support is
@@ -275,6 +378,58 @@ class TestSpanCondition:
             )
             resid = mutual_span_residual(sl.p3_operator(ss), pair_cols)
             assert resid < 1e-10
+
+
+def defect_families():
+    rng = np.random.default_rng(8)
+    out = [(f"{kind}{d}-basis", lambda d=d, kind=kind: basis_system(d, kind))
+           for kind in ("quantum", "real_quantum") for d in (3, 4, 6, 10, 16)]
+    out += [("quantum4-4slits", lambda: basis_system(4, k=4)),
+            ("classical4", lambda: basis_system(4, "classical")),
+            ("spin1", spin1_system),
+            ("q4-subspace", lambda: quantum4_subspace_fixture(2)[1])]
+    for axis in ([0, 0, 1], [0.6, 0, 0.8], list(rng.standard_normal(3))):
+        def spin1(axis=np.asarray(axis, dtype=float) / np.linalg.norm(axis)):
+            model = build_quantum_model(3)
+            setup = sl.spin1_feynman_setup(axis, axis)
+            return slit_system(model, subset_filters(list(setup[0]), model))
+        out.append((f"spin1-{np.round(axis, 2).tolist()}", spin1))
+    a = rng.standard_normal((36, 36))
+    out.append(("quantum6-bumped", lambda: basis_system(6).with_triple_perturbation(
+        1e-4 * (a + a.T))))
+    return out
+
+
+class TestBlockedProbes:
+    """The defect operator and prop1's operator probes run per coordinate
+    block; the dense formulas are the references."""
+
+    @pytest.mark.parametrize("system", [f[1] for f in defect_families()],
+                             ids=[f[0] for f in defect_families()])
+    def test_defect_operator_bytes(self, system):
+        # each entry is the same signed sum of the same filter entries
+        ss = system()
+        got, want = sl.defect_operator(ss), dense_defect(ss)
+        assert (got.dtype, got.shape, got.strides) == (want.dtype, want.shape, want.strides)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("system", [f[1] for f in defect_families()],
+                             ids=[f[0] for f in defect_families()])
+    def test_prop1_probes_match_dense(self, system):
+        ss = system()
+        rep = sl.prop1_verify(ss, n_samples=40, seed=3)
+        gap, sup = dense_prop1_probes(ss, 40, 3)
+        if len(ss.blocks) == 1:
+            assert (rep.operator_gap.hex(), rep.sup_abs_i3.hex()) == (gap.hex(), sup.hex())
+        else:
+            # the sums run over the blocks' entries in another order: two
+            # orders of an m-term sum differ by at most 2 m eps times the sum
+            # of the terms' magnitudes, which is at most |e| ||D|| |s| for
+            # e . (D s), with |s| <= 1 and |e| <= sqrt(m) on these cones
+            m = ss.model.dimension
+            eps = np.finfo(float).eps
+            assert abs(rep.operator_gap - gap) <= 2 * m * eps * gap
+            assert abs(rep.sup_abs_i3 - sup) <= 2 * m * eps * gap * np.sqrt(m)
 
 
 class TestProp1:

@@ -232,6 +232,19 @@ class TestConjugation:
         with pytest.raises(sl.NotAProjection):
             sl.conjugation_superoperator(2.0 * np.eye(3, dtype=complex), model)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_projector_rejected(self, value):
+        # NaN passes every "residual > tolerance" test, so it is rejected first
+        model = build_quantum_model(3)
+        bad = np.diag([value, 0.0, 0.0]).astype(complex)
+        with pytest.raises(sl.NotAProjection), np.errstate(invalid="ignore"):
+            sl.conjugation_superoperator(bad, model)
+        with pytest.raises(sl.NotAProjection), np.errstate(invalid="ignore"):
+            subset_filters([bad], model)
+        with pytest.raises(ValueError, match="not pairwise orthogonal"), \
+                np.errstate(invalid="ignore"):
+            subset_filters([bad, *basis_projectors(3)[1:]], model)
+
     def test_linearity_round_trip(self):
         # applying to each basis element and re-embedding rebuilds the matrix
         model = build_quantum_model(3)
@@ -467,6 +480,96 @@ class TestKernelAgainstSupportKernel:
         plan = _conjugation_plan(5, complex, pattern.tobytes(), 7)
         arrays = [a for a in vars(plan).values() if isinstance(a, np.ndarray)]
         assert arrays and not any(a.flags.writeable for a in arrays)
+
+
+def orthogonal_projectors(d, ranks, rng, complex_=True):
+    """Pairwise-orthogonal random projectors of the given ranks, dense in the
+    computational basis."""
+    g = rng.standard_normal((d, d))
+    if complex_:
+        g = g + 1j * rng.standard_normal((d, d))
+    q, _ = np.linalg.qr(g)
+    ends = np.cumsum(ranks)
+    return [q[:, e - r:e] @ q[:, e - r:e].conj().T for r, e in zip(ranks, ends)]
+
+
+def partition_families():
+    """(id, model, projectors) for the kinds of Lueders family the library
+    builds: basis slits, spin-1 slits, dense random families, and
+    block-diagonal families of 0/1 diagonal projectors."""
+    rng = np.random.default_rng(12)
+    out = []
+    for d in range(3, 17):
+        out.append((f"quantum{d}-basis", build_quantum_model(d), basis_projectors(d)[:3]))
+        out.append((f"real_quantum{d}-basis", build_real_quantum_model(d),
+                    basis_projectors(d, float)[:3]))
+    q3 = build_quantum_model(3)
+    axes = [rng.standard_normal(3) for _ in range(3)] + [[0, 0, 1], [0.6, 0, 0.8]]
+    for axis in axes:
+        axis = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+        out.append((f"spin1-{np.round(axis, 3).tolist()}", q3,
+                    list(sl.spin1_feynman_setup(axis, axis)[0])))
+    for d, ranks in ((3, (1, 1, 1)), (6, (1, 2, 3)), (10, (3, 3, 3)), (16, (5, 5, 5))):
+        out.append((f"dense-quantum{d}-{ranks}", build_quantum_model(d),
+                    orthogonal_projectors(d, ranks, rng)))
+        out.append((f"dense-real_quantum{d}-{ranks}", build_real_quantum_model(d),
+                    orthogonal_projectors(d, ranks, rng, complex_=False)))
+    for param in block_families():
+        n, blocks = param.values
+        out.append((f"quantum-{param.id}", build_quantum_model(n),
+                    block_projectors(blocks, n, complex)))
+        out.append((f"real_quantum-{param.id}", build_real_quantum_model(n),
+                    block_projectors(blocks, n)))
+    return out
+
+
+class TestCoordinateBlocks:
+    """Every Lueders family carries one partition of the coordinates, and
+    its projections and complements vanish off the diagonal blocks."""
+
+    @pytest.mark.parametrize("model,pis", [f[1:] for f in partition_families()],
+                             ids=[f[0] for f in partition_families()])
+    def test_family_is_block_diagonal(self, model, pis):
+        filters = subset_filters(pis, model)
+        blocks = next(iter(filters.values())).blocks
+        assert all(f.blocks is blocks for f in filters.values())
+        m = model.dimension
+        widths = [coords.shape[1] for coords, _ in blocks]
+        assert widths == sorted(set(widths))
+        members = np.concatenate([coords.ravel() for coords, _ in blocks])
+        assert np.array_equal(np.sort(members), np.arange(m))  # a partition
+        on = np.zeros(m * m, dtype=bool)
+        for coords, entries in blocks:
+            assert not (coords.flags.writeable or entries.flags.writeable)
+            assert (np.diff(coords, axis=1) > 0).all()
+            assert np.array_equal(entries, coords[:, :, None] * m + coords[:, None, :])
+            on[entries.ravel()] = True
+        on = on.reshape(m, m)
+        for f in filters.values():
+            for mat in (f.projection, f.complement):
+                assert not mat[~on].any()
+
+    @pytest.mark.parametrize("d", [3, 10, 16])
+    def test_basis_slit_blocks(self, d):
+        # pair coordinates in blocks of their own, the diagonal ones in one
+        shapes = {"quantum": [(d * (d - 1) // 2, 2), (1, d)],
+                  "real_quantum": [(d * (d - 1) // 2, 1), (1, d)]}
+        for kind, build in (("quantum", build_quantum_model),
+                            ("real_quantum", build_real_quantum_model)):
+            pis = basis_projectors(d, complex if kind == "quantum" else float)[:3]
+            f = subset_filters(pis, build(d))[frozenset({1})]
+            assert [coords.shape for coords, _ in f.blocks] == shapes[kind]
+
+    def test_dense_family_is_one_block(self):
+        setup = sl.spin1_feynman_setup([0.48, -0.6, 0.64], [0, 0, 1])
+        f = subset_filters(list(setup[0]), build_quantum_model(3))[frozenset({1})]
+        assert [coords.tolist() for coords, _ in f.blocks] == [[list(range(9))]]
+
+    def test_partition_is_shared_per_pattern(self):
+        model = build_quantum_model(5)
+        a = subset_filters(basis_projectors(5)[:3], model)[frozenset({1})]
+        b = subset_filters(basis_projectors(5)[:3], model)[frozenset({2})]
+        assert a.blocks is b.blocks
 
 
 class TestLazyComplements:

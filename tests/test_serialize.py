@@ -1,6 +1,7 @@
 """Interchange formats: model JSON, Hermitian matrices, tables, records."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,17 @@ class TestModel:
         model, _ = serialize.model_from_dict(d)
         assert (model.kind, model.dimension, model.label) == ("custom", 2, "c")
         assert serialize.model_to_dict(model) == d
+
+    @pytest.mark.parametrize("gens,u", [
+        ([[1e300, 0.0], [0.0, 1.0]], [1e300, 1.0]),
+        ([[1e300, -1e300], [0.0, 1.0]], [1e300, 1e300]),
+    ], ids=["overflow", "inf-minus-inf"])
+    def test_custom_pairing_must_be_finite(self, gens, u):
+        d = {"dimension": 2, "order_unit": u, "cone": {"type": "custom", "generators": gens}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite and positive"):
+                serialize.model_from_dict(d)
 
     def test_floats_round_trip_exactly(self):
         model, _, s, _ = qutrit_fixture()
