@@ -18,6 +18,7 @@ from .models import (
     build_quantum_model,
     build_real_quantum_model,
     conjugation_superoperator,
+    projector_slit_system,
     spin1_feynman_setup,
     spin1_operator,
     subset_filters,

@@ -49,8 +49,8 @@ from .models import (
     build_classical_model,
     build_quantum_model,
     build_real_quantum_model,
+    projector_slit_system,
     spin1_feynman_setup,
-    subset_filters,
 )
 from .experiment import ExperimentPlan, estimate_i3, record_from_table, run_experiment
 from .tomography import tomography_roundtrip
@@ -102,7 +102,7 @@ def resolve_slits(spec: str, model: ModelSpace, named_filters: dict) -> SlitSyst
             raise InputError("classical basis slits need n >= 3" if model.kind == "classical"
                              else "basis slits need d >= 3")
         pis = basis_projectors(model.d, complex if model.kind == "quantum" else float)[:3]
-        return slit_system(model, subset_filters(pis, model))
+        return projector_slit_system(pis, model)
     if spec.startswith("spin1:"):
         return _spin1_system(model, spec.split(":", 1)[1])[0]
     if spec == "from-model":
@@ -120,7 +120,7 @@ def _spin1_system(model: ModelSpace, b: str, d: str | None = None):
         raise InputError("spin-1 slits need --model quantum:3")
     axis = _parse_vec3(b)
     slits, detectors = spin1_feynman_setup(axis, axis if d is None else _parse_vec3(d))
-    return slit_system(model, subset_filters(slits, model)), detectors
+    return projector_slit_system(slits, model), detectors
 
 
 def _parse_vec3(text: str) -> np.ndarray:

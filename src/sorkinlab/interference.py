@@ -129,6 +129,43 @@ class SlitSystem:
             out.append((coords, stack))
         return out
 
+    @cached_property
+    def defect_blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The defect operator on the blocks of projection_blocks, per block
+        width: the blocks (n_blocks, w) and the defect's diagonal blocks
+        there, (n_blocks, w, w), read-only.  The defect is zero off them."""
+        out = []
+        for blocks, stack in self.projection_blocks:
+            mats = dict(zip(self.derived, stack))
+            defect = mats[self.top] - _p3(mats, self.k)
+            defect.flags.writeable = False
+            out.append((blocks, defect))
+        return out
+
+    @cached_property
+    def nonzero_defect_blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """defect_blocks without the blocks where the defect is zero."""
+        out = []
+        for coords, defect in self.defect_blocks:
+            on = defect.any(axis=(1, 2))
+            if on.all():
+                out.append((coords, defect))
+            elif on.any():
+                out.append((coords[on], defect[on]))
+        return out
+
+    @cached_property
+    def operator_gap(self) -> float:
+        """The Frobenius norm of the defect operator; zero blocks add exact
+        zeros to it."""
+        return float(np.sqrt(sum(np.dot(d.ravel(), d.ravel())
+                                 for _, d in self.nonzero_defect_blocks)))
+
+    @cached_property
+    def span_defect(self) -> float:
+        """span_condition_check of the system."""
+        return span_condition_check(self)
+
     def validate(self) -> ValidationReport:
         """Pairwise orthogonality plus the product relations P_J P_K = P_{J&K}.
 
@@ -282,29 +319,18 @@ def p3_operator(ss: SlitSystem) -> np.ndarray:
     return _p3({J: f.projection for J, f in ss.derived.items()}, ss.k)
 
 
-def _defect_blocks(ss: SlitSystem) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The defect operator on the blocks of ss.projection_blocks, per block
-    width: the blocks (n_blocks, w) and the defect's diagonal blocks there,
-    (n_blocks, w, w).  The defect is zero off them."""
-    out = []
-    for blocks, stack in ss.projection_blocks:
-        mats = dict(zip(ss.derived, stack))
-        out.append((blocks, mats[ss.top] - _p3(mats, ss.k)))
-    return out
-
-
 def defect_operator(ss: SlitSystem) -> np.ndarray:
     """P_[k] minus p3_operator, the operator of I_k: zero iff no k-th order
     interference.
 
-    It is formed block by block of _defect_blocks; each entry is the same
+    It is formed block by block of ss.defect_blocks; each entry is the same
     signed sum of the same filter entries as in the dense formula, and the
     dense formula gives +0.0 wherever every filter is zero, so the bytes are
     those of the dense formula.
     """
     m = ss.model.dimension
     out = np.zeros((m, m))
-    for blocks, defect in _defect_blocks(ss):
+    for blocks, defect in ss.defect_blocks:
         out[blocks[:, :, None], blocks[:, None, :]] = defect
     return out
 
@@ -382,29 +408,22 @@ def prop1_verify(ss: SlitSystem, n_samples: int = 500, seed: int = 0) -> Prop1Re
 
     The operator gap is exact and is the verdict of record; the sampled
     supremum of |I3| and the span check are consistency probes.  On a valid
-    system all three verdicts must agree.
+    system all three verdicts must agree.  The operator gap and the span
+    defect are properties of the system, computed once per system; only
+    the samples are drawn per call.
     """
-    # blocks where the defect is zero add exact zeros to both sums
-    blocks = []
-    for coords, defect in _defect_blocks(ss):
-        on = defect.any(axis=(1, 2))
-        if on.all():
-            blocks.append((coords, defect))
-        elif on.any():
-            blocks.append((coords[on], defect[on]))
-    gap = float(np.sqrt(sum(np.dot(d.ravel(), d.ravel()) for _, d in blocks)))
-
     sup_i3 = 0.0
     for states, effects in random_pairs(ss.model, n_samples, seed):
         i3 = 0.0
-        for at, defect in blocks:
+        # blocks where the defect is zero add exact zeros to the sum
+        for at, defect in ss.nonzero_defect_blocks:
             # effect . (defect state) per block, as rowdots of matvecs
             s, e = _block_coords(states, at), _block_coords(effects, at)
             v = np.matmul(defect, s[..., None])
             i3 = i3 + np.matmul(e[..., None, :], v)[..., 0, 0].sum(axis=1)
         sup_i3 = max(sup_i3, float(np.abs(i3).max()))
 
-    span = span_condition_check(ss)
+    gap, span = ss.operator_gap, ss.span_defect
     verdicts = (sup_i3 <= EPS_PROP, gap <= EPS_PROP, span <= EPS_PROP)
     return Prop1Report(
         sup_abs_i3=sup_i3,

@@ -9,6 +9,7 @@ orthant with the all-ones order unit.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import combinations
@@ -24,7 +25,7 @@ from .gpt import (
     basis_entries,
     hermitian_basis,
 )
-from .interference import all_subsets
+from .interference import SlitSystem, all_subsets, slit_system
 
 _ORTHO_TOL = 1e-10
 _EIG_GAP_TOL = 1e-8
@@ -222,7 +223,14 @@ def _conjugation_plan(d: int, dtype, pattern: bytes, n: int) -> _ConjugationPlan
     return plan
 
 
-def _conjugation_matrices(pis: np.ndarray, model: ModelSpace) -> np.ndarray:
+def _joint_pattern(pis: np.ndarray) -> bytes:
+    """The joint nonzero pattern of a stack of d x d matrices, (d, d) bools."""
+    return (pis != 0).any(axis=0).tobytes()
+
+
+def _conjugation_matrices(
+    pis: np.ndarray, model: ModelSpace, pattern: bytes | None = None
+) -> np.ndarray:
     """Real matrices of rho -> Pi rho Pi in a matrix model's coordinates for a
     stack of projectors, (n, m, m).
 
@@ -237,6 +245,7 @@ def _conjugation_matrices(pis: np.ndarray, model: ModelSpace) -> np.ndarray:
     O(d^4) per matrix, and a stack of diagonal projectors, such as basis
     slits and their complements, one term per basis entry.  The
     bookkeeping depends only on the basis, the pattern and n, and is cached.
+    pattern is _joint_pattern(pis), formed here unless the caller has it.
 
     Every sum adds its terms to +0.0 in np.nonzero order of its basis
     element, which is the order of numpy's dense einsum over complex
@@ -249,7 +258,8 @@ def _conjugation_matrices(pis: np.ndarray, model: ModelSpace) -> np.ndarray:
     """
     n = pis.shape[0]
     m = model.dimension
-    pattern = (pis != 0).any(axis=0).tobytes()
+    if pattern is None:
+        pattern = _joint_pattern(pis)
     plan = _conjugation_plan(model.d, model._matrix_dtype, pattern, n)
     # complex and contiguous, so the plan's flat indices address it
     pis = np.ascontiguousarray(pis, dtype=complex)
@@ -307,19 +317,23 @@ def _lueders_filters(pis, model: ModelSpace) -> list[Filter]:
     in one more, for the whole list, on the first read of any of them: the
     interference checks, tomography and experiments use only projections.
     The kernel works on each projector separately, so splitting the stack
-    leaves every matrix byte-identical.
+    leaves every matrix byte-identical.  Projections and complements are
+    read-only, so slit systems can share them.
     """
     pis = np.asarray(pis)
     _check_projectors(pis, model)
-    mats = _conjugation_matrices(pis, model)
-    pattern = (pis != 0).any(axis=0).tobytes()
+    pattern = _joint_pattern(pis)
+    mats = _conjugation_matrices(pis, model, pattern)
+    mats.flags.writeable = False
     blocks = _coordinate_blocks(model.d, model._matrix_dtype, pattern)
 
     @cache
     def complements() -> np.ndarray:
         stack = np.eye(pis.shape[-1]) - pis
         _check_projectors(stack, model)
-        return _conjugation_matrices(stack, model)
+        out = _conjugation_matrices(stack, model)
+        out.flags.writeable = False
+        return out
 
     return [Filter(mat, lambda i=i: complements()[i], blocks) for i, mat in enumerate(mats)]
 
@@ -362,6 +376,44 @@ def subset_filters(pis, model: ModelSpace) -> dict[frozenset, Filter]:
     joins = [np.sum([pis[i - 1] for i in sorted(J)], axis=0) for J in subsets]
     build = _mask_filters if model.kind == "classical" else _lueders_filters
     return dict(zip(subsets, build(joins, model)))
+
+
+# Slit systems by (model kind, d, label, projector dtype, shape, bytes), least
+# recently used first.  The bounds count projections plus complements.
+SYSTEM_CACHE_ENTRIES = 8
+SYSTEM_CACHE_BYTES = 16 << 20
+_slit_systems: OrderedDict = OrderedDict()  # key -> (SlitSystem, bytes)
+
+
+def projector_slit_system(pis, model: ModelSpace) -> SlitSystem:
+    """The validated slit system of the joins of k pairwise-orthogonal
+    projectors (see subset_filters and slit_system).
+
+    A Lueders system depends only on the model's kind, d and label and on
+    the projectors' bytes, so each is built once per process and shared
+    (a hit returns the system built first, whose model is the first
+    caller's: the same kind, d and label).  The last SYSTEM_CACHE_ENTRIES
+    systems, within SYSTEM_CACHE_BYTES of projections and complements, are
+    kept.  A larger system is returned but not kept; a system that fails
+    its checks raises and is not kept.  What derives from a system alone
+    (complements, blocks, prop1's operator probes, face plans) is kept with
+    it.  Classical mask systems are cheap and built on every call.
+    """
+    if model.kind == "classical":
+        return slit_system(model, subset_filters(pis, model))
+    pis = np.ascontiguousarray(pis)
+    key = (model.kind, model.d, model.label, pis.dtype.str, pis.shape, pis.tobytes())
+    if key in _slit_systems:
+        _slit_systems.move_to_end(key)
+        return _slit_systems[key][0]
+    ss = slit_system(model, subset_filters(pis, model))
+    size = 2 * sum(f.projection.nbytes for f in ss.derived.values())
+    if size <= SYSTEM_CACHE_BYTES:
+        _slit_systems[key] = (ss, size)
+        while (len(_slit_systems) > SYSTEM_CACHE_ENTRIES
+               or sum(n for _, n in _slit_systems.values()) > SYSTEM_CACHE_BYTES):
+            _slit_systems.popitem(last=False)
+    return ss
 
 
 # --- spin-1 Stern-Gerlach geometry ------------------------------------------

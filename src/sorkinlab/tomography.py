@@ -7,6 +7,7 @@ slits.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
@@ -35,7 +36,8 @@ def _flat_seed(seed) -> list[int]:
 @dataclass(eq=False)
 class FaceMeasurementPlan:
     """Measurements that are informationally complete on one face: each
-    setting is a tuple of effect coordinate vectors summing to the order unit."""
+    setting is a tuple of effect coordinate vectors summing to the order
+    unit.  The arrays are read-only."""
 
     image_basis: np.ndarray  # (m, rank), orthonormal columns spanning the face
     settings: tuple[tuple[np.ndarray, ...], ...]
@@ -93,7 +95,22 @@ def build_face_measurement(f: Filter, model: ModelSpace) -> FaceMeasurementPlan:
             f"measurement family is not informationally complete on the face "
             f"(design rank {rank} < face rank {basis.shape[1]})"
         )
+    for a in (basis, rows, *(e for effects in settings for e in effects)):
+        a.flags.writeable = False
     return FaceMeasurementPlan(basis, tuple(settings), rows)
+
+
+# Each filter's plan, with the model it was built for, lives as long as the
+# filter: a slit system kept across calls keeps its plans.
+_face_plans: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _face_plan(f: Filter, model: ModelSpace) -> FaceMeasurementPlan:
+    """build_face_measurement(f, model), built once per filter and model."""
+    built = _face_plans.get(f)
+    if built is None or built[0] is not model:
+        built = _face_plans[f] = (model, build_face_measurement(f, model))
+    return built[1]
 
 
 def exact_frequencies(plan: FaceMeasurementPlan, s_filtered: np.ndarray) -> list[np.ndarray]:
@@ -186,7 +203,7 @@ def tomography_roundtrip(
     estimates: dict = {}
     for pair_idx, J in enumerate(subsets_of_size(ss.k, 2)):
         filt = ss.derived[J]
-        plan = build_face_measurement(filt, ss.model)
+        plan = _face_plan(filt, ss.model)
         s_filtered = filt.projection @ s
         if mode == "exact":
             freqs = exact_frequencies(plan, s_filtered)

@@ -582,9 +582,9 @@ class TestLazyComplements:
         calls = []
         kernel = models._conjugation_matrices
 
-        def counted(pis, basis):
+        def counted(pis, model, *pattern):
             calls.append(len(pis))
-            return kernel(pis, basis)
+            return kernel(pis, model, *pattern)
 
         monkeypatch.setattr(models, "_conjugation_matrices", counted)
         return calls
