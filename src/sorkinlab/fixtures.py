@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .interference import ProbabilityTable, slit_system
+from .interference import ProbabilityTable
 from .models import (
     basis_projectors,
     build_classical_model,
     build_quantum_model,
     build_real_quantum_model,
-    subset_filters,
+    projector_slit_system,
 )
 
 
@@ -29,7 +29,7 @@ def qutrit_fixture(dtype=complex):
     """(model, slit system, state, effect) for the equal-superposition qutrit;
     dtype=float gives the real_quantum:3 one."""
     model = (build_quantum_model if dtype is complex else build_real_quantum_model)(3)
-    ss = slit_system(model, subset_filters(basis_projectors(3, dtype), model))
+    ss = projector_slit_system(basis_projectors(3, dtype), model)
     proj = qutrit_projector(dtype)
     return model, ss, model.embed(proj), model.embed(proj)
 
@@ -37,7 +37,7 @@ def qutrit_fixture(dtype=complex):
 def classical_fixture():
     """(model, slit system, uniform state, first-coordinate effect)."""
     model = build_classical_model(3)
-    ss = slit_system(model, subset_filters(basis_projectors(3, float), model))
+    ss = projector_slit_system(basis_projectors(3, float), model)
     return model, ss, np.full(3, 1.0 / 3.0), np.array([1.0, 0.0, 0.0])
 
 
@@ -49,7 +49,7 @@ def quantum4_subspace_fixture(seed: int = 0):
     q, r = np.linalg.qr(g)
     q = q * np.sign(np.diagonal(r).real)
     pis = [np.outer(q[:, i], q[:, i].conj()) for i in range(3)]
-    ss = slit_system(model, subset_filters(pis, model))
+    ss = projector_slit_system(pis, model)
     return model, ss
 
 

@@ -60,23 +60,26 @@ def _cmul(xr, xi, yr, yi):
 
 @dataclass(frozen=True, eq=False)
 class _ConjugationPlan:
-    """The bookkeeping of _conjugation_matrices for one basis and one joint
-    nonzero pattern of a stack of projectors; the arrays are read-only.
+    """The bookkeeping of _conjugation_matrices for one basis, one joint
+    nonzero pattern of a stack of projectors and the stack's size; the
+    arrays are read-only.
 
     The pattern is closed to its connected blocks (of width w at most), so
     a position within a block names the same row or column for every entry:
     Pi[a, row] can be nonzero only for a in the block of row.  Stage 1 forms
     the terms Pi[a, row] B_e Pi[col, b] of the basis entries e = (k, row,
     col), a over the block of row and b over the block of col, in a
-    (w, w, entries) grid.  Step q of c_steps holds the q-th entry of each of
-    the first (end - start) triples (k, block of row, block of col), so the
-    C sums run in place in the first columns of the grid.  Stage 2 sums the
+    (w, w, entries) grid, and adds each at c_at into C, a (w, w, triples)
+    grid over the triples (k, block of row, block of col).  Stage 2 adds the
     terms m_vr * Re C - m_vi * Im C read at m_at into the output entries
-    out_at, in steps m_steps.
+    out_at.  Both stages list the terms of every target in basis-entry
+    order, so one np.bincount per contraction sums them in that order.
 
     The index arrays are flat indices into a chunk of `rows` projectors,
-    one row per projector: numpy gathers fastest from a flat array, and
-    np.take would copy a read-only index array on every call.
+    one row per projector (c_size entries of C each): numpy gathers fastest
+    from a flat array, and np.take would copy a read-only index array on
+    every call.  blocks is the family's coordinate partition (see
+    Filter.blocks).
     """
 
     rows: int
@@ -84,12 +87,13 @@ class _ConjugationPlan:
     y_at: np.ndarray
     vr: np.ndarray
     vi: np.ndarray
-    c_steps: tuple
+    c_at: np.ndarray
+    c_size: int
     m_at: np.ndarray
     m_vr: np.ndarray
     m_vi: np.ndarray
-    m_steps: tuple
     out_at: np.ndarray
+    blocks: tuple
 
 
 def _components(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -107,12 +111,10 @@ def _components(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
         label = low
 
 
-# Cached beside the plans, by the same basis and pattern: the filters of a
-# family share the partition, read-only.
-@lru_cache(maxsize=32)
-def _coordinate_blocks(d: int, dtype, pattern: bytes) -> tuple:
-    """The coordinate partition of the filters of a family of projectors with
-    a joint nonzero pattern (d, d).
+def _coordinate_blocks(d: int, dtype, block: np.ndarray) -> tuple:
+    """The coordinate partition of the filters of a family of projectors
+    whose joint nonzero pattern has the Hilbert blocks `block` (the lowest
+    index of the block of each index, see _components).
 
     The Hilbert blocks are the connected blocks of the pattern, every index
     outside it a block of its own, and two coordinates share a block when
@@ -127,8 +129,6 @@ def _coordinate_blocks(d: int, dtype, pattern: bytes) -> tuple:
     coordinate, and the flat indices (n_blocks, w, w) of the blocks'
     entries.
     """
-    on = np.frombuffer(pattern, dtype=bool).reshape(d, d)
-    block = _components(*np.nonzero(on), d)
     k, row, col = basis_entries(d, dtype)[:3]
     m = len(hermitian_basis(d, dtype))
     lo, hi = np.minimum(block[row], block[col]), np.maximum(block[row], block[col])
@@ -143,26 +143,6 @@ def _coordinate_blocks(d: int, dtype, pattern: bytes) -> tuple:
             a.flags.writeable = False
         groups.append(group)
     return tuple(groups)
-
-
-def _in_order(target: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Schedule sequential sums: given the target of each term, with the
-    terms of every target listed in the order it sums them, return the
-    targets by descending number of terms (ties in increasing order), the
-    term order that puts term q of each target in step q, and the step
-    bounds.  Step q holds one term for each of the first (bounds[q + 1] -
-    bounds[q]) targets, in target order, so every step adds a contiguous
-    slice to a prefix.
-    """
-    keys, inverse, counts = np.unique(target, return_inverse=True, return_counts=True)
-    by_count = np.argsort(-counts, kind="stable")
-    rank = np.empty_like(by_count)
-    rank[by_count] = np.arange(by_count.size)
-    grouped = np.argsort(inverse, kind="stable")
-    step = np.empty_like(grouped)
-    step[grouped] = np.arange(grouped.size) - (np.cumsum(counts) - counts)[inverse[grouped]]
-    bounds = np.cumsum(np.bincount(step, minlength=1))
-    return keys[by_count], np.lexsort((rank[inverse], step)), (0, *bounds.tolist())
 
 
 # A plan depends only on the basis, the joint nonzero pattern of the stack
@@ -184,8 +164,8 @@ def _conjugation_plan(d: int, dtype, pattern: bytes, n: int) -> _ConjugationPlan
     keep = used[row] & used[col]
     k, row, col, vr, vi = k[keep], row[keep], col[keep], vr[keep], vi[keep]
     # stage 1: C_k on the blocks of (row, col) sums the entries of B_k there
-    triples = (k * d + block[row]) * d + block[col]
-    triples, order, c_steps = _in_order(triples)
+    triples, triple = np.unique((k * d + block[row]) * d + block[col], return_inverse=True)
+    c_size = w * w * triples.size
     # stage 2: M[j, kk] sums Re(B_e C_kk[col, row]) over the entries e of
     # B_j, where C_kk is stored on the blocks of (col, row)
     pair = triples % (d * d)
@@ -195,27 +175,25 @@ def _conjugation_plan(d: int, dtype, pattern: bytes, n: int) -> _ConjugationPlan
     count = np.searchsorted(pair[by_pair], want, side="right") - first
     e = np.repeat(np.arange(k.size), count)
     t = by_pair[first[e] + np.arange(e.size) - np.repeat(np.cumsum(count) - count, count)]
-    m_at = (where[col[e]] * w + where[row[e]]) * k.size + t
-    out_at, terms, m_steps = _in_order(k[e] * m + triples[t] // (d * d))
-    e, m_at = e[terms], m_at[terms]
 
     # projectors per chunk of CHUNK_ELEMENTS entries of C (the largest
     # intermediates hold ~2.5x as many)
-    rows = min(n, max(1, CHUNK_ELEMENTS // max(1, w * w * c_steps[1])))
-    at = np.arange(rows)[:, None, None]
-    row, col = row[order], col[order]
+    rows = min(n, max(1, CHUNK_ELEMENTS // max(1, c_size)))
+    at = np.arange(rows)[:, None]
+    grid = (np.arange(w * w)[:, None] * triples.size + triple).reshape(-1)
     plan = _ConjugationPlan(
         rows,
-        (at * d + members[row].T) * d + row,
-        (at * d + col) * d + members[col].T,
-        vr[order],
-        vi[order],
-        c_steps,
-        at[:, 0] * w * w * k.size + m_at,
+        (at[:, :, None] * d + members[row].T) * d + row,
+        (at[:, :, None] * d + col) * d + members[col].T,
+        vr,
+        vi,
+        at * c_size + grid,
+        c_size,
+        at * c_size + (where[col[e]] * w + where[row[e]]) * triples.size + t,
         vr[e],
         vi[e],
-        m_steps,
-        at[:, 0] * m * m + out_at,
+        at * m * m + k[e] * m + triples[t] // (d * d),
+        _coordinate_blocks(d, dtype, block),
     )
     for a in vars(plan).values():
         if isinstance(a, np.ndarray):
@@ -228,8 +206,13 @@ def _joint_pattern(pis: np.ndarray) -> bytes:
     return (pis != 0).any(axis=0).tobytes()
 
 
+def _plan_for(pis: np.ndarray, model: ModelSpace) -> _ConjugationPlan:
+    """The conjugation plan of a stack of projectors in a matrix model."""
+    return _conjugation_plan(model.d, model._matrix_dtype, _joint_pattern(pis), len(pis))
+
+
 def _conjugation_matrices(
-    pis: np.ndarray, model: ModelSpace, pattern: bytes | None = None
+    pis: np.ndarray, model: ModelSpace, plan: _ConjugationPlan | None = None
 ) -> np.ndarray:
     """Real matrices of rho -> Pi rho Pi in a matrix model's coordinates for a
     stack of projectors, (n, m, m).
@@ -244,27 +227,26 @@ def _conjugation_matrices(
     only the entries of C_k that can be nonzero.  So a dense stack costs
     O(d^4) per matrix, and a stack of diagonal projectors, such as basis
     slits and their complements, one term per basis entry.  The
-    bookkeeping depends only on the basis, the pattern and n, and is cached.
-    pattern is _joint_pattern(pis), formed here unless the caller has it.
+    bookkeeping depends only on the basis, the pattern and n, and is cached;
+    plan is _plan_for(pis, model), looked up here unless the caller has it.
 
     Every sum adds its terms to +0.0 in np.nonzero order of its basis
     element, which is the order of numpy's dense einsum over complex
-    operands.  The terms left out are exact zeros, which change no sum but
-    at most the sign of a zero.  So for complex operands the result is
-    byte-identical to the dense formula, which matters because
+    operands: np.bincount adds the weights of each target in input order,
+    starting from +0.0.  The terms left out are exact zeros, which change
+    no sum but at most the sign of a zero.  So for complex operands the
+    result is byte-identical to the dense formula, which matters because
     experiment.plan_hash hashes filter bytes.  With real operands the dense
     einsum reduces in SIMD lanes, so results can differ from it in the last
     bit.
     """
     n = pis.shape[0]
     m = model.dimension
-    if pattern is None:
-        pattern = _joint_pattern(pis)
-    plan = _conjugation_plan(model.d, model._matrix_dtype, pattern, n)
+    if plan is None:
+        plan = _plan_for(pis, model)
     # complex and contiguous, so the plan's flat indices address it
     pis = np.ascontiguousarray(pis, dtype=complex)
-    out = np.zeros((n, m, m))
-    triples = plan.c_steps[1]
+    out = []
     for lo in range(0, n, plan.rows):
         c = min(plan.rows, n - lo)
         p = pis[lo : lo + c].reshape(-1)
@@ -272,19 +254,14 @@ def _conjugation_matrices(
         # C order: the products below follow the operands' memory layout
         xr, xi = _cmul(x.real, x.imag, plan.vr, plan.vi)
         tr, ti = _cmul(xr[:, :, None], xi[:, :, None], y.real[:, None], y.imag[:, None])
-        for t in (tr, ti):
-            t[..., :triples] += 0.0
-            for a, b in zip(plan.c_steps[1:-1], plan.c_steps[2:]):
-                t[..., : b - a] += t[..., a:b]
+        at = plan.c_at[:c].reshape(-1)
+        cr, ci = (np.bincount(at, t.reshape(-1), minlength=c * plan.c_size) for t in (tr, ti))
         at = plan.m_at[:c]
-        terms, im = tr.reshape(-1)[at], ti.reshape(-1)[at]
-        terms *= plan.m_vr
-        terms -= np.multiply(im, plan.m_vi, out=im)
-        mats = np.zeros((c, plan.out_at.shape[1]))
-        for a, b in zip(plan.m_steps[:-1], plan.m_steps[1:]):
-            mats[:, : b - a] += terms[:, a:b]
-        out[lo : lo + c].reshape(-1)[plan.out_at[:c]] = mats
-    return out
+        terms = cr[at] * plan.m_vr - ci[at] * plan.m_vi
+        mats = np.bincount(plan.out_at[:c].reshape(-1), terms.reshape(-1), minlength=c * m * m)
+        out.append(mats.reshape(c, m, m))
+    # a single chunk is returned without a copy
+    return out[0] if len(out) == 1 else np.concatenate(out)
 
 
 def _check_projectors(pis: np.ndarray, model: ModelSpace) -> None:
@@ -322,10 +299,9 @@ def _lueders_filters(pis, model: ModelSpace) -> list[Filter]:
     """
     pis = np.asarray(pis)
     _check_projectors(pis, model)
-    pattern = _joint_pattern(pis)
-    mats = _conjugation_matrices(pis, model, pattern)
+    plan = _plan_for(pis, model)
+    mats = _conjugation_matrices(pis, model, plan)
     mats.flags.writeable = False
-    blocks = _coordinate_blocks(model.d, model._matrix_dtype, pattern)
 
     @cache
     def complements() -> np.ndarray:
@@ -335,7 +311,7 @@ def _lueders_filters(pis, model: ModelSpace) -> list[Filter]:
         out.flags.writeable = False
         return out
 
-    return [Filter(mat, lambda i=i: complements()[i], blocks) for i, mat in enumerate(mats)]
+    return [Filter(mat, lambda i=i: complements()[i], plan.blocks) for i, mat in enumerate(mats)]
 
 
 def _mask_filters(pis, model: ModelSpace) -> list[Filter]:

@@ -177,13 +177,12 @@ class TestEmbed:
                 "print(g.hermitian_basis.cache_info().currsize, "
                 "g.basis_entries.cache_info().currsize, "
                 "m._conjugation_plan.cache_info().currsize, "
-                "m._coordinate_blocks.cache_info().currsize, "
                 "i._product_table.cache_info().currsize, "
                 "len(m._slit_systems))")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env=env)
-        assert out.stdout.split() == ["0"] * 6
+        assert out.stdout.split() == ["0"] * 5
 
 
 class TestBatchedDraws:

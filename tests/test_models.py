@@ -449,6 +449,12 @@ def kernel_families():
         for r in (1, d // 2):
             stack = np.array([random_projector(d, r, rng) for _ in range(7)])
             out.append((f"dense-q{d}-rank{r}", model, stack))
+    # the longest sequential sums: every entry of C sums a term of each
+    # basis entry of its element, and every output entry ~2.5 d^2 of C
+    for build, kind, d, complex_ in ((build_quantum_model, "q", 16, True),
+                                     (build_real_quantum_model, "rq", 10, False)):
+        stack = np.array([random_projector(d, d // 2, rng, complex_) for _ in range(7)])
+        out.append((f"dense-{kind}{d}-rank{d // 2}", build(d), stack))
     return out
 
 
@@ -464,6 +470,24 @@ class TestKernelAgainstSupportKernel:
         for stack in (pis, np.eye(pis.shape[1]) - pis):
             assert _conjugation_matrices(stack, model).tobytes() == \
                 support_kernel(stack, model).tobytes()
+
+    def test_byte_identical_across_chunks(self, monkeypatch):
+        # chunks of one and of two projectors: the row offsets of the plan's
+        # flat indices and a last chunk shorter than the others
+        from sorkinlab import models
+
+        for _, model, pis in kernel_families():
+            for stack in (pis, np.eye(pis.shape[1]) - pis):
+                size = models._plan_for(stack, model).c_size
+                for rows in (1, 2):
+                    monkeypatch.setattr(models, "CHUNK_ELEMENTS", rows * size)
+                    models._conjugation_plan.cache_clear()
+                    try:
+                        assert models._plan_for(stack, model).rows == rows
+                        assert models._conjugation_matrices(stack, model).tobytes() == \
+                            support_kernel(stack, model).tobytes()
+                    finally:
+                        models._conjugation_plan.cache_clear()
 
     def test_bookkeeping_is_shared_and_read_only(self):
         from sorkinlab.models import _conjugation_plan
