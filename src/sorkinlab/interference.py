@@ -362,6 +362,10 @@ class Prop1Report:
     """Residuals and verdicts for the three equivalent no-third-order
     conditions: sampled sup |I3|, the operator gap, and the span defect.
 
+    samples_used is the number of random state/effect pairs that sup_abs_i3
+    is the supremum over; on a system whose defect operator is exactly zero
+    none of them is drawn, since each pair's I3 is +0.0 (see prop1_verify).
+
     Each verdict compares its residual against EPS_PROP, an absolute 1e-8.
     The operator gap is the Frobenius norm of an m x m matrix, so its
     rounding noise grows with m (m = d^2 for quantum:d); the tolerance does
@@ -411,9 +415,15 @@ def prop1_verify(ss: SlitSystem, n_samples: int = 500, seed: int = 0) -> Prop1Re
     system all three verdicts must agree.  The operator gap and the span
     defect are properties of the system, computed once per system; only
     the samples are drawn per call.
+
+    samples_used counts the samples that sup_abs_i3 is the supremum over.
+    When the defect operator is exactly zero (no nonzero_defect_blocks),
+    every sample's I3 is the empty sum +0.0 whatever was drawn, so no pair
+    is drawn and the supremum over the n_samples samples is 0.0.
     """
     sup_i3 = 0.0
-    for states, effects in random_pairs(ss.model, n_samples, seed):
+    pairs = random_pairs(ss.model, n_samples, seed) if ss.nonzero_defect_blocks else ()
+    for states, effects in pairs:
         i3 = 0.0
         # blocks where the defect is zero add exact zeros to the sum
         for at, defect in ss.nonzero_defect_blocks:

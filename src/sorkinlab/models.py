@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -145,10 +145,47 @@ def _coordinate_blocks(d: int, dtype, block: np.ndarray) -> tuple:
     return tuple(groups)
 
 
+class _LRUCache(OrderedDict):
+    """key -> (value, bytes), least recently used first, keeping at most
+    max_entries values and max_bytes bytes of them.  A value larger than
+    max_bytes is returned but not kept; a build that raises keeps nothing."""
+
+    def __init__(self, max_entries: int, max_bytes: int):
+        super().__init__()
+        self.max_entries, self.max_bytes = max_entries, max_bytes
+
+    def lookup(self, key, build, nbytes):
+        """The value kept under key, else build(), kept if it fits and
+        sized by nbytes(value)."""
+        if key in self:
+            self.move_to_end(key)
+            return self[key][0]
+        value = build()
+        size = nbytes(value)
+        if size <= self.max_bytes:
+            self[key] = (value, size)
+            while (len(self) > self.max_entries
+                   or sum(n for _, n in self.values()) > self.max_bytes):
+                self.popitem(last=False)
+        return value
+
+
 # A plan depends only on the basis, the joint nonzero pattern of the stack
 # and the stack's size (its chunk), and a family's projections and
-# complements have one pattern each: a few plans serve a process.
-@lru_cache(maxsize=32)
+# complements have one pattern each: a few plans serve a process.  A dense
+# plan's index arrays grow as d^4 (36 MB at quantum:24), so the cache is
+# bounded in bytes as well.
+PLAN_CACHE_ENTRIES = 32
+PLAN_CACHE_BYTES = 64 << 20
+_plans = _LRUCache(PLAN_CACHE_ENTRIES, PLAN_CACHE_BYTES)  # (d, dtype, pattern, n) -> plan
+
+
+def _plan_bytes(plan: _ConjugationPlan) -> int:
+    """The bytes of a plan's index and value arrays and of its partition."""
+    arrays = [a for a in vars(plan).values() if isinstance(a, np.ndarray)]
+    return sum(a.nbytes for a in arrays + [a for group in plan.blocks for a in group])
+
+
 def _conjugation_plan(d: int, dtype, pattern: bytes, n: int) -> _ConjugationPlan:
     on = np.frombuffer(pattern, dtype=bool).reshape(d, d)
     m = len(hermitian_basis(d, dtype))
@@ -207,8 +244,10 @@ def _joint_pattern(pis: np.ndarray) -> bytes:
 
 
 def _plan_for(pis: np.ndarray, model: ModelSpace) -> _ConjugationPlan:
-    """The conjugation plan of a stack of projectors in a matrix model."""
-    return _conjugation_plan(model.d, model._matrix_dtype, _joint_pattern(pis), len(pis))
+    """The conjugation plan of a stack of projectors in a matrix model, kept
+    in _plans."""
+    key = (model.d, model._matrix_dtype, _joint_pattern(pis), len(pis))
+    return _plans.lookup(key, lambda: _conjugation_plan(*key), _plan_bytes)
 
 
 def _conjugation_matrices(
@@ -358,7 +397,7 @@ def subset_filters(pis, model: ModelSpace) -> dict[frozenset, Filter]:
 # recently used first.  The bounds count projections plus complements.
 SYSTEM_CACHE_ENTRIES = 8
 SYSTEM_CACHE_BYTES = 16 << 20
-_slit_systems: OrderedDict = OrderedDict()  # key -> (SlitSystem, bytes)
+_slit_systems = _LRUCache(SYSTEM_CACHE_ENTRIES, SYSTEM_CACHE_BYTES)
 
 
 def projector_slit_system(pis, model: ModelSpace) -> SlitSystem:
@@ -379,17 +418,11 @@ def projector_slit_system(pis, model: ModelSpace) -> SlitSystem:
         return slit_system(model, subset_filters(pis, model))
     pis = np.ascontiguousarray(pis)
     key = (model.kind, model.d, model.label, pis.dtype.str, pis.shape, pis.tobytes())
-    if key in _slit_systems:
-        _slit_systems.move_to_end(key)
-        return _slit_systems[key][0]
-    ss = slit_system(model, subset_filters(pis, model))
-    size = 2 * sum(f.projection.nbytes for f in ss.derived.values())
-    if size <= SYSTEM_CACHE_BYTES:
-        _slit_systems[key] = (ss, size)
-        while (len(_slit_systems) > SYSTEM_CACHE_ENTRIES
-               or sum(n for _, n in _slit_systems.values()) > SYSTEM_CACHE_BYTES):
-            _slit_systems.popitem(last=False)
-    return ss
+    return _slit_systems.lookup(
+        key,
+        lambda: slit_system(model, subset_filters(pis, model)),
+        lambda ss: 2 * sum(f.projection.nbytes for f in ss.derived.values()),
+    )
 
 
 # --- spin-1 Stern-Gerlach geometry ------------------------------------------

@@ -8,6 +8,7 @@ and its coordinate rows the same memory layout, because later BLAS products
 round differently at another stride.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -176,7 +177,7 @@ class TestEmbed:
                 "sorkinlab.interference as i; "
                 "print(g.hermitian_basis.cache_info().currsize, "
                 "g.basis_entries.cache_info().currsize, "
-                "m._conjugation_plan.cache_info().currsize, "
+                "len(m._plans), "
                 "i._product_table.cache_info().currsize, "
                 "len(m._slit_systems))")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
@@ -405,3 +406,134 @@ def test_zero_samples_run(capsys, command):
     out = json.loads(capsys.readouterr().out)
     if command == "prop1":
         assert (out["samples_used"], out["sup_abs_i3"]) == (0, 0.0)
+
+
+def drawing_prop1_verify(ss, n_samples, seed):
+    """Reference: prop1_verify drawing every pair, whatever the defect."""
+    sup_i3 = 0.0
+    for states, effects in random_pairs(ss.model, n_samples, seed):
+        i3 = 0.0
+        for at, defect in ss.nonzero_defect_blocks:
+            s, e = sl.interference._block_coords(states, at), \
+                sl.interference._block_coords(effects, at)
+            v = np.matmul(defect, s[..., None])
+            i3 = i3 + np.matmul(e[..., None, :], v)[..., 0, 0].sum(axis=1)
+        sup_i3 = max(sup_i3, float(np.abs(i3).max()))
+    gap, span = ss.operator_gap, ss.span_defect
+    verdicts = (sup_i3 <= gpt.EPS_PROP, gap <= gpt.EPS_PROP, span <= gpt.EPS_PROP)
+    return sl.Prop1Report(sup_abs_i3=sup_i3, operator_gap=gap, span_defect=span,
+                          verdicts=verdicts, consistent=len(set(verdicts)) == 1,
+                          samples_used=n_samples, seed=seed)
+
+
+def assert_same_report(got, want):
+    """Field for field, floats by their bits."""
+    for field in dataclasses.fields(want):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(w, float):
+            assert (field.name, g.hex()) == (field.name, w.hex())
+        else:
+            assert (field.name, g) == (field.name, w)
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The states and effects drawn, and the calls of _random_matrices."""
+    counts = {"states": 0, "effects": 0, "matrices": 0}
+    draw, matrices = gpt._draw, gpt._random_matrices
+
+    def counted_draw(model, seeds, effect):
+        counts["effects" if effect else "states"] += len(seeds)
+        return draw(model, seeds, effect)
+
+    def counted_matrices(model, seeds, effect):
+        counts["matrices"] += 1
+        return matrices(model, seeds, effect)
+
+    monkeypatch.setattr(gpt, "_draw", counted_draw)
+    monkeypatch.setattr(gpt, "_random_matrices", counted_matrices)
+    return counts
+
+
+def spin1_axis_system(axis):
+    slits, _ = sl.spin1_feynman_setup([float(a) for a in axis.split(",")], [0, 0, 1])
+    return sl.projector_slit_system(slits, build_quantum_model(3))
+
+
+def basis_slit_system(kind, d):
+    if kind == "classical":
+        model = sl.build_classical_model(d)
+    else:
+        model = build(kind, d)
+    dtype = complex if kind == "quantum" else float
+    return sl.projector_slit_system(basis_projectors(d, dtype)[:3], model)
+
+
+def bumped(kind, d, norm, seed):
+    """Basis slits with P_123 moved by a rank-1 bump of Frobenius norm `norm`."""
+    ss = basis_slit_system(kind, d)
+    v = np.random.default_rng(seed).standard_normal(ss.model.dimension)
+    v /= np.linalg.norm(v)
+    return ss.with_triple_perturbation(norm * np.outer(v, v))
+
+
+def dense_system(d, rank, seed):
+    """Three pairwise-orthogonal random rank-`rank` slits, dense in the
+    computational basis."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    cols = [q[:, i * rank:(i + 1) * rank] for i in range(3)]
+    return sl.projector_slit_system([c @ c.conj().T for c in cols], build_quantum_model(d))
+
+
+ZERO_DEFECT = (
+    [(f"{kind}{d}-basis", lambda kind=kind, d=d: basis_slit_system(kind, d))
+     for kind in ("quantum", "real_quantum") for d in (3, 6, 10, 16)]
+    + [(f"classical{d}", lambda d=d: basis_slit_system("classical", d)) for d in (3, 4, 5, 6)]
+    + [("spin1-0,0,1", lambda: spin1_axis_system("0,0,1")),
+       ("qutrit-fixture", lambda: sl.fixtures.qutrit_fixture()[1]),
+       ("real-qutrit-fixture", lambda: sl.fixtures.qutrit_fixture(float)[1]),
+       ("classical-fixture", lambda: sl.fixtures.classical_fixture()[1])]
+)
+NONZERO_DEFECT = [
+    ("spin1-0.6,0,0.8", lambda: spin1_axis_system("0.6,0,0.8")),
+    ("spin1-0.48,-0.6,0.64", lambda: spin1_axis_system("0.48,-0.6,0.64")),
+    ("quantum3-bump-1e-10", lambda: bumped("quantum", 3, 1e-10, 1)),
+    ("quantum16-bump-1e-10", lambda: bumped("quantum", 16, 1e-10, 2)),
+    ("real_quantum6-bump-1e-4", lambda: bumped("real_quantum", 6, 1e-4, 3)),
+    ("quantum4-dense-rank1", lambda: dense_system(4, 1, 4)),
+    ("quantum6-dense-rank1", lambda: dense_system(6, 1, 5)),
+    ("quantum6-dense-rank2", lambda: dense_system(6, 2, 6)),
+    ("q4-subspace-fixture", lambda: quantum4_subspace_fixture()[1]),
+]
+
+
+class TestProp1Draws:
+    """prop1_verify draws pairs only where the defect operator has a
+    nonzero entry; its report is the always-drawing reference's."""
+
+    @pytest.mark.parametrize("system", [s[1] for s in ZERO_DEFECT],
+                             ids=[s[0] for s in ZERO_DEFECT])
+    def test_zero_defect_draws_nothing(self, draws, system):
+        ss = system()
+        assert ss.nonzero_defect_blocks == []
+        rep = sl.prop1_verify(ss, n_samples=50, seed=7)
+        assert draws == {"states": 0, "effects": 0, "matrices": 0}
+        assert_same_report(rep, drawing_prop1_verify(ss, 50, 7))
+        assert (rep.samples_used, rep.sup_abs_i3) == (50, 0.0)
+        assert draws["states"] == draws["effects"] == 50  # the reference did draw
+
+    @pytest.mark.parametrize("n_samples", [0, 1, 37])
+    @pytest.mark.parametrize("system", [s[1] for s in NONZERO_DEFECT],
+                             ids=[s[0] for s in NONZERO_DEFECT])
+    def test_nonzero_defect_draws_every_pair(self, draws, system, n_samples):
+        ss = system()
+        assert ss.nonzero_defect_blocks
+        rep = sl.prop1_verify(ss, n_samples=n_samples, seed=8)
+        assert (draws["states"], draws["effects"]) == (n_samples, n_samples)
+        assert (draws["matrices"] > 0) == (n_samples > 0)
+        assert_same_report(rep, drawing_prop1_verify(ss, n_samples, 8))
+        if n_samples == 0:
+            assert (rep.samples_used, rep.sup_abs_i3) == (0, 0.0)
+        else:
+            assert rep.sup_abs_i3 > 0.0

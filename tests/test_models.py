@@ -481,29 +481,61 @@ class TestKernelAgainstSupportKernel:
                 size = models._plan_for(stack, model).c_size
                 for rows in (1, 2):
                     monkeypatch.setattr(models, "CHUNK_ELEMENTS", rows * size)
-                    models._conjugation_plan.cache_clear()
+                    models._plans.clear()
                     try:
                         assert models._plan_for(stack, model).rows == rows
                         assert models._conjugation_matrices(stack, model).tobytes() == \
                             support_kernel(stack, model).tobytes()
                     finally:
-                        models._conjugation_plan.cache_clear()
+                        models._plans.clear()
 
     def test_bookkeeping_is_shared_and_read_only(self):
+        from sorkinlab import models
         from sorkinlab.models import _conjugation_plan
 
         model = build_quantum_model(5)
-        subset_filters(basis_projectors(5)[:3], model)
-        before = _conjugation_plan.cache_info()
-        subset_filters(basis_projectors(5)[:3], model)
-        after = _conjugation_plan.cache_info()
-        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-        assert after.maxsize is not None
+        first = subset_filters(basis_projectors(5)[:3], model)
+        kept = len(models._plans)
+        again = subset_filters(basis_projectors(5)[:3], model)
+        assert len(models._plans) == kept
+        # a hit hands the second family the first one's plan, and its partition
+        assert next(iter(again.values())).blocks is next(iter(first.values())).blocks
         pattern = np.zeros((5, 5), dtype=bool)
         pattern[[0, 1, 2], [0, 1, 2]] = True
         plan = _conjugation_plan(5, complex, pattern.tobytes(), 7)
         arrays = [a for a in vars(plan).values() if isinstance(a, np.ndarray)]
         assert arrays and not any(a.flags.writeable for a in arrays)
+
+    def test_dense_plans_stay_within_the_byte_bound(self):
+        # a dense quantum:24 plan holds ~36 MB of index arrays; stacks of
+        # 1..33 projectors are 33 distinct keys, one more than the entry bound
+        from sorkinlab import models
+
+        model = build_quantum_model(24)
+        rng = np.random.default_rng(12)
+        stack = np.array([random_projector(24, 1, rng) for _ in range(33)])
+        models._plans.clear()
+        try:
+            for n in range(1, 34):
+                plan = models._plan_for(stack[:n], model)
+                kept = [p for p, _ in models._plans.values()]
+                assert sum(map(models._plan_bytes, kept)) <= models.PLAN_CACHE_BYTES
+                assert kept[-1] is plan and models._plan_for(stack[:n], model) is plan
+            assert models._plan_bytes(plan) > models.PLAN_CACHE_BYTES // 2
+            assert len(kept) == 1
+        finally:
+            models._plans.clear()
+
+    @pytest.mark.parametrize("name", ["quantum6-basis", "quantum10-basis", "quantum16-basis",
+                                      "spin1-0.48,-0.6,0.64", "spin1-0,0,1"])
+    def test_basis_and_spin1_plans_are_kept(self, name):
+        from sorkinlab import models
+
+        model, pis = next((m, p) for n, m, p in kernel_families() if n == name)
+        models._plans.clear()
+        for stack in (pis, np.eye(pis.shape[1]) - pis):
+            plan = models._plan_for(stack, model)
+            assert models._plan_for(stack, model) is plan
 
 
 def orthogonal_projectors(d, ranks, rng, complex_=True):
