@@ -44,14 +44,7 @@ from .interference import (
     subset_key,
     table_from_system,
 )
-from .models import (
-    basis_projectors,
-    build_classical_model,
-    build_quantum_model,
-    build_real_quantum_model,
-    projector_slit_system,
-    spin1_feynman_setup,
-)
+from .models import basis_projectors, model_builder, projector_slit_system, spin1_feynman_setup
 from .experiment import ExperimentPlan, estimate_i3, record_from_table, run_experiment
 from .tomography import tomography_roundtrip
 
@@ -80,15 +73,8 @@ def resolve_model(spec: str) -> tuple[ModelSpace, dict]:
         n = int(arg)
     except ValueError:
         raise InputError(f"bad model spec {spec!r}")
-    builders = {
-        "quantum": build_quantum_model,
-        "real_quantum": build_real_quantum_model,
-        "classical": build_classical_model,
-    }
-    if kind not in builders:
-        raise InputError(f"unknown model kind {kind!r}")
     try:
-        return builders[kind](n), {}
+        return model_builder(kind)(n), {}
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -253,10 +239,20 @@ def _print(text: str) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
+def _write(path: str, text: str) -> None:
+    """Write an output file (--out, --csv-out); a path that cannot be
+    written, such as one in a missing directory or a directory, is bad
+    input."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def emit(payload: dict, args) -> None:
     text = serialize.dumps(payload)
     if getattr(args, "out", None):
-        Path(args.out).write_text(text + "\n")
+        _write(args.out, text + "\n")
         print(f"# wrote {args.out} at {time.strftime('%Y-%m-%dT%H:%M:%S')}", file=sys.stderr)
     else:
         _print(text)
@@ -360,8 +356,8 @@ def cmd_experiment(args) -> int:
             record = run_experiment(plan)
         except ValueError as exc:  # a source state giving probabilities outside [0, 1]
             raise InputError(str(exc)) from exc
-    if args.csv_out:
-        Path(args.csv_out).write_text(serialize.record_to_csv(record))
+    if args.csv_out:  # written before the JSON payload
+        _write(args.csv_out, serialize.record_to_csv(record))
     emit({"estimate": estimate_i3(record).to_dict(), "record": serialize.record_to_dict(record)},
          args)
     return 0

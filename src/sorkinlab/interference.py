@@ -131,35 +131,29 @@ class SlitSystem:
 
     @cached_property
     def defect_blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The defect operator on the blocks of projection_blocks, per block
-        width: the blocks (n_blocks, w) and the defect's diagonal blocks
-        there, (n_blocks, w, w), read-only.  The defect is zero off them."""
+        """The defect operator on the blocks of projection_blocks where it is
+        nonzero, per block width: the blocks (n_blocks, w) and the defect's
+        diagonal blocks there, (n_blocks, w, w), read-only.  The defect is
+        +0.0 off them (see defect_operator); the list is empty when the
+        defect operator is zero."""
         out = []
-        for blocks, stack in self.projection_blocks:
+        for coords, stack in self.projection_blocks:
             mats = dict(zip(self.derived, stack))
             defect = mats[self.top] - _p3(mats, self.k)
-            defect.flags.writeable = False
-            out.append((blocks, defect))
-        return out
-
-    @cached_property
-    def nonzero_defect_blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """defect_blocks without the blocks where the defect is zero."""
-        out = []
-        for coords, defect in self.defect_blocks:
             on = defect.any(axis=(1, 2))
-            if on.all():
+            if on.any():
+                if not on.all():
+                    coords, defect = coords[on], defect[on]
+                defect.flags.writeable = False
                 out.append((coords, defect))
-            elif on.any():
-                out.append((coords[on], defect[on]))
         return out
 
     @cached_property
     def operator_gap(self) -> float:
-        """The Frobenius norm of the defect operator; zero blocks add exact
-        zeros to it."""
+        """The Frobenius norm of the defect operator; the zero blocks left
+        out of defect_blocks would add exact zeros to it."""
         return float(np.sqrt(sum(np.dot(d.ravel(), d.ravel())
-                                 for _, d in self.nonzero_defect_blocks)))
+                                 for _, d in self.defect_blocks)))
 
     @cached_property
     def span_defect(self) -> float:
@@ -323,10 +317,11 @@ def defect_operator(ss: SlitSystem) -> np.ndarray:
     """P_[k] minus p3_operator, the operator of I_k: zero iff no k-th order
     interference.
 
-    It is formed block by block of ss.defect_blocks; each entry is the same
-    signed sum of the same filter entries as in the dense formula, and the
-    dense formula gives +0.0 wherever every filter is zero, so the bytes are
-    those of the dense formula.
+    It is ss.defect_blocks scattered into zeros.  Each entry there is the
+    same signed sum of the same filter entries as in the dense formula.
+    Everywhere else the dense formula gives +0.0 too: P_[k] - p3 is -0.0
+    only where p3 is +0.0, that is where the signed sum is -0.0, and a sum
+    started at +0.0 never is.  So the bytes are those of the dense formula.
     """
     m = ss.model.dimension
     out = np.zeros((m, m))
@@ -417,16 +412,16 @@ def prop1_verify(ss: SlitSystem, n_samples: int = 500, seed: int = 0) -> Prop1Re
     the samples are drawn per call.
 
     samples_used counts the samples that sup_abs_i3 is the supremum over.
-    When the defect operator is exactly zero (no nonzero_defect_blocks),
+    When the defect operator is exactly zero (no defect_blocks),
     every sample's I3 is the empty sum +0.0 whatever was drawn, so no pair
     is drawn and the supremum over the n_samples samples is 0.0.
     """
     sup_i3 = 0.0
-    pairs = random_pairs(ss.model, n_samples, seed) if ss.nonzero_defect_blocks else ()
+    pairs = random_pairs(ss.model, n_samples, seed) if ss.defect_blocks else ()
     for states, effects in pairs:
         i3 = 0.0
-        # blocks where the defect is zero add exact zeros to the sum
-        for at, defect in ss.nonzero_defect_blocks:
+        # blocks where the defect is zero would add exact zeros to the sum
+        for at, defect in ss.defect_blocks:
             # effect . (defect state) per block, as rowdots of matvecs
             s, e = _block_coords(states, at), _block_coords(effects, at)
             v = np.matmul(defect, s[..., None])

@@ -52,6 +52,18 @@ def build_classical_model(n: int) -> ModelSpace:
     return ModelSpace("classical", n)
 
 
+def model_builder(kind: str):
+    """The builder of a built-in model kind: 'quantum', 'real_quantum' or
+    'classical'.  The builders are read from this module's names on each
+    call, so a wrapper rebound over one of those names is what is returned.
+    Raises ValueError on any other kind."""
+    builders = {"quantum": build_quantum_model, "real_quantum": build_real_quantum_model,
+                "classical": build_classical_model}
+    if kind not in builders:
+        raise ValueError(f"unknown model kind {kind!r}")
+    return builders[kind]
+
+
 def _cmul(xr, xi, yr, yi):
     """Complex product from separately rounded real products, as numpy's
     einsum forms it (numpy's complex multiply may fuse them)."""
@@ -363,11 +375,6 @@ def _mask_filters(pis, model: ModelSpace) -> list[Filter]:
     if not (np.isin(pis, (0, 1)) & (pis == pis * np.eye(n))).all():
         raise NotAProjection("classical slits must be diagonal 0/1 matrices")
     return [Filter(p, np.eye(n) - p) for p in pis.real.astype(float)]
-
-
-def lueders_filter(pi: np.ndarray, model: ModelSpace) -> Filter:
-    """Filter pair (conjugation by Pi, conjugation by I - Pi)."""
-    return _lueders_filters([pi], model)[0]
 
 
 def basis_projectors(d: int, dtype=complex) -> list[np.ndarray]:

@@ -14,18 +14,9 @@ import json
 import numpy as np
 
 from .gpt import Filter, ModelSpace
-from .models import (
-    build_classical_model,
-    build_quantum_model,
-    build_real_quantum_model,
-)
+from .models import model_builder
 from .experiment import ExperimentRecord
 from .interference import ProbabilityTable, all_subsets, subset_key
-
-
-def hermitian_to_dict(mat: np.ndarray) -> dict:
-    mat = np.asarray(mat, dtype=complex)
-    return {"re": mat.real.tolist(), "im": mat.imag.tolist()}
 
 
 def read_numbers(value) -> np.ndarray:
@@ -102,13 +93,7 @@ def model_from_dict(d: dict) -> tuple[ModelSpace, dict]:
     m = read_int(d["dimension"], "dimension")
     if type(d.get("label", "")) is not str:
         raise ValueError(f"label = {d['label']!r} is not a string")
-    if kind == "quantum":
-        model = build_quantum_model(read_int(cone["d"], "d"))
-    elif kind == "real_quantum":
-        model = build_real_quantum_model(read_int(cone["d"], "d"))
-    elif kind == "classical":
-        model = build_classical_model(read_int(cone["n"], "n"))
-    elif kind == "custom":
+    if kind == "custom":
         gens, u = read_numbers(cone["generators"]), read_numbers(d["order_unit"])
         if gens.ndim != 2 or gens.shape[0] < 1 or gens.shape[1] != m:
             raise ValueError(f"generators are {gens.shape}, not an (n >= 1, {m}) array")
@@ -120,7 +105,8 @@ def model_from_dict(d: dict) -> tuple[ModelSpace, dict]:
             raise ValueError("order_unit @ g must be finite and positive for every generator g")
         model = ModelSpace("custom", generators=gens, order_unit=u)
     else:
-        raise ValueError(f"unknown cone type {kind!r}")
+        size = "n" if kind == "classical" else "d"
+        model = model_builder(kind)(read_int(cone[size], size))
     if "label" in d:
         model.label = d["label"]
     if m != model.dimension:
@@ -189,19 +175,6 @@ def record_to_dict(record: ExperimentRecord) -> dict:
         "plan_hash": record.plan_hash,
         "counts": {subset_key(J): record.counts[J].tolist() for J in record.settings},
     }
-
-
-def record_from_dict(d: dict) -> ExperimentRecord:
-    counts = {
-        frozenset(int(c) for c in key): np.array(v, dtype=np.int64)
-        for key, v in d["counts"].items()
-    }
-    return ExperimentRecord(
-        counts=counts,
-        shots_per_setting=int(d["shots_per_setting"]),
-        seed=int(d["seed"]),
-        plan_hash=d.get("plan_hash", ""),
-    )
 
 
 def dumps(payload: dict) -> str:

@@ -413,7 +413,7 @@ def drawing_prop1_verify(ss, n_samples, seed):
     sup_i3 = 0.0
     for states, effects in random_pairs(ss.model, n_samples, seed):
         i3 = 0.0
-        for at, defect in ss.nonzero_defect_blocks:
+        for at, defect in ss.defect_blocks:
             s, e = sl.interference._block_coords(states, at), \
                 sl.interference._block_coords(effects, at)
             v = np.matmul(defect, s[..., None])
@@ -516,7 +516,7 @@ class TestProp1Draws:
                              ids=[s[0] for s in ZERO_DEFECT])
     def test_zero_defect_draws_nothing(self, draws, system):
         ss = system()
-        assert ss.nonzero_defect_blocks == []
+        assert ss.defect_blocks == []
         rep = sl.prop1_verify(ss, n_samples=50, seed=7)
         assert draws == {"states": 0, "effects": 0, "matrices": 0}
         assert_same_report(rep, drawing_prop1_verify(ss, 50, 7))
@@ -528,7 +528,7 @@ class TestProp1Draws:
                              ids=[s[0] for s in NONZERO_DEFECT])
     def test_nonzero_defect_draws_every_pair(self, draws, system, n_samples):
         ss = system()
-        assert ss.nonzero_defect_blocks
+        assert ss.defect_blocks
         rep = sl.prop1_verify(ss, n_samples=n_samples, seed=8)
         assert (draws["states"], draws["effects"]) == (n_samples, n_samples)
         assert (draws["matrices"] > 0) == (n_samples > 0)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,6 +201,10 @@ class TestValidate:
         ["prop1", "--model", OVERFLOWING_CONE, "--slits", "from-model"],
         ["interference", "--model", OVERFLOWING_CONE, "--slits", "from-model",
          "--state", "random:1", "--effect", "random:2"],
+        ["validate", "--out", Path("missing/out.json")],
+        ["validate", "--out", Path(".")],
+        ["experiment", "--shots", "100", "--csv-out", Path("missing/run.csv")],
+        ["experiment", "--shots", "100", "--csv-out", Path(".")],
     ],
     ids=["state-dimension", "classical-state-dimension", "negative-shots",
          "table-negative-shots", "state-seed-not-integer",
@@ -226,14 +231,32 @@ class TestValidate:
          "experiment-shots-2^63", "table-shots-1e20", "tomography-shots-1e20",
          "experiment-label-int", "validate-label-int", "filter-nan", "complement-infinity",
          "validate-pairing-overflows", "prop1-pairing-overflows",
-         "interference-pairing-overflows"],
+         "interference-pairing-overflows", "out-in-missing-directory", "out-is-a-directory",
+         "csv-out-in-missing-directory", "csv-out-is-a-directory"],
 )
 def test_bad_arguments_are_input_errors(capsys, tmp_path, argv):
-    # a JSON value in argv stands for a file holding it
-    argv = [arg if isinstance(arg, str) else _json_file(tmp_path, arg) for arg in argv]
+    # a JSON value in argv stands for a file holding it, a Path for that path
+    # under tmp_path (Path(".") for tmp_path itself)
+    argv = [arg if isinstance(arg, str) else str(tmp_path / arg) if isinstance(arg, Path)
+            else _json_file(tmp_path, arg) for arg in argv]
     code, out = run(capsys, *argv)
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("bad", ["--out", "--csv-out"])
+def test_unwritable_output_keeps_what_was_written_before(capsys, tmp_path, bad):
+    # experiment writes the CSV first, then the JSON payload
+    paths = {"--out": tmp_path / "run.json", "--csv-out": tmp_path / "run.csv"}
+    argv = ["experiment", "--shots", "100"]
+    for flag, path in paths.items():
+        argv += [flag, str(tmp_path / "missing" / path.name if flag == bad else path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: cannot write ") and captured.err.count("\n") == 1
+    assert paths["--csv-out"].exists() == (bad == "--out")
+    assert not paths["--out"].exists()
 
 
 def test_largest_shots_run(capsys):
@@ -330,7 +353,8 @@ class TestInterference:
     def test_qutrit_matrix_files(self, capsys, tmp_path):
         psi = np.ones(3, dtype=complex) / np.sqrt(3.0)
         path = tmp_path / "qutrit.json"
-        path.write_text(json.dumps(serialize.hermitian_to_dict(np.outer(psi, psi.conj()))))
+        rho = np.outer(psi, psi.conj())
+        path.write_text(json.dumps({"re": rho.real.tolist(), "im": rho.imag.tolist()}))
         code, out = run(capsys, "interference", "--state", str(path), "--effect", str(path))
         assert code == 0
         assert out == run(capsys, "interference")[1]
@@ -575,6 +599,13 @@ def generated_argv(draw, files):
     if model == custom or draw(st.booleans()):
         argv += ["--slits", draw(slits)]
     argv += ["--seed", draw(st.integers(-1, 9).map(str))]
+    # an output file, one in a missing directory, or a directory
+    out = st.sampled_from([str(directory / "out"), str(directory / "missing" / "out"),
+                           str(directory)])
+    if draw(st.booleans()):
+        argv += ["--out", draw(out)]
+    if command == "experiment" and draw(st.booleans()):
+        argv += ["--csv-out", draw(out)]
     vector = st.sampled_from(ARGV_VECTORS + paths)
     if command in ("validate", "prop1"):
         argv += ["--samples", draw(count)]

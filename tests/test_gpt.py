@@ -10,12 +10,16 @@ from sorkinlab.gpt import EPS_RANK_REL, orthonormal_column_basis, sample_states
 from sorkinlab.models import (
     build_classical_model,
     build_quantum_model,
-    lueders_filter,
     subset_filters,
 )
 
 PSI = np.ones(3, dtype=complex) / np.sqrt(3.0)
 PSI_PROJ = np.outer(PSI, PSI.conj())
+
+
+def one_slit_filter(pi, model):
+    """The Lueders filter pair of one projector, as subset_filters builds it."""
+    return subset_filters([pi], model)[frozenset({1})]
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +71,7 @@ class TestApply:
     def test_quantum_conjugation(self, q3):
         # oracle: Pi12 |psi><psi| Pi12 = (1/3)(|0>+|1>)(<0|+<1|)
         pi12 = np.diag([1.0, 1.0, 0.0]).astype(complex)
-        t = lueders_filter(pi12, q3).projection
+        t = one_slit_filter(pi12, q3).projection
         s = q3.embed(PSI_PROJ)
         expected = q3.embed(pi12 @ PSI_PROJ @ pi12)
         np.testing.assert_allclose(t @ s, expected, atol=1e-12)
@@ -87,7 +91,7 @@ class TestApply:
         model = build_quantum_model(3)
         s1 = sl.random_state(model, [seed, 0])
         s2 = sl.random_state(model, [seed, 1])
-        t = lueders_filter(np.diag([1.0, 1.0, 0.0]).astype(complex), model).projection
+        t = one_slit_filter(np.diag([1.0, 1.0, 0.0]).astype(complex), model).projection
         combo = a * s1 + b * s2
         lhs = t @ combo
         rhs = a * (t @ s1) + b * (t @ s2)
@@ -110,7 +114,7 @@ class TestConditionalState:
         pi12 = np.diag([1.0, 1.0, 0.0]).astype(complex)
         s = q3.embed(PSI_PROJ)
         p = float(q3.embed(pi12) @ s)
-        out = (lueders_filter(pi12, q3).projection @ s) / p
+        out = (one_slit_filter(pi12, q3).projection @ s) / p
         expected = q3.embed(pi12 @ PSI_PROJ @ pi12 / np.trace(pi12 @ PSI_PROJ).real)
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
@@ -125,7 +129,7 @@ class TestConditionalState:
         pi = np.diag([1.0, 0.0, 0.0]).astype(complex)
         for seed in range(10):
             s = sl.random_state(q3, seed)
-            passed = lueders_filter(pi, q3).projection @ s
+            passed = one_slit_filter(pi, q3).projection @ s
             p = float(q3.embed(pi) @ s)
             assert q3.order_unit @ passed == pytest.approx(p, abs=1e-10)
 
@@ -133,7 +137,7 @@ class TestConditionalState:
 class TestValidateFilter:
     def test_quantum_rank1_passes(self, q3):
         pi = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        rep = sl.validate_filter(lueders_filter(pi, q3), q3, sample_states(q3, 50, 1))
+        rep = sl.validate_filter(one_slit_filter(pi, q3), q3, sample_states(q3, 50, 1))
         assert rep.passed
         assert all(c.residual < 1e-10 for c in rep.checks)
 
@@ -196,12 +200,12 @@ class TestFaceOf:
 
     def test_rank1_projector_face(self, q3):
         pi = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        assert sl.face_of(lueders_filter(pi, q3)).shape == (9, 1)
+        assert sl.face_of(one_slit_filter(pi, q3)).shape == (9, 1)
 
     def test_rank2_projector_face(self, q3):
         pi = np.diag([1.0, 1.0, 0.0]).astype(complex)
         # Hermitian operators supported on a 2-dim subspace: 4 real parameters
-        assert sl.face_of(lueders_filter(pi, q3)).shape == (9, 4)
+        assert sl.face_of(one_slit_filter(pi, q3)).shape == (9, 4)
 
     def test_zero_map_rank0(self, q3):
         f = sl.Filter(np.zeros((9, 9)), np.eye(9))
@@ -214,7 +218,7 @@ class TestFaceOf:
 
     def test_basis_fixed_by_projection(self, q3):
         pi = np.diag([1.0, 1.0, 0.0]).astype(complex)
-        f = lueders_filter(pi, q3)
+        f = one_slit_filter(pi, q3)
         basis = sl.face_of(f)
         np.testing.assert_allclose(f.projection @ basis, basis, atol=1e-9)
 

@@ -1,11 +1,14 @@
 """Interference hierarchy: table and operator paths, the signed projector
 sum, defect operator, span condition, and the three-way equivalence check."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import sorkinlab as sl
+from sorkinlab import serialize
 from sorkinlab.fixtures import (
     basis_projectors,
     classical_fixture,
@@ -17,8 +20,8 @@ from sorkinlab.interference import (
     ProbabilityTable,
     _product_table,
     all_subsets,
-    signed_subset_sum,
     slit_system,
+    subset_key,
 )
 from sorkinlab.models import (
     build_classical_model,
@@ -102,9 +105,9 @@ def support_validate(ss):
 
 
 def dense_defect(ss):
-    """Reference: the defect operator from the whole m x m matrices."""
-    proper = {J: f.projection for J, f in ss.derived.items() if J != ss.top}
-    return ss.derived[ss.top].projection - -signed_subset_sum(proper, ss.k)
+    """Reference: the defect operator P_[k] - p3_operator from the whole
+    m x m matrices."""
+    return ss.derived[ss.top].projection - sl.p3_operator(ss)
 
 
 def dense_prop1_probes(ss, n_samples, seed):
@@ -380,6 +383,37 @@ class TestSpanCondition:
             assert resid < 1e-10
 
 
+def negative_zero_model_system(slits):
+    """The quantum:3 system of slits read back from a model file whose
+    filters hold -0.0 wherever they are zero."""
+    model = build_quantum_model(3)
+    named = {subset_key(J): f for J, f in subset_filters(slits, model).items()}
+    d = serialize.model_to_dict(model, named)
+    for spec in d["filters"].values():
+        for part in spec.values():
+            for row in part:
+                row[:] = [-0.0 if x == 0.0 else x for x in row]
+    text = serialize.dumps(d)
+    assert "-0.0" in text
+    model, filters = serialize.model_from_dict(json.loads(text))
+    return slit_system(model, {J: filters[subset_key(J)] for J in all_subsets(3)})
+
+
+def two_block_system():
+    """quantum:5 slits on two 2 x 2 Hilbert blocks of one width: on {0, 1}
+    Hadamard projectors, whose defect is exactly zero there, on {2, 3} a
+    rotated pair, whose defect keeps rounding; slit 3 is |4><4|."""
+    v, w = np.array([0.6, 0.8]), np.array([-0.8, 0.6])
+    pis = np.zeros((3, 5, 5), dtype=complex)
+    pis[0, :2, :2], pis[1, :2, :2] = [[0.5, 0.5], [0.5, 0.5]], [[0.5, -0.5], [-0.5, 0.5]]
+    pis[0, 2:4, 2:4], pis[1, 2:4, 2:4], pis[2, 4, 4] = np.outer(v, v), np.outer(w, w), 1.0
+    model = build_quantum_model(5)
+    ss = slit_system(model, subset_filters(list(pis), model))
+    assert [c.shape for c, _ in ss.projection_blocks][0] == (2, 4)
+    assert [c.shape for c, _ in ss.defect_blocks][0] == (1, 4)
+    return ss
+
+
 def defect_families():
     rng = np.random.default_rng(8)
     out = [(f"{kind}{d}-basis", lambda d=d, kind=kind: basis_system(d, kind))
@@ -397,6 +431,11 @@ def defect_families():
     a = rng.standard_normal((36, 36))
     out.append(("quantum6-bumped", lambda: basis_system(6).with_triple_perturbation(
         1e-4 * (a + a.T))))
+    tilted = sl.spin1_feynman_setup([0.6, 0, 0.8], [0, 0, 1])[0]
+    out += [("quantum5-one-zero-block-of-two", two_block_system),
+            ("from-model-basis-negative-zeros",
+             lambda: negative_zero_model_system(basis_projectors(3))),
+            ("from-model-spin1-negative-zeros", lambda: negative_zero_model_system(tilted))]
     return out
 
 
@@ -407,11 +446,17 @@ class TestBlockedProbes:
     @pytest.mark.parametrize("system", [f[1] for f in defect_families()],
                              ids=[f[0] for f in defect_families()])
     def test_defect_operator_bytes(self, system):
-        # each entry is the same signed sum of the same filter entries
+        # each entry is the same signed sum of the same filter entries, and
+        # off defect_blocks, which holds only nonzero blocks, the dense
+        # formula gives +0.0
         ss = system()
         got, want = sl.defect_operator(ss), dense_defect(ss)
         assert (got.dtype, got.shape, got.strides) == (want.dtype, want.shape, want.strides)
         assert got.tobytes() == want.tobytes()
+        assert (ss.defect_blocks == []) == (not want.any())
+        for _, defect in ss.defect_blocks:
+            assert defect.any(axis=(1, 2)).all()
+            assert not defect.flags.writeable
 
     @pytest.mark.parametrize("system", [f[1] for f in defect_families()],
                              ids=[f[0] for f in defect_families()])

@@ -14,7 +14,6 @@ from sorkinlab.models import (
     build_classical_model,
     build_quantum_model,
     build_real_quantum_model,
-    lueders_filter,
     subset_filters,
 )
 from sorkinlab.gpt import DimensionMismatch, Filter, ModelSpace, NotAProjection
@@ -22,6 +21,11 @@ from sorkinlab.interference import all_subsets, slit_system
 
 PSI = np.ones(3, dtype=complex) / np.sqrt(3.0)
 PSI_PROJ = np.outer(PSI, PSI.conj())
+
+
+def one_slit_filter(pi, model):
+    """The Lueders filter pair of one projector, as subset_filters builds it."""
+    return subset_filters([pi], model)[frozenset({1})]
 
 
 def dense_superoperator(pi, model):
@@ -266,7 +270,7 @@ class TestConjugationKernel:
         rng = np.random.default_rng(d)
         for rank in range(d + 1):
             pi = random_projector(d, rank, rng)
-            f = lueders_filter(pi, model)
+            f = one_slit_filter(pi, model)
             assert np.array_equal(f.projection, dense_superoperator(pi, model))
             assert np.array_equal(
                 f.complement, dense_superoperator(np.eye(d) - pi, model)
@@ -286,7 +290,7 @@ class TestConjugationKernel:
         rng = np.random.default_rng(6)
         pi = np.zeros((d, d), dtype=complex)
         pi[np.ix_([0, 1, 4], [0, 1, 4])] = random_projector(3, 2, rng)
-        f = lueders_filter(pi, model)
+        f = one_slit_filter(pi, model)
         assert np.array_equal(f.projection, dense_superoperator(pi, model))
         assert np.array_equal(
             f.complement, dense_superoperator(np.eye(d) - pi, model)
@@ -329,23 +333,18 @@ class TestConjugationKernel:
         bound = (d - 1) * np.finfo(float).eps
         for rank in range(d + 1):
             pi = random_projector(d, rank, rng, complex_=False)
-            f = lueders_filter(pi, model)
+            f = one_slit_filter(pi, model)
             for mat, ref in (
                 (f.projection, dense_superoperator(pi, model)),
                 (f.complement, dense_superoperator(np.eye(d) - pi, model)),
             ):
                 assert np.max(np.abs(mat - ref)) <= bound
 
-    @pytest.mark.parametrize(
-        "build",
-        [lambda pis, model: lueders_filter(pis[0], model), subset_filters],
-        ids=["lueders_filter", "subset_filters"],
-    )
-    def test_batched_calls_reject_non_projector(self, build):
+    def test_batched_calls_reject_non_projector(self):
         model = build_quantum_model(3)
         pis = basis_projectors(3)
         with pytest.raises(sl.NotAProjection):
-            build([2.0 * pis[0], pis[1], pis[2]], model)
+            subset_filters([2.0 * pis[0], pis[1], pis[2]], model)
 
     def test_matrices_are_plain_contiguous_arrays(self):
         model = build_quantum_model(4)
@@ -665,7 +664,7 @@ class TestLazyComplements:
 
     def test_lueders_filter_complement_on_read(self, calls):
         model = build_quantum_model(3)
-        f = lueders_filter(PSI_PROJ, model)
+        f = one_slit_filter(PSI_PROJ, model)
         assert calls == [1]
         f.complement
         f.complement
@@ -773,7 +772,7 @@ class TestJointProbability:
         # oracle: Tr(|psi><psi| Pi12 |psi><psi| Pi12) = |<psi|Pi12|psi>|^2 = 4/9
         model = build_quantum_model(3)
         pi12 = np.diag([1.0, 1.0, 0.0]).astype(complex)
-        passed = lueders_filter(pi12, model).projection @ model.embed(PSI_PROJ)
+        passed = one_slit_filter(pi12, model).projection @ model.embed(PSI_PROJ)
         p = float(model.embed(PSI_PROJ) @ passed)
         assert p == pytest.approx(4.0 / 9.0, abs=1e-12)
 
@@ -788,7 +787,7 @@ class TestJointProbability:
         model = build_quantum_model(3)
         pi2 = np.diag([0.0, 1.0, 0.0]).astype(complex)
         e0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        passed = lueders_filter(pi2, model).projection @ model.embed(PSI_PROJ)
+        passed = one_slit_filter(pi2, model).projection @ model.embed(PSI_PROJ)
         assert abs(float(model.embed(e0) @ passed)) < 1e-12
 
     def test_matches_matrix_picture(self):
@@ -806,7 +805,7 @@ class TestJointProbability:
             h = (a + a.conj().T) / 2
             w, v = np.linalg.eigh(h)
             dmat = (v * np.clip(w, 0, 1)) @ v.conj().T
-            passed = lueders_filter(pi, model).projection @ model.embed(rho)
+            passed = one_slit_filter(pi, model).projection @ model.embed(rho)
             got = float(model.embed(dmat) @ passed)
             expected = np.trace(dmat @ pi @ rho @ pi).real
             assert got == pytest.approx(expected, abs=1e-11)
