@@ -188,7 +188,7 @@ def _resolve_vector(spec: str, model: ModelSpace, noun: str, draw) -> np.ndarray
             valid = validate_effect(v, model).passed
             need = "between 0 and the order unit"
         if not valid:
-            raise InputError(f"{spec} is not a {noun}: it must be {need}")
+            raise InputError(f"{spec} is not a valid {noun}: it must be {need}")
         return v
     raise InputError(f"unknown {noun} spec {spec!r}")
 
@@ -241,8 +241,7 @@ def _print(text: str) -> None:
 
 def _write(path: str, text: str) -> None:
     """Write an output file (--out, --csv-out); a path that cannot be
-    written, such as one in a missing directory or a directory, is bad
-    input."""
+    written is bad input."""
     try:
         Path(path).write_text(text)
     except OSError as exc:
@@ -439,14 +438,19 @@ def main(argv=None) -> int:
     args = _parser.parse_args(_join_axes(sys.argv[1:] if argv is None else list(argv)))
     try:
         resolve_count(args.seed, "--seed")  # numpy seeds must be >= 0
-        return args.func(args)
+        # refuse an output path that cannot be a file before doing any work
+        for path in filter(None, (args.out, vars(args).get("csv_out"))):
+            if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+                raise InputError(f"cannot write {path}: not a file in an existing directory")
+        try:
+            return args.func(args)
+        except InvalidSlitSystem as exc:
+            # constructed but invalid filters: a validation failure, not bad input
+            emit({"passed": False, "error": str(exc)}, args)
+            return 1
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InvalidSlitSystem as exc:
-        # constructed but invalid filters: a validation failure, not bad input
-        _print(serialize.dumps({"passed": False, "error": str(exc)}))
-        return 1
 
 
 if __name__ == "__main__":

@@ -167,14 +167,24 @@ class ModelSpace:
             raise ValueError(f"model {self.label!r} has no matrix embedding")
         return np.einsum("k,kij->ij", np.asarray(coords, dtype=float), self.basis)
 
+    def extreme_values(self, coords: np.ndarray) -> np.ndarray:
+        """The values of a functional on the normalized extreme states: the
+        coordinates (classical), the eigenvalues (matrix models), or g.x / g.u
+        for each generator g (custom).  Their minimum and maximum bound its
+        value on every normalized state, exactly; on the self-dual matrix
+        and classical cones they also decide cone membership."""
+        if self.kind == "classical":
+            return coords
+        if self.kind == "custom":
+            return (self.generators @ coords) / (self.generators @ self.order_unit)
+        return np.linalg.eigvalsh(self.unembed(coords))
+
     def cone_residual(self, coords: np.ndarray) -> float:
         """How far a coordinate vector sits outside the cone (0 = inside)."""
         coords = np.asarray(coords, dtype=float)
         if self.kind != "custom":
-            w = coords if self.kind == "classical" else np.linalg.eigvalsh(self.unembed(coords))
-            return float(max(0.0, -w.min()))
-        gens = self.generators
-        _, resid = nnls(gens.T, coords)
+            return float(max(0.0, -self.extreme_values(coords).min()))
+        _, resid = nnls(self.generators.T, coords)
         return float(resid)
 
     def contains(self, coords: np.ndarray) -> bool:
@@ -373,16 +383,11 @@ def validate_filter(f: Filter, model: ModelSpace, states: np.ndarray) -> Validat
     )
 
 
-def validate_effect(e: np.ndarray, model: ModelSpace, n_samples: int = 100, seed: int = 0) -> ValidationReport:
-    """Check 0 <= e.s <= 1 on normalized states (exactly where possible);
-    custom cones check the states of sample_states(model, n_samples, seed)."""
-    if model.kind != "custom":
-        w = e if model.kind == "classical" else np.linalg.eigvalsh(model.unembed(e))
-        low, high = float(-min(w.min(), 0.0)), float(max(w.max() - 1.0, 0.0))
-    else:
-        probs = rowdots(e[None], sample_states(model, n_samples, seed))
-        low = max(0.0, -float(probs.min(initial=np.inf)))
-        high = max(0.0, float(probs.max(initial=-np.inf)) - 1.0)
+def validate_effect(e: np.ndarray, model: ModelSpace) -> ValidationReport:
+    """Check 0 <= e.s <= 1 on normalized states, exactly: on the normalized
+    extreme states (see ModelSpace.extreme_values)."""
+    w = model.extreme_values(e)
+    low, high = max(0.0, -float(w.min())), max(0.0, float(w.max()) - 1.0)
     return ValidationReport(
         subject="effect",
         checks=(
@@ -476,19 +481,13 @@ def _random_state_coords(model: ModelSpace, rng) -> np.ndarray:
 
 
 def _random_effect_coords(model: ModelSpace, rng) -> np.ndarray:
-    if model.kind == "classical":
-        return rng.uniform(0.0, 1.0, size=model.d)
     # map a random functional affinely, e -> (e - lo u) / (hi - lo), so that
-    # g.e / g.u lies in [0, 1] on every generator g; a draw already in [0, u]
-    # is kept as it is
+    # its values on the normalized extreme states lie in [0, 1]; a draw
+    # already in [0, u] (lo, hi = 0, 1) maps to itself bit for bit
     coords = rng.uniform(0.0, 1.0, size=model.dimension)
-    gens = model.generators
-    norms = gens @ model.order_unit
-    vals = (gens @ coords) / norms
+    vals = model.extreme_values(coords)
     lo, hi = min(float(vals.min()), 0.0), max(float(vals.max()), 1.0)
-    if (lo, hi) != (0.0, 1.0):
-        coords = (coords - lo * model.order_unit) / (hi - lo)
-    return coords
+    return (coords - lo * model.order_unit) / (hi - lo)
 
 
 def _draw(model: ModelSpace, seeds, effect: bool) -> np.ndarray:

@@ -123,8 +123,7 @@ class SlitSystem:
         for coords, entries in self.blocks:
             stack = diagonal_blocks(mats, entries)
             on = stack.any(axis=(0, 2, 3))
-            if not on.all():
-                coords, stack = coords[on], stack[:, on]
+            coords, stack = coords[on], stack[:, on]
             stack.flags.writeable = False
             out.append((coords, stack))
         return out
@@ -142,8 +141,7 @@ class SlitSystem:
             defect = mats[self.top] - _p3(mats, self.k)
             on = defect.any(axis=(1, 2))
             if on.any():
-                if not on.all():
-                    coords, defect = coords[on], defect[on]
+                coords, defect = coords[on], defect[on]
                 defect.flags.writeable = False
                 out.append((coords, defect))
         return out
@@ -346,10 +344,8 @@ def span_condition_check(ss: SlitSystem) -> float:
     faces = [ss.derived[J].projection for J in subsets_of_size(ss.k, ss.k - 1)]
     q = orthonormal_column_basis(np.hstack(faces))
     triple_basis = orthonormal_column_basis(ss.derived[ss.top].projection)
-    if triple_basis.shape[1] == 0:
-        return 0.0
     resid = triple_basis - q @ (q.T @ triple_basis)
-    return float(np.max(np.linalg.norm(resid, axis=0)))
+    return float(np.max(np.linalg.norm(resid, axis=0), initial=0.0))
 
 
 @dataclass(frozen=True)

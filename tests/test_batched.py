@@ -56,10 +56,19 @@ def loop_state(model, seed):
 
 
 def loop_effect(model, seed):
-    """Reference: one random effect, drawn and embedded on its own."""
+    """Reference: one random effect, drawn and embedded on its own; a custom
+    cone's draw is mapped into [0, u] only when it lies outside."""
     rng = np.random.default_rng(seed)
     if model.kind == "classical":
         return rng.uniform(0.0, 1.0, size=model.d)
+    if model.kind == "custom":
+        coords = rng.uniform(0.0, 1.0, size=model.dimension)
+        gens = model.generators
+        vals = (gens @ coords) / (gens @ model.order_unit)
+        lo, hi = min(float(vals.min()), 0.0), max(float(vals.max()), 1.0)
+        if (lo, hi) != (0.0, 1.0):
+            coords = (coords - lo * model.order_unit) / (hi - lo)
+        return coords
     q, r = np.linalg.qr(_ginibre(model, rng))
     q = q * np.sign(np.diagonal(r))
     lam = rng.uniform(0.0, 1.0, size=model.d)
@@ -91,16 +100,13 @@ def loop_validate_filter(f, model, states):
     ))
 
 
-def loop_validate_effect(e, model, n_samples, seed):
-    """Reference: the custom-cone effect check with one random state at a time."""
-    low = high = 0.0
-    for i in range(n_samples):
-        p = float(e @ sl.random_state(model, [seed, i]))
-        low = max(low, -p)
-        high = max(high, p - 1.0)
+def exact_validate_effect(e, model):
+    """Reference: the custom-cone effect check on one normalized generator
+    g / g.u at a time."""
+    vals = [float(g @ e) / float(g @ model.order_unit) for g in model.generators]
     return sl.ValidationReport("effect", (
-        gpt.CheckResult("lower_bound", low, gpt.EPS_TOL),
-        gpt.CheckResult("upper_bound", high, gpt.EPS_TOL),
+        gpt.CheckResult("lower_bound", max(0.0, -min(vals)), gpt.EPS_TOL),
+        gpt.CheckResult("upper_bound", max(0.0, max(vals) - 1.0), gpt.EPS_TOL),
     ))
 
 
@@ -227,6 +233,17 @@ class TestBatchedDraws:
             assert_same_rows([sl.random_state(model, seed)], [loop_state(model, seed)])
             assert_same_rows([sl.random_effect(model, seed)], [loop_effect(model, seed)])
 
+    @pytest.mark.parametrize("model", [
+        *map(random_custom_model, range(8)),
+        # normalized generators are the unit vectors: every draw is in [0, u]
+        sl.ModelSpace("custom", generators=np.diag([1.0, 2.0, 0.5]), order_unit=np.ones(3)),
+        *map(sl.build_classical_model, range(2, 12)),
+    ])
+    def test_cone_effects_match_loop(self, model):
+        seeds = [[3, i] for i in range(40)]
+        assert_same_rows([sl.random_effect(model, seed) for seed in seeds],
+                         [loop_effect(model, seed) for seed in seeds])
+
     def test_zero_draws(self):
         for model in (build_quantum_model(3), sl.build_classical_model(3)):
             assert sample_states(model, 0, 1).shape == (0, model.dimension)
@@ -279,14 +296,24 @@ class TestStackedChecks:
         assert rep.worst("neutrality") == rep.worst("complement_equivalence") == 0.0
 
     @pytest.mark.parametrize("cone_seed", range(8))
-    def test_validate_effect_matches_loop_on_custom_cones(self, cone_seed):
+    def test_validate_effect_is_exact_on_custom_cones(self, draws, cone_seed):
         model = random_custom_model(cone_seed)
-        for i, scale in enumerate((1.0, 1.7, -0.4)):  # valid, above u, below 0
-            e = scale * sl.random_effect(model, [cone_seed, i])
-            for n_samples, seed in ((0, 0), (1, 2), (100, 0), (37, cone_seed)):
-                got = gpt.validate_effect(e, model, n_samples, seed).to_dict()
-                want = loop_validate_effect(e, model, n_samples, seed).to_dict()
-                assert serialize.dumps(got) == serialize.dumps(want)
+        e = sl.random_effect(model, [cone_seed, 0])
+        # valid, above u, below 0, and 1e-6 above u on its largest generator
+        top = model.extreme_values(e).max()
+        cases = [e, 1.7 * e, -0.4 * e, e / top * (1.0 + 1e-6)]
+        draws.update(dict.fromkeys(draws, 0))
+        reports = [gpt.validate_effect(x, model) for x in cases]
+        assert draws == {"states": 0, "effects": 0, "matrices": 0}
+        for got, x in zip(reports, cases):
+            # the generators' products round as one matrix-vector product,
+            # the reference's as dot products
+            want = exact_validate_effect(x, model)
+            assert [c.passed for c in got.checks] == [c.passed for c in want.checks]
+            for g, w in zip(got.checks, want.checks):
+                assert g.residual == pytest.approx(w.residual, rel=1e-14, abs=1e-15)
+        assert [r.passed for r in reports] == [True, False, False, False]
+        assert reports[3].worst("upper_bound") == pytest.approx(1e-6, rel=1e-6)
 
     def test_sweep_tables_match_table_from_system(self):
         ss = spin1_system()

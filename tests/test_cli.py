@@ -97,6 +97,28 @@ class TestValidate:
         code, out = run(capsys, "validate", "--model", str(path), "--slits", "from-model")
         assert code == 1
 
+    def test_failure_payload_goes_to_out(self, capsys, tmp_path, monkeypatch):
+        # projection 12 is not idempotent: the slit system is not valid
+        model = custom_model_entry("12", "projection", 2.0)
+        argv = ["validate", "--model", _json_file(tmp_path, model), "--slits", "from-model"]
+        code, printed = run(capsys, *argv)
+        assert code == 1 and json.loads(printed)["passed"] is False
+        out = tmp_path / "out.json"
+        code, stdout = run(capsys, *argv, "--out", str(out))
+        assert (code, stdout, out.read_text()) == (1, "", printed)
+        # a file that cannot be written on that path is still bad input
+        for bad in (str(tmp_path / "missing" / "out.json"), str(tmp_path)):
+            assert run(capsys, *argv, "--out", bad) == (2, "")
+
+        def full(self, text):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", full)
+        code = main(argv + ["--out", str(out)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: cannot write ") and captured.err.count("\n") == 1
+
     def test_checks_the_slit_system_once(self, capsys, monkeypatch):
         calls = []
         check = SlitSystem.validate
@@ -201,6 +223,11 @@ class TestValidate:
         ["prop1", "--model", OVERFLOWING_CONE, "--slits", "from-model"],
         ["interference", "--model", OVERFLOWING_CONE, "--slits", "from-model",
          "--state", "random:1", "--effect", "random:2"],
+        *[["interference", "--model", custom_model(), "--slits", "from-model",
+           "--state", {"coords": [1, 0, 0]}, "--effect", {"coords": e}]
+          for e in ([1.01, 0, 0], [-0.01, 0.5, 0.5], [0.5, 0.5, 1.02])],
+        ["interference", "--model", custom_model(), "--slits", "from-model",
+         "--state", {"coords": [0.5, 0.6, -0.1]}, "--effect", "order-unit"],
         ["validate", "--out", Path("missing/out.json")],
         ["validate", "--out", Path(".")],
         ["experiment", "--shots", "100", "--csv-out", Path("missing/run.csv")],
@@ -231,7 +258,9 @@ class TestValidate:
          "experiment-shots-2^63", "table-shots-1e20", "tomography-shots-1e20",
          "experiment-label-int", "validate-label-int", "filter-nan", "complement-infinity",
          "validate-pairing-overflows", "prop1-pairing-overflows",
-         "interference-pairing-overflows", "out-in-missing-directory", "out-is-a-directory",
+         "interference-pairing-overflows", "custom-effect-above-one-on-g1",
+         "custom-effect-below-zero-on-g1", "custom-effect-above-one-on-g3",
+         "custom-state-outside-cone", "out-in-missing-directory", "out-is-a-directory",
          "csv-out-in-missing-directory", "csv-out-is-a-directory"],
 )
 def test_bad_arguments_are_input_errors(capsys, tmp_path, argv):
@@ -244,19 +273,24 @@ def test_bad_arguments_are_input_errors(capsys, tmp_path, argv):
     assert out == ""
 
 
+# a path in a missing directory, a directory, and a missing directory
+# written with a trailing slash
+@pytest.mark.parametrize("where", ["missing/x", ".", "missing/"])
 @pytest.mark.parametrize("bad", ["--out", "--csv-out"])
-def test_unwritable_output_keeps_what_was_written_before(capsys, tmp_path, bad):
-    # experiment writes the CSV first, then the JSON payload
+def test_unwritable_output_leaves_nothing_written(capsys, tmp_path, monkeypatch, bad, where):
+    runs = []
+    monkeypatch.setattr(cli, "run_experiment", lambda plan: runs.append(plan))
     paths = {"--out": tmp_path / "run.json", "--csv-out": tmp_path / "run.csv"}
     argv = ["experiment", "--shots", "100"]
     for flag, path in paths.items():
-        argv += [flag, str(tmp_path / "missing" / path.name if flag == bad else path)]
+        argv += [flag, os.path.join(tmp_path, where) if flag == bad else str(path)]
     code = main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err.startswith("error: cannot write ") and captured.err.count("\n") == 1
-    assert paths["--csv-out"].exists() == (bad == "--out")
-    assert not paths["--out"].exists()
+    assert not any(path.exists() for path in paths.values())
+    assert not (tmp_path / "missing").exists()
+    assert runs == []
 
 
 def test_largest_shots_run(capsys):
@@ -367,6 +401,14 @@ class TestInterference:
         payload = json.loads(out)
         assert payload["sup_abs_i3"] < 1e-9
         assert payload["max_abs_i2"] > 0.0
+
+    def test_custom_cone_effect_on_its_bounds(self, capsys, tmp_path):
+        # the CI cone's normalized generators are the unit vectors
+        argv = ["interference", "--model", _json_file(tmp_path, custom_model()),
+                "--slits", "from-model", "--state", _json_file(tmp_path, {"coords": [0, 0, 1]})]
+        code, out = run(capsys, *argv, "--effect", _json_file(tmp_path, {"coords": [0, 0.5, 1]}))
+        assert code == 0
+        assert json.loads(out)["table"]["entries"]["123"] == 1.0
 
     def test_sweep_zero(self, capsys):
         code, out = run(capsys, "interference", "--sweep", "0", "--seed", "7")

@@ -243,23 +243,44 @@ class TestOrthonormalColumnBasis:
 SQUARE_CONE = np.array([[1.0, a, b] for a in (1.0, -1.0) for b in (1.0, -1.0)])
 
 
+def random_cone(seed):
+    """3 to 6 random generators (1, x) with x in [-2, 2]^3, all with g.u = 1
+    for u = (1, 0, 0, 0)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 7))
+    return np.column_stack([np.ones(n), rng.uniform(-2.0, 2.0, (n, 3))])
+
+
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), cone_seed=st.none() | st.integers(0, 2**32 - 1))
 def test_custom_cone_effects_lie_between_zero_and_unit(seed, cone_seed):
-    # cone_seed None: the square cone; otherwise 3 to 6 random generators
-    # (1, x) with x in [-2, 2]^3, all with g.u = 1 for u = (1, 0, ..., 0)
-    if cone_seed is None:
-        gens = SQUARE_CONE
-    else:
-        rng = np.random.default_rng(cone_seed)
-        n = int(rng.integers(3, 7))
-        gens = np.column_stack([np.ones(n), rng.uniform(-2.0, 2.0, (n, 3))])
+    gens = SQUARE_CONE if cone_seed is None else random_cone(cone_seed)
     u = np.eye(gens.shape[1])[0]
     model = sl.ModelSpace("custom", generators=gens, order_unit=u)
     e = sl.random_effect(model, seed)
     vals = (gens @ e) / (gens @ u)
     assert vals.min() >= -1e-12
     assert vals.max() <= 1.0 + 1e-12
+
+
+class TestCustomConeMembership:
+    @pytest.mark.parametrize("gens", [SQUARE_CONE, *map(random_cone, range(6))])
+    def test_generator_mixtures_are_contained(self, gens):
+        model = sl.ModelSpace("custom", generators=gens, order_unit=np.eye(gens.shape[1])[0])
+        rng = np.random.default_rng(len(gens))
+        for w in [*np.eye(len(gens)), *rng.dirichlet(np.ones(len(gens)), 20)]:
+            assert model.cone_residual(w @ gens) <= sl.gpt.EPS_CONE
+            assert model.contains(3.0 * w @ gens)
+
+    def test_outside_residual_grows_with_distance(self):
+        # the square cone is |a|, |b| <= t; (1, 1 + x, 0) lies x / sqrt(2)
+        # from its facet a = t
+        model = sl.ModelSpace("custom", generators=SQUARE_CONE, order_unit=np.eye(3)[0])
+        xs = [1e-6, 1e-3, 0.1, 0.5]
+        residuals = [model.cone_residual([1.0, 1.0 + x, 0.0]) for x in xs]
+        assert not any(model.contains([1.0, 1.0 + x, 0.0]) for x in xs)
+        assert residuals == sorted(residuals)
+        np.testing.assert_allclose(residuals, np.divide(xs, np.sqrt(2.0)), rtol=1e-6)
 
 
 class TestRandomGenerators:
