@@ -180,13 +180,16 @@ def _resolve_vector(spec: str, model: ModelSpace, noun: str, draw) -> np.ndarray
     if spec.startswith("random:"):
         return draw(model, seed=_random_seed(spec))
     if spec.endswith(".json"):
-        v = _coords_from_file(spec, model)
-        if noun == "state":
-            valid = model.contains(v) and 0.0 < model.order_unit @ v <= 1.0 + EPS_TOL
-            need = "in the cone with normalization in (0, 1]"
-        else:
-            valid = validate_effect(v, model).passed
-            need = "between 0 and the order unit"
+        # finite file numbers can overflow in these sums; the inf or NaN
+        # they give fails the checks, which refuse the file
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = _coords_from_file(spec, model)
+            if noun == "state":
+                valid = model.contains(v) and 0.0 < model.order_unit @ v <= 1.0 + EPS_TOL
+                need = "in the cone with normalization in (0, 1]"
+            else:
+                valid = validate_effect(v, model).passed
+                need = "between 0 and the order unit"
         if not valid:
             raise InputError(f"{spec} is not a valid {noun}: it must be {need}")
         return v

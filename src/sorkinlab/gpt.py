@@ -183,7 +183,7 @@ class ModelSpace:
         """How far a coordinate vector sits outside the cone (0 = inside)."""
         coords = np.asarray(coords, dtype=float)
         if self.kind != "custom":
-            return float(max(0.0, -self.extreme_values(coords).min()))
+            return _excess(-float(self.extreme_values(coords).min()))
         _, resid = nnls(self.generators.T, coords)
         return float(resid)
 
@@ -291,6 +291,12 @@ def with_blocked(probs: np.ndarray) -> np.ndarray:
     return full / full.sum()
 
 
+def _excess(x: float) -> float:
+    """max(0.0, x), except that NaN stays NaN: a functional whose values
+    overflowed to NaN fails a check instead of passing it."""
+    return x if x > 0.0 or np.isnan(x) else 0.0
+
+
 def _rel_fro(mat: np.ndarray, ref: np.ndarray) -> float:
     return float(np.linalg.norm(mat, "fro") / max(1.0, np.linalg.norm(ref, "fro")))
 
@@ -387,7 +393,7 @@ def validate_effect(e: np.ndarray, model: ModelSpace) -> ValidationReport:
     """Check 0 <= e.s <= 1 on normalized states, exactly: on the normalized
     extreme states (see ModelSpace.extreme_values)."""
     w = model.extreme_values(e)
-    low, high = max(0.0, -float(w.min())), max(0.0, float(w.max()) - 1.0)
+    low, high = _excess(-float(w.min())), _excess(float(w.max()) - 1.0)
     return ValidationReport(
         subject="effect",
         checks=(
@@ -415,7 +421,7 @@ def validate_measurement(effects, model: ModelSpace) -> ValidationReport:
     )
 
 
-def orthonormal_column_basis(mat: np.ndarray, rtol: float = EPS_RANK_REL) -> np.ndarray:
+def orthonormal_column_basis(mat: np.ndarray) -> np.ndarray:
     """Orthonormal basis for the column space of mat (SVD with relative cutoff).
 
     The SVD runs on the block of nonzero rows and columns; the basis vectors
@@ -427,7 +433,7 @@ def orthonormal_column_basis(mat: np.ndarray, rtol: float = EPS_RANK_REL) -> np.
     u_, s_, _ = np.linalg.svd(mat[rows[:, None], cols], full_matrices=False)
     if s_.size == 0 or s_[0] == 0.0:
         return np.zeros((mat.shape[0], 0))
-    keep = s_ > rtol * s_[0]
+    keep = s_ > EPS_RANK_REL * s_[0]
     basis = np.zeros((mat.shape[0], int(keep.sum())))
     basis[rows] = u_[:, keep]
     return basis

@@ -389,15 +389,6 @@ class Prop1Report:
         }
 
 
-def _block_coords(xs: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """The coordinates of rows xs (n, m) on blocks coords (n_blocks, w), as
-    an (n, n_blocks, w) array; a view when the block holds every coordinate,
-    since the BLAS kernels round differently at other strides."""
-    if coords.shape[1] == xs.shape[-1]:
-        return xs[:, None]
-    return xs[:, coords]
-
-
 def prop1_verify(ss: SlitSystem, n_samples: int = 500, seed: int = 0) -> Prop1Report:
     """Evaluate the three equivalent conditions on a slit system.
 
@@ -408,21 +399,17 @@ def prop1_verify(ss: SlitSystem, n_samples: int = 500, seed: int = 0) -> Prop1Re
     the samples are drawn per call.
 
     samples_used counts the samples that sup_abs_i3 is the supremum over.
-    When the defect operator is exactly zero (no defect_blocks),
-    every sample's I3 is the empty sum +0.0 whatever was drawn, so no pair
-    is drawn and the supremum over the n_samples samples is 0.0.
+    Each sample's I3 is e . (D s) with D the defect operator, the pairing
+    random_tables forms for every table entry.  When D is exactly zero (no
+    defect_blocks), every sample's I3 is +0.0 whatever was drawn, so no
+    pair is drawn and the supremum over the n_samples samples is 0.0.
     """
     sup_i3 = 0.0
-    pairs = random_pairs(ss.model, n_samples, seed) if ss.defect_blocks else ()
-    for states, effects in pairs:
-        i3 = 0.0
-        # blocks where the defect is zero would add exact zeros to the sum
-        for at, defect in ss.defect_blocks:
-            # effect . (defect state) per block, as rowdots of matvecs
-            s, e = _block_coords(states, at), _block_coords(effects, at)
-            v = np.matmul(defect, s[..., None])
-            i3 = i3 + np.matmul(e[..., None, :], v)[..., 0, 0].sum(axis=1)
-        sup_i3 = max(sup_i3, float(np.abs(i3).max()))
+    if ss.defect_blocks:
+        defect = defect_operator(ss)
+        for states, effects in random_pairs(ss.model, n_samples, seed):
+            i3 = rowdots(effects, matvecs(defect, states))
+            sup_i3 = max(sup_i3, float(np.abs(i3).max()))
 
     gap, span = ss.operator_gap, ss.span_defect
     verdicts = (sup_i3 <= EPS_PROP, gap <= EPS_PROP, span <= EPS_PROP)

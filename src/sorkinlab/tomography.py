@@ -24,15 +24,6 @@ from .gpt import (
 from .interference import SlitSystem, subset_key, subsets_of_size
 
 
-def _flat_seed(seed) -> list[int]:
-    if isinstance(seed, (list, tuple)):
-        out: list[int] = []
-        for part in seed:
-            out.extend(_flat_seed(part))
-        return out
-    return [int(seed)]
-
-
 @dataclass(eq=False)
 class FaceMeasurementPlan:
     """Measurements that are informationally complete on one face: each
@@ -122,13 +113,14 @@ def exact_frequencies(plan: FaceMeasurementPlan, s_filtered: np.ndarray) -> list
 
 
 def sample_frequencies(
-    plan: FaceMeasurementPlan, s_filtered: np.ndarray, shots: int, seed
+    plan: FaceMeasurementPlan, s_filtered: np.ndarray, shots: int, seed: list[int]
 ) -> list[np.ndarray]:
     """Finite-shot frequencies; the blocked (not passed) event absorbs the
-    missing normalization so joint frequencies stay estimable."""
+    missing normalization so joint frequencies stay estimable.  Setting idx
+    draws from the substream [*seed, idx]."""
     out = []
     for idx, probs in enumerate(exact_frequencies(plan, s_filtered)):
-        rng = np.random.default_rng(_flat_seed(seed) + [idx])
+        rng = np.random.default_rng([*seed, idx])
         counts = rng.multinomial(shots, with_blocked(probs))
         out.append(counts[:-1] / shots if shots > 0 else np.zeros(len(probs)))
     return out

@@ -22,7 +22,7 @@ import sorkinlab as sl
 from sorkinlab import gpt, serialize
 from sorkinlab.cli import main
 from sorkinlab.fixtures import basis_projectors, quantum4_subspace_fixture
-from sorkinlab.gpt import random_pairs, sample_states
+from sorkinlab.gpt import matvecs, random_pairs, rowdots, sample_states
 from sorkinlab.interference import random_tables
 from sorkinlab.models import build_quantum_model, build_real_quantum_model, subset_filters
 from sorkinlab.tomography import exact_frequencies
@@ -118,6 +118,13 @@ def random_custom_model(seed):
     gens[:, 0] = rng.uniform(0.5, 2.0, len(gens))
     u = np.concatenate([[1.0], rng.uniform(-0.05, 0.05, 3)])
     return sl.ModelSpace("custom", generators=gens, order_unit=u)
+
+
+CUSTOM_CONES = [
+    *map(random_custom_model, range(8)),
+    # normalized generators are the unit vectors: every draw is in [0, u]
+    sl.ModelSpace("custom", generators=np.diag([1.0, 2.0, 0.5]), order_unit=np.ones(3)),
+]
 
 
 def assert_same_rows(rows, refs):
@@ -233,16 +240,22 @@ class TestBatchedDraws:
             assert_same_rows([sl.random_state(model, seed)], [loop_state(model, seed)])
             assert_same_rows([sl.random_effect(model, seed)], [loop_effect(model, seed)])
 
-    @pytest.mark.parametrize("model", [
-        *map(random_custom_model, range(8)),
-        # normalized generators are the unit vectors: every draw is in [0, u]
-        sl.ModelSpace("custom", generators=np.diag([1.0, 2.0, 0.5]), order_unit=np.ones(3)),
-        *map(sl.build_classical_model, range(2, 12)),
-    ])
+    @pytest.mark.parametrize("model", [*CUSTOM_CONES,
+                                       *map(sl.build_classical_model, range(2, 12))])
     def test_cone_effects_match_loop(self, model):
         seeds = [[3, i] for i in range(40)]
         assert_same_rows([sl.random_effect(model, seed) for seed in seeds],
                          [loop_effect(model, seed) for seed in seeds])
+
+    @pytest.mark.parametrize("model", CUSTOM_CONES)
+    def test_custom_cone_states(self, model):
+        # a convex mix of the generators, scaled to u . s = 1
+        states = [sl.random_state(model, [4, i]) for i in range(40)]
+        for s in states:
+            assert model.contains(s)
+            assert model.order_unit @ s == pytest.approx(1.0, abs=1e-12)
+        assert_same_rows(states, [sl.random_state(model, [4, i]) for i in range(40)])
+        assert len({s.tobytes() for s in states}) == len(states)
 
     def test_zero_draws(self):
         for model in (build_quantum_model(3), sl.build_classical_model(3)):
@@ -438,14 +451,9 @@ def test_zero_samples_run(capsys, command):
 def drawing_prop1_verify(ss, n_samples, seed):
     """Reference: prop1_verify drawing every pair, whatever the defect."""
     sup_i3 = 0.0
+    defect = sl.defect_operator(ss)
     for states, effects in random_pairs(ss.model, n_samples, seed):
-        i3 = 0.0
-        for at, defect in ss.defect_blocks:
-            s, e = sl.interference._block_coords(states, at), \
-                sl.interference._block_coords(effects, at)
-            v = np.matmul(defect, s[..., None])
-            i3 = i3 + np.matmul(e[..., None, :], v)[..., 0, 0].sum(axis=1)
-        sup_i3 = max(sup_i3, float(np.abs(i3).max()))
+        sup_i3 = max(sup_i3, float(np.abs(rowdots(effects, matvecs(defect, states))).max()))
     gap, span = ss.operator_gap, ss.span_defect
     verdicts = (sup_i3 <= gpt.EPS_PROP, gap <= gpt.EPS_PROP, span <= gpt.EPS_PROP)
     return sl.Prop1Report(sup_abs_i3=sup_i3, operator_gap=gap, span_defect=span,

@@ -144,133 +144,173 @@ class TestValidate:
         assert code == 2
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["interference", "--model", "quantum:4"],
-        ["tomography", "--model", "classical:3"],
-        ["experiment", "--shots", "-5"],
-        ["experiment", "--table", "fixture:0.6", "--shots", "-5"],
-        ["interference", "--state", "random:abc"],
-        ["interference", "--effect", "random:x"],
-        ["interference", "--state", "random:-2"],
-        ["validate", "--samples", "-3"],
-        ["prop1", "--samples", "-1"],
-        ["interference", "--sweep", "-3"],
-        ["tomography", "--mode", "sampled", "--seed", "-1"],
-        ["interference", "--table", {"k": 1, "entries": {"1": 0.5}}],
-        ["experiment", "--table", {"k": 1, "entries": {"1": 0.5}}],
-        ["interference", "--table", {"k": 3, "entries": three_slit_entries(**{"23": None})}],
-        ["experiment", "--table", {"k": 3, "entries": three_slit_entries(**{"23": None})}],
-        ["interference", "--table", {"k": 3, "entries": three_slit_entries(**{"45": 0.3})}],
-        ["experiment", "--table", {"k": 3, "entries": three_slit_entries(**{"45": 0.3})}],
-        ["experiment", "--table", {"k": 3, "entries": three_slit_entries(**{"1": None, "21": 0.1})}],
-        ["interference", "--table", {"k": 3, "entries": three_slit_entries(**{"1": None})}],
-        ["interference", "--table", [0.1, 0.2]],
-        ["prop1", "--model", "quantum:4", "--slits", "spin1:0,0,1"],
-        ["tomography", "--model", "quantum:4", "--slits", "spin1:0,0,1"],
-        ["experiment", "--model", "quantum:4", "--slits", "spin1:0,0,1"],
-        ["interference", "--model", "classical:3", "--slits", "spin1:0,0,1",
-         "--state", "uniform", "--effect", "order-unit"],
-        ["validate", "--model", "classical:3", "--slits", "spin1:0,0,1"],
-        ["experiment", "--spin1", "--model", "quantum:4"],
-        ["experiment", "--spin1", "--b", "nan,0,1"],
-        ["prop1", "--slits", "spin1:1,1,1e400"],
-        ["experiment", "--model", "classical:3", "--state", {"coords": [0.9, 0.9, 0.9]},
-         "--shots", "1000"],
-        ["interference", "--model", "classical:3", "--effect", "order-unit",
-         "--state", {"coords": [0.5, 0.8, -0.3]}],
-        ["interference", "--model", "classical:3", "--state", "uniform",
-         "--effect", {"coords": [1.5, 0.0, 0.0]}],
-        ["interference", "--table", {"k": 2.5, "entries": {"1": 0.1, "2": 0.1, "12": 0.2}}],
-        ["interference", "--table", {"k": "3", "entries": three_slit_entries()}],
-        ["interference", "--state", {"re": [[0.5, 0.3, 0], [0, 0.5, 0], [0, 0, 0]],
-                                     "im": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}],
-        ["interference", "--model", "real_quantum:3", "--effect", "order-unit",
-         "--state", {"re": [[0.4, 0, 0], [0, 0.3, 0], [0, 0, 0.3]],
-                     "im": [[0, 0.1, 0], [-0.1, 0, 0], [0, 0, 0]]}],
-        ["interference", "--model", "classical:9"],
-        ["tomography", "--model", "classical:9"],
-        ["validate", "--model", custom_model(generators=[[1, 0], [0, 1], [1, 1]]),
-         "--slits", "from-model"],
-        ["interference", "--model", custom_model(order_unit=[1.0, 1.0]), "--slits", "from-model",
-         "--state", "random:1", "--effect", "random:2"],
-        ["interference", "--model", custom_model(order_unit=[1, 1, 0]), "--slits", "from-model",
-         "--state", "random:1", "--effect", "random:2"],
-        ["prop1", "--model", custom_model(order_unit=[1, -1, 1]), "--slits", "from-model"],
-        ["interference", "--table", {"k": 3, "entries": three_slit_entries(**{"1": "0.1"})}],
-        ["interference", "--table", {"k": 3, "entries": three_slit_entries(**{"123": True})}],
-        ["interference", "--table", {"k": 3, "entries": three_slit_entries(**{"1": 10**400})}],
-        ["interference", "--model", "classical:3", "--effect", "order-unit",
-         "--state", {"coords": ["1", 0, 0]}],
-        ["interference", "--model", "classical:3", "--effect", "order-unit",
-         "--state", {"coords": [True, False, False]}],
-        ["interference", "--model", {"dimension": 9, "cone": {"type": "quantum", "d": 3.9}}],
-        ["interference", "--model", {"dimension": 9, "cone": {"type": "quantum", "d": "3"}}],
-        ["interference", "--model", {"dimension": "9", "cone": {"type": "quantum", "d": 3}}],
-        ["interference", "--model", {"dimension": 3, "cone": {"type": "classical", "n": True}}],
-        ["experiment", "--shots", str(2**63)],
-        ["experiment", "--table", "fixture:0.6", "--shots", str(10**20)],
-        ["tomography", "--mode", "sampled", "--shots", str(10**20)],
-        ["experiment", "--model", {"label": 7, "dimension": 9, "cone": {"type": "quantum", "d": 3}},
-         "--state", "random:1"],
-        ["validate", "--model", {"label": 7, "dimension": 9, "cone": {"type": "quantum", "d": 3}}],
-        ["validate", "--model", custom_model_entry("1", "projection", float("nan")),
-         "--slits", "from-model"],
-        ["validate", "--model", custom_model_entry("2", "complement", float("inf")),
-         "--slits", "from-model"],
-        ["validate", "--model", OVERFLOWING_CONE, "--slits", "from-model"],
-        ["prop1", "--model", OVERFLOWING_CONE, "--slits", "from-model"],
-        ["interference", "--model", OVERFLOWING_CONE, "--slits", "from-model",
-         "--state", "random:1", "--effect", "random:2"],
-        *[["interference", "--model", custom_model(), "--slits", "from-model",
-           "--state", {"coords": [1, 0, 0]}, "--effect", {"coords": e}]
-          for e in ([1.01, 0, 0], [-0.01, 0.5, 0.5], [0.5, 0.5, 1.02])],
-        ["interference", "--model", custom_model(), "--slits", "from-model",
-         "--state", {"coords": [0.5, 0.6, -0.1]}, "--effect", "order-unit"],
-        ["validate", "--out", Path("missing/out.json")],
-        ["validate", "--out", Path(".")],
-        ["experiment", "--shots", "100", "--csv-out", Path("missing/run.csv")],
-        ["experiment", "--shots", "100", "--csv-out", Path(".")],
-    ],
-    ids=["state-dimension", "classical-state-dimension", "negative-shots",
-         "table-negative-shots", "state-seed-not-integer",
-         "effect-seed-not-integer", "state-seed-negative",
-         "validate-negative-samples", "prop1-negative-samples",
-         "negative-sweep", "negative-seed",
-         "interference-table-k1", "experiment-table-k1",
-         "interference-table-missing", "experiment-table-missing",
-         "interference-table-extra-key", "experiment-table-extra-key",
-         "experiment-table-unsorted-key", "interference-table-missing-single",
-         "table-not-an-object",
-         "prop1-spin1-quantum4", "tomography-spin1-quantum4",
-         "experiment-spin1-quantum4", "interference-spin1-classical",
-         "validate-spin1-classical", "experiment-flag-spin1-quantum4",
-         "axis-nan", "axis-infinite", "classical-state-unnormalized",
-         "classical-state-outside-cone", "classical-effect-above-one",
-         "table-k-not-integer", "table-k-string", "state-not-hermitian",
-         "real-state-imaginary-part", "interference-qutrit-fixture-classical9",
-         "tomography-qutrit-fixture-classical9", "custom-generators-2-wide",
-         "custom-order-unit-2-entries", "custom-order-unit-zero-on-generator",
-         "custom-order-unit-negative-on-generator", "table-entry-string",
-         "table-entry-bool", "table-entry-int-overflows", "coords-string", "coords-bool",
-         "model-d-float", "model-d-string", "model-dimension-string", "model-n-bool",
-         "experiment-shots-2^63", "table-shots-1e20", "tomography-shots-1e20",
-         "experiment-label-int", "validate-label-int", "filter-nan", "complement-infinity",
-         "validate-pairing-overflows", "prop1-pairing-overflows",
-         "interference-pairing-overflows", "custom-effect-above-one-on-g1",
-         "custom-effect-below-zero-on-g1", "custom-effect-above-one-on-g3",
-         "custom-state-outside-cone", "out-in-missing-directory", "out-is-a-directory",
-         "csv-out-in-missing-directory", "csv-out-is-a-directory"],
-)
+# quantum:3 coordinates of trace one whose diagonal matrix entries overflow
+# to inf: the eigenvalues of the matrix are NaN
+OVERFLOWING_DIAGONAL = [3 ** -0.5] + [0.0] * 6 + [1.7e308, 1.7e308]
+
+# argv that are bad input, as materialize reads them
+BAD_ARGUMENTS = [
+    ["interference", "--model", "quantum:4"],
+    ["tomography", "--model", "classical:3"],
+    ["experiment", "--shots", "-5"],
+    ["experiment", "--table", "fixture:0.6", "--shots", "-5"],
+    ["interference", "--state", "random:abc"],
+    ["interference", "--effect", "random:x"],
+    ["interference", "--state", "random:-2"],
+    ["validate", "--samples", "-3"],
+    ["prop1", "--samples", "-1"],
+    ["interference", "--sweep", "-3"],
+    ["tomography", "--mode", "sampled", "--seed", "-1"],
+    ["interference", "--table", {"k": 1, "entries": {"1": 0.5}}],
+    ["experiment", "--table", {"k": 1, "entries": {"1": 0.5}}],
+    ["interference", "--table", {"k": 3, "entries": three_slit_entries(**{"23": None})}],
+    ["experiment", "--table", {"k": 3, "entries": three_slit_entries(**{"23": None})}],
+    ["interference", "--table", {"k": 3, "entries": three_slit_entries(**{"45": 0.3})}],
+    ["experiment", "--table", {"k": 3, "entries": three_slit_entries(**{"45": 0.3})}],
+    ["experiment", "--table", {"k": 3, "entries": three_slit_entries(**{"1": None, "21": 0.1})}],
+    ["interference", "--table", {"k": 3, "entries": three_slit_entries(**{"1": None})}],
+    ["interference", "--table", [0.1, 0.2]],
+    ["prop1", "--model", "quantum:4", "--slits", "spin1:0,0,1"],
+    ["tomography", "--model", "quantum:4", "--slits", "spin1:0,0,1"],
+    ["experiment", "--model", "quantum:4", "--slits", "spin1:0,0,1"],
+    ["interference", "--model", "classical:3", "--slits", "spin1:0,0,1",
+     "--state", "uniform", "--effect", "order-unit"],
+    ["validate", "--model", "classical:3", "--slits", "spin1:0,0,1"],
+    ["experiment", "--spin1", "--model", "quantum:4"],
+    ["experiment", "--spin1", "--b", "nan,0,1"],
+    ["prop1", "--slits", "spin1:1,1,1e400"],
+    ["experiment", "--model", "classical:3", "--state", {"coords": [0.9, 0.9, 0.9]},
+     "--shots", "1000"],
+    ["interference", "--model", "classical:3", "--effect", "order-unit",
+     "--state", {"coords": [0.5, 0.8, -0.3]}],
+    ["interference", "--model", "classical:3", "--state", "uniform",
+     "--effect", {"coords": [1.5, 0.0, 0.0]}],
+    ["interference", "--table", {"k": 2.5, "entries": {"1": 0.1, "2": 0.1, "12": 0.2}}],
+    ["interference", "--table", {"k": "3", "entries": three_slit_entries()}],
+    ["interference", "--state", {"re": [[0.5, 0.3, 0], [0, 0.5, 0], [0, 0, 0]],
+                                 "im": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}],
+    ["interference", "--model", "real_quantum:3", "--effect", "order-unit",
+     "--state", {"re": [[0.4, 0, 0], [0, 0.3, 0], [0, 0, 0.3]],
+                 "im": [[0, 0.1, 0], [-0.1, 0, 0], [0, 0, 0]]}],
+    ["interference", "--model", "classical:9"],
+    ["tomography", "--model", "classical:9"],
+    ["validate", "--model", custom_model(generators=[[1, 0], [0, 1], [1, 1]]),
+     "--slits", "from-model"],
+    ["interference", "--model", custom_model(order_unit=[1.0, 1.0]), "--slits", "from-model",
+     "--state", "random:1", "--effect", "random:2"],
+    ["interference", "--model", custom_model(order_unit=[1, 1, 0]), "--slits", "from-model",
+     "--state", "random:1", "--effect", "random:2"],
+    ["prop1", "--model", custom_model(order_unit=[1, -1, 1]), "--slits", "from-model"],
+    ["interference", "--table", {"k": 3, "entries": three_slit_entries(**{"1": "0.1"})}],
+    ["interference", "--table", {"k": 3, "entries": three_slit_entries(**{"123": True})}],
+    ["interference", "--table", {"k": 3, "entries": three_slit_entries(**{"1": 10**400})}],
+    ["interference", "--model", "classical:3", "--effect", "order-unit",
+     "--state", {"coords": ["1", 0, 0]}],
+    ["interference", "--model", "classical:3", "--effect", "order-unit",
+     "--state", {"coords": [True, False, False]}],
+    ["interference", "--model", {"dimension": 9, "cone": {"type": "quantum", "d": 3.9}}],
+    ["interference", "--model", {"dimension": 9, "cone": {"type": "quantum", "d": "3"}}],
+    ["interference", "--model", {"dimension": "9", "cone": {"type": "quantum", "d": 3}}],
+    ["interference", "--model", {"dimension": 3, "cone": {"type": "classical", "n": True}}],
+    ["experiment", "--shots", str(2**63)],
+    ["experiment", "--table", "fixture:0.6", "--shots", str(10**20)],
+    ["tomography", "--mode", "sampled", "--shots", str(10**20)],
+    ["experiment", "--model", {"label": 7, "dimension": 9, "cone": {"type": "quantum", "d": 3}},
+     "--state", "random:1"],
+    ["validate", "--model", {"label": 7, "dimension": 9, "cone": {"type": "quantum", "d": 3}}],
+    ["validate", "--model", custom_model_entry("1", "projection", float("nan")),
+     "--slits", "from-model"],
+    ["validate", "--model", custom_model_entry("2", "complement", float("inf")),
+     "--slits", "from-model"],
+    ["validate", "--model", OVERFLOWING_CONE, "--slits", "from-model"],
+    ["prop1", "--model", OVERFLOWING_CONE, "--slits", "from-model"],
+    ["interference", "--model", OVERFLOWING_CONE, "--slits", "from-model",
+     "--state", "random:1", "--effect", "random:2"],
+    *[["interference", "--model", custom_model(), "--slits", "from-model",
+       "--state", {"coords": [1, 0, 0]}, "--effect", {"coords": e}]
+      for e in ([1.01, 0, 0], [-0.01, 0.5, 0.5], [0.5, 0.5, 1.02])],
+    ["interference", "--model", custom_model(), "--slits", "from-model",
+     "--state", {"coords": [0.5, 0.6, -0.1]}, "--effect", "order-unit"],
+    ["validate", "--out", Path("missing/out.json")],
+    ["validate", "--out", Path(".")],
+    ["experiment", "--shots", "100", "--csv-out", Path("missing/run.csv")],
+    ["experiment", "--shots", "100", "--csv-out", Path(".")],
+    ["interference", "--state", {"re": np.diag([1.7e308] * 3).tolist(), "im": 0}],
+    ["interference", "--model", "classical:3", "--state", {"coords": [1.7e308] * 3},
+     "--effect", "order-unit"],
+    ["interference", "--state", {"coords": OVERFLOWING_DIAGONAL}, "--effect", "random:1"],
+    ["interference", "--state", "random:1", "--effect", {"coords": [1.7e308] * 9}],
+    ["validate", "--model", "quantum:x"],
+    ["validate", "--model", custom_model(), "--slits", "basis"],
+    ["validate", "--model", "quantum:2"],
+    ["validate", "--model", "classical:2"],
+    ["prop1", "--slits=spin1:1,2"],
+    ["prop1", "--slits=spin1:a,b,c"],
+    ["prop1", "--slits=spin1:0,0,0"],
+]
+BAD_IDS = ["state-dimension", "classical-state-dimension", "negative-shots",
+           "table-negative-shots", "state-seed-not-integer",
+           "effect-seed-not-integer", "state-seed-negative",
+           "validate-negative-samples", "prop1-negative-samples",
+           "negative-sweep", "negative-seed",
+           "interference-table-k1", "experiment-table-k1",
+           "interference-table-missing", "experiment-table-missing",
+           "interference-table-extra-key", "experiment-table-extra-key",
+           "experiment-table-unsorted-key", "interference-table-missing-single",
+           "table-not-an-object",
+           "prop1-spin1-quantum4", "tomography-spin1-quantum4",
+           "experiment-spin1-quantum4", "interference-spin1-classical",
+           "validate-spin1-classical", "experiment-flag-spin1-quantum4",
+           "axis-nan", "axis-infinite", "classical-state-unnormalized",
+           "classical-state-outside-cone", "classical-effect-above-one",
+           "table-k-not-integer", "table-k-string", "state-not-hermitian",
+           "real-state-imaginary-part", "interference-qutrit-fixture-classical9",
+           "tomography-qutrit-fixture-classical9", "custom-generators-2-wide",
+           "custom-order-unit-2-entries", "custom-order-unit-zero-on-generator",
+           "custom-order-unit-negative-on-generator", "table-entry-string",
+           "table-entry-bool", "table-entry-int-overflows", "coords-string", "coords-bool",
+           "model-d-float", "model-d-string", "model-dimension-string", "model-n-bool",
+           "experiment-shots-2^63", "table-shots-1e20", "tomography-shots-1e20",
+           "experiment-label-int", "validate-label-int", "filter-nan", "complement-infinity",
+           "validate-pairing-overflows", "prop1-pairing-overflows",
+           "interference-pairing-overflows", "custom-effect-above-one-on-g1",
+           "custom-effect-below-zero-on-g1", "custom-effect-above-one-on-g3",
+           "custom-state-outside-cone", "out-in-missing-directory", "out-is-a-directory",
+           "csv-out-in-missing-directory", "csv-out-is-a-directory",
+           "state-matrix-overflows", "classical-state-overflows",
+           "state-matrix-overflows-to-nan", "effect-matrix-overflows-to-nan",
+           "model-d-not-a-number", "basis-slits-on-custom-cone", "basis-slits-quantum2",
+           "basis-slits-classical2", "spin1-axis-two-numbers", "spin1-axis-not-numbers",
+           "spin1-axis-zero"]
+
+
+def materialize(argv, directory):
+    """argv with each JSON value replaced by the path of a file holding it,
+    and each Path by that path under directory (Path(".") for directory
+    itself)."""
+    return [arg if isinstance(arg, str) else str(directory / arg) if isinstance(arg, Path)
+            else _json_file(directory, arg) for arg in argv]
+
+
+@pytest.mark.parametrize("argv", BAD_ARGUMENTS, ids=BAD_IDS)
 def test_bad_arguments_are_input_errors(capsys, tmp_path, argv):
-    # a JSON value in argv stands for a file holding it, a Path for that path
-    # under tmp_path (Path(".") for tmp_path itself)
-    argv = [arg if isinstance(arg, str) else str(tmp_path / arg) if isinstance(arg, Path)
-            else _json_file(tmp_path, arg) for arg in argv]
-    code, out = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(materialize(argv, tmp_path))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", ["state-seed-not-integer", "interference-table-missing",
+                                  "prop1-spin1-quantum4", "classical-state-overflows"])
+def test_bad_arguments_in_a_fresh_process(tmp_path, case):
+    argv = materialize(dict(zip(BAD_IDS, BAD_ARGUMENTS))[case], tmp_path)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "PYTHONWARNINGS": "error"}
+    proc = subprocess.run([sys.executable, "-m", "sorkinlab.cli", *argv], capture_output=True,
+                          env=env, cwd=tmp_path, timeout=300)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
 
 
 # a path in a missing directory, a directory, and a missing directory
@@ -291,6 +331,21 @@ def test_unwritable_output_leaves_nothing_written(capsys, tmp_path, monkeypatch,
     assert not any(path.exists() for path in paths.values())
     assert not (tmp_path / "missing").exists()
     assert runs == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["interference", "--model", "real_quantum:4", "--sweep", "5"],
+    ["validate", "--model", "quantum:16", "--samples", "5"],
+    ["validate", "--model", "quantum:24", "--samples", "5"],
+    ["validate", "--model", custom_model(), "--slits", "from-model"],
+    ["prop1", "--model", custom_model(), "--slits", "from-model", "--samples", "50"],
+    ["interference", "--model", custom_model(), "--slits", "from-model", "--sweep", "20"],
+], ids=["real-quantum4-sweep", "validate-quantum16", "validate-quantum24",
+        "custom-validate", "custom-prop1", "custom-sweep"])
+def test_runs_succeed(capsys, tmp_path, argv):
+    code, out = run(capsys, *materialize(argv, tmp_path))
+    assert code == 0
+    assert json.loads(out)
 
 
 def test_largest_shots_run(capsys):
@@ -417,6 +472,20 @@ class TestInterference:
             "sweep": 0, "seed": 7, "sup_abs_i3": 0.0, "max_abs_i2": 0.0
         }
 
+    def test_order_unit_effect(self, capsys):
+        code, out = run(capsys, "interference", "--model", "classical:3", "--state", "uniform",
+                        "--effect", "order-unit")
+        assert code == 0
+        payload = json.loads(out)
+        assert [*payload["i2"].values(), payload["i3_table"], payload["i3_operator"]] == [0.0] * 5
+
+    def test_custom_cone_random_pair(self, capsys, tmp_path):
+        code, out = run(capsys, "interference", "--model", _json_file(tmp_path, custom_model()),
+                        "--slits", "from-model", "--state", "random:1", "--effect", "random:2")
+        assert code == 0
+        payload = json.loads(out)
+        assert abs(payload["i3_table"] - payload["i3_operator"]) <= 1e-12
+
     def test_raw_table_fixture(self, capsys):
         code, out = run(capsys, "interference", "--table", "fixture:0.6")
         assert code == 0
@@ -424,12 +493,27 @@ class TestInterference:
 
 
 class TestProp1:
-    @pytest.mark.parametrize("model", ["quantum:3", "real_quantum:3", "classical:3"])
+    @pytest.mark.parametrize("model", ["quantum:3", "real_quantum:3", "classical:3",
+                                       "classical:4"])
     def test_all_hold(self, capsys, model):
         code, out = run(capsys, "prop1", "--model", model, "--samples", "100")
         assert code == 0
         payload = json.loads(out)
         assert all(payload["verdicts"].values())
+
+    @pytest.mark.parametrize("model", ["quantum:16", "quantum:24", "quantum:32",
+                                       "real_quantum:16"])
+    def test_zero_defect_supremum_is_zero(self, capsys, model):
+        # basis slits have an exactly zero defect operator
+        code, out = run(capsys, "prop1", "--model", model, "--samples", "20")
+        assert code == 0
+        assert '"sup_abs_i3": 0.0,' in out and json.loads(out)["samples_used"] == 20
+
+    def test_tilted_spin1_supremum_is_rounding(self, capsys):
+        # a defect of ~6e-16 on every pair drawn
+        code, out = run(capsys, "prop1", "--slits=spin1:0.6,0,0.8", "--samples", "20")
+        assert code == 0
+        assert 0.0 < json.loads(out)["sup_abs_i3"] < 1e-12
 
 
 class TestTomography:

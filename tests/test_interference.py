@@ -440,8 +440,9 @@ def defect_families():
 
 
 class TestBlockedProbes:
-    """The defect operator and prop1's operator probes run per coordinate
-    block; the dense formulas are the references."""
+    """The defect operator and prop1's operator gap run per coordinate
+    block, and the sampled probe pairs each draw with the defect operator;
+    the dense formulas are the references."""
 
     @pytest.mark.parametrize("system", [f[1] for f in defect_families()],
                              ids=[f[0] for f in defect_families()])
@@ -464,17 +465,15 @@ class TestBlockedProbes:
         ss = system()
         rep = sl.prop1_verify(ss, n_samples=40, seed=3)
         gap, sup = dense_prop1_probes(ss, 40, 3)
+        assert rep.sup_abs_i3.hex() == sup.hex()
         if len(ss.blocks) == 1:
-            assert (rep.operator_gap.hex(), rep.sup_abs_i3.hex()) == (gap.hex(), sup.hex())
+            assert rep.operator_gap.hex() == gap.hex()
         else:
-            # the sums run over the blocks' entries in another order: two
+            # the gap sums the squares per block, in another order: two
             # orders of an m-term sum differ by at most 2 m eps times the sum
-            # of the terms' magnitudes, which is at most |e| ||D|| |s| for
-            # e . (D s), with |s| <= 1 and |e| <= sqrt(m) on these cones
+            # of the terms' magnitudes
             m = ss.model.dimension
-            eps = np.finfo(float).eps
-            assert abs(rep.operator_gap - gap) <= 2 * m * eps * gap
-            assert abs(rep.sup_abs_i3 - sup) <= 2 * m * eps * gap * np.sqrt(m)
+            assert abs(rep.operator_gap - gap) <= 2 * m * np.finfo(float).eps * gap
 
 
 class TestProp1:

@@ -6,6 +6,7 @@ import pytest
 
 import sorkinlab as sl
 from sorkinlab.fixtures import classical_fixture, qutrit_fixture
+from sorkinlab.gpt import with_blocked
 from sorkinlab.tomography import exact_frequencies, sample_frequencies
 
 PSI = np.ones(3, dtype=complex) / np.sqrt(3.0)
@@ -62,9 +63,22 @@ class TestEstimateFilteredState:
         filt = ss.filter_for({1, 2})
         plan = sl.build_face_measurement(filt, model)
         s12 = filt.projection @ s
-        freqs = sample_frequencies(plan, s12, shots=10**6, seed=13)
+        freqs = sample_frequencies(plan, s12, shots=10**6, seed=[13])
         est = sl.estimate_filtered_state(plan, freqs)
         assert np.linalg.norm(est - s12) < 0.01
+
+    @pytest.mark.parametrize("seed", [7, 2**64, 123456789012345678901])
+    def test_setting_substreams(self, seed):
+        # setting idx of pair face 1 draws from the substream [seed, 1, idx]
+        model, ss, s, _ = qutrit_fixture()
+        filt = ss.filter_for({1, 3})
+        plan = sl.build_face_measurement(filt, model)
+        s13 = filt.projection @ s
+        freqs = sample_frequencies(plan, s13, 1000, [seed, 1])
+        for idx, (f, probs) in enumerate(zip(freqs, exact_frequencies(plan, s13))):
+            counts = np.random.default_rng([seed, 1, idx]).multinomial(
+                1000, with_blocked(probs))
+            assert f.tobytes() == (counts[:-1] / 1000).tobytes()
 
     def test_zero_state(self):
         model, ss, _, _ = qutrit_fixture()
