@@ -17,7 +17,6 @@ from functools import cache
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import nnls
 
 # Numerical tolerances used across the library.
 EPS_PROJ = 1e-9    # projector identities, Frobenius, relative to matrix norm
@@ -184,6 +183,7 @@ class ModelSpace:
         coords = np.asarray(coords, dtype=float)
         if self.kind != "custom":
             return _excess(-float(self.extreme_values(coords).min()))
+        from scipy.optimize import nnls  # slow to import; only custom cones need it
         _, resid = nnls(self.generators.T, coords)
         return float(resid)
 
@@ -372,7 +372,7 @@ def validate_filter(f: Filter, model: ModelSpace, states: np.ndarray) -> Validat
         nt = t @ u
         # states the filter passes whole, of positive normalization
         kept = (nt > EPS_TOL) & (np.abs(pt @ u - nt) <= EPS_TOL * np.maximum(1.0, nt))
-        dev = _rownorms(pt - t)[kept] / np.maximum(1.0, nt[kept])
+        dev = _rownorms((pt - t)[kept]) / np.maximum(1.0, nt[kept])
         neutral_worst = max(neutral_worst, float(dev.max(initial=0.0)))
     # pass/block equivalences on the filtered samples
     equiv_worst = float(max(_rownorms(matvecs(Pc, passed)).max(initial=0.0),

@@ -192,11 +192,12 @@ class TestEmbed:
                 "g.basis_entries.cache_info().currsize, "
                 "len(m._plans), "
                 "i._product_table.cache_info().currsize, "
-                "len(m._slit_systems))")
+                "len(m._slit_systems)); "
+                "import sys; print('scipy' in sys.modules)")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env=env)
-        assert out.stdout.split() == ["0"] * 5
+        assert out.stdout.split() == ["0"] * 5 + ["False"]
 
 
 class TestBatchedDraws:

@@ -54,6 +54,10 @@ def custom_model_entry(name, part, value):
 # order_unit @ g overflows to inf on the first generator
 OVERFLOWING_CONE = custom_model(generators=[[1e300, 0, 0], [0, 1, 0], [0, 0, 1]],
                                 order_unit=[1e300, 1.0, 1.0])
+# a valid cone whose states of large first coordinate overflow in the
+# neutrality check unless it keeps the rows a filter passes whole first
+HUGE_GENERATOR_CONE = custom_model(generators=[[1e300, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                   order_unit=[1e-300, 1.0, 1.0])
 
 
 def run(capsys, *argv):
@@ -340,12 +344,34 @@ def test_unwritable_output_leaves_nothing_written(capsys, tmp_path, monkeypatch,
     ["validate", "--model", custom_model(), "--slits", "from-model"],
     ["prop1", "--model", custom_model(), "--slits", "from-model", "--samples", "50"],
     ["interference", "--model", custom_model(), "--slits", "from-model", "--sweep", "20"],
+    ["validate", "--model", HUGE_GENERATOR_CONE, "--slits", "from-model"],
 ], ids=["real-quantum4-sweep", "validate-quantum16", "validate-quantum24",
-        "custom-validate", "custom-prop1", "custom-sweep"])
+        "custom-validate", "custom-prop1", "custom-sweep", "custom-validate-huge-generator"])
 def test_runs_succeed(capsys, tmp_path, argv):
-    code, out = run(capsys, *materialize(argv, tmp_path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(capsys, *materialize(argv, tmp_path))
     assert code == 0
     assert json.loads(out)
+
+
+def test_scipy_is_loaded_only_for_custom_cone_membership(capsys, tmp_path):
+    # a quantum run never needs scipy; a state file on a custom cone is
+    # checked with nnls, which imports scipy.optimize on first use
+    custom = materialize(["interference", "--model", custom_model(), "--slits", "from-model",
+                          "--state", {"coords": [1, 0, 0]}, "--effect", "order-unit"], tmp_path)
+    code = ("import contextlib, io, sys\n"
+            "from sorkinlab.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    quantum = main(['prop1', '--model', 'quantum:6', '--samples', '20'])\n"
+            "loaded = 'scipy.optimize' in sys.modules\n"
+            f"custom = main({custom!r})\n"
+            "print(quantum, loaded, custom, 'scipy.optimize' in sys.modules, file=sys.stderr)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.stderr.split() == ["0", "False", "0", "True"]
+    assert run(capsys, *custom) == (0, proc.stdout)
 
 
 def test_largest_shots_run(capsys):
