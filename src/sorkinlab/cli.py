@@ -253,7 +253,7 @@ def _write(path: str, text: str) -> None:
 
 def emit(payload: dict, args) -> None:
     text = serialize.dumps(payload)
-    if getattr(args, "out", None):
+    if args.out:
         _write(args.out, text + "\n")
         print(f"# wrote {args.out} at {time.strftime('%Y-%m-%dT%H:%M:%S')}", file=sys.stderr)
     else:
@@ -279,10 +279,10 @@ def cmd_validate(args) -> int:
 def cmd_interference(args) -> int:
     if args.table:
         t = resolve_table(args.table)
-        payload = {"source": "table", "k": t.k}
+        ik = ik_from_table(t)
+        payload = {"source": "table", "k": t.k, "ik": ik}
         if t.k == 3:
-            payload["i3"] = i3_from_table(t)
-        payload["ik"] = ik_from_table(t)
+            payload["i3"] = ik
         emit(payload, args)
         return 0
     model, named = resolve_model(args.model)
@@ -325,9 +325,12 @@ def cmd_tomography(args) -> int:
         raise InputError("tomography has no measurement family for custom cones")
     ss = resolve_slits(args.slits, model, named)
     s = resolve_state(args.state, model)
-    result = tomography_roundtrip(
-        ss, s, mode=args.mode, shots=resolve_shots(args.shots), seed=args.seed
-    )
+    try:
+        result = tomography_roundtrip(
+            ss, s, mode=args.mode, shots=resolve_shots(args.shots), seed=args.seed
+        )
+    except ValueError as exc:  # a model-file family with no complete face measurement
+        raise InputError(str(exc)) from exc
     emit(result.to_dict(), args)
     return 0
 

@@ -6,7 +6,7 @@ the order-k interference from counts.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,7 +131,7 @@ class I3Estimate:
     z_scores: np.ndarray
     chi_square: float
     degenerate: bool
-    frequency_tables: dict = field(default_factory=dict)  # str key -> list
+    frequency_tables: dict  # str key -> list
 
     def to_dict(self) -> dict:
         return {

@@ -505,7 +505,7 @@ def _draw(model: ModelSpace, seeds, effect: bool) -> np.ndarray:
     draw one at a time.
     """
     n = len(seeds)
-    if model.basis is None:
+    if model._matrix_dtype is None:
         draw = _random_effect_coords if effect else _random_state_coords
         out = np.zeros((n, model.dimension))
         for row, seed in enumerate(seeds):

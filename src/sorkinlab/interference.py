@@ -370,7 +370,6 @@ class Prop1Report:
     consistent: bool
     samples_used: int
     seed: int
-    tolerance: float = EPS_PROP
 
     def to_dict(self) -> dict:
         return {
@@ -385,7 +384,7 @@ class Prop1Report:
             "consistent": self.consistent,
             "samples_used": self.samples_used,
             "seed": self.seed,
-            "tolerance": self.tolerance,
+            "tolerance": EPS_PROP,
         }
 
 

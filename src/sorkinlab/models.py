@@ -28,7 +28,6 @@ from .gpt import (
 from .interference import SlitSystem, all_subsets, slit_system
 
 _ORTHO_TOL = 1e-10
-_EIG_GAP_TOL = 1e-8
 
 
 def build_quantum_model(d: int) -> ModelSpace:
@@ -263,7 +262,7 @@ def _plan_for(pis: np.ndarray, model: ModelSpace) -> _ConjugationPlan:
 
 
 def _conjugation_matrices(
-    pis: np.ndarray, model: ModelSpace, plan: _ConjugationPlan | None = None
+    pis: np.ndarray, model: ModelSpace, plan: _ConjugationPlan
 ) -> np.ndarray:
     """Real matrices of rho -> Pi rho Pi in a matrix model's coordinates for a
     stack of projectors, (n, m, m).
@@ -278,8 +277,8 @@ def _conjugation_matrices(
     only the entries of C_k that can be nonzero.  So a dense stack costs
     O(d^4) per matrix, and a stack of diagonal projectors, such as basis
     slits and their complements, one term per basis entry.  The
-    bookkeeping depends only on the basis, the pattern and n, and is cached;
-    plan is _plan_for(pis, model), looked up here unless the caller has it.
+    bookkeeping depends only on the basis, the pattern and n, and is cached:
+    plan is _plan_for(pis, model).
 
     Every sum adds its terms to +0.0 in np.nonzero order of its basis
     element, which is the order of numpy's dense einsum over complex
@@ -293,8 +292,6 @@ def _conjugation_matrices(
     """
     n = pis.shape[0]
     m = model.dimension
-    if plan is None:
-        plan = _plan_for(pis, model)
     # complex and contiguous, so the plan's flat indices address it
     pis = np.ascontiguousarray(pis, dtype=complex)
     out = []
@@ -316,9 +313,9 @@ def _conjugation_matrices(
 
 
 def _check_projectors(pis: np.ndarray, model: ModelSpace) -> None:
-    if model.basis is None:
+    if model._matrix_dtype is None:
         raise ValueError(f"model {model.label!r} has no matrix embedding")
-    d = model.basis.shape[1]
+    d = model.d
     if pis.shape[1:] != (d, d):
         raise DimensionMismatch(f"projectors are {pis.shape[1:]}, model needs {(d, d)}")
     if not np.isfinite(pis).all():
@@ -334,7 +331,7 @@ def conjugation_superoperator(pi: np.ndarray, model: ModelSpace) -> np.ndarray:
     """The real m x m matrix of rho -> Pi rho Pi in embedded coordinates."""
     pis = np.asarray(pi)[None]
     _check_projectors(pis, model)
-    return _conjugation_matrices(pis, model)[0]
+    return _conjugation_matrices(pis, model, _plan_for(pis, model))[0]
 
 
 def _lueders_filters(pis, model: ModelSpace) -> list[Filter]:
@@ -358,7 +355,7 @@ def _lueders_filters(pis, model: ModelSpace) -> list[Filter]:
     def complements() -> np.ndarray:
         stack = np.eye(pis.shape[-1]) - pis
         _check_projectors(stack, model)
-        out = _conjugation_matrices(stack, model)
+        out = _conjugation_matrices(stack, model, _plan_for(stack, model))
         out.flags.writeable = False
         return out
 
@@ -367,14 +364,17 @@ def _lueders_filters(pis, model: ModelSpace) -> list[Filter]:
 
 def _mask_filters(pis, model: ModelSpace) -> list[Filter]:
     """Coordinate-mask filter pairs (P, I - P) for a list of 0/1 diagonal
-    n x n projectors P of a classical model on n outcomes."""
+    n x n projectors P of a classical model on n outcomes.  The arrays are
+    read-only, so slit systems can share them."""
     pis = np.asarray(pis)
     n = model.d
     if pis.shape[1:] != (n, n):
         raise DimensionMismatch(f"projectors are {pis.shape[1:]}, model needs {(n, n)}")
     if not (np.isin(pis, (0, 1)) & (pis == pis * np.eye(n))).all():
         raise NotAProjection("classical slits must be diagonal 0/1 matrices")
-    return [Filter(p, np.eye(n) - p) for p in pis.real.astype(float)]
+    pairs = np.stack([pis.real, np.eye(n) - pis.real]).astype(float)
+    pairs.flags.writeable = False
+    return [Filter(p, c) for p, c in zip(*pairs)]
 
 
 def basis_projectors(d: int, dtype=complex) -> list[np.ndarray]:
@@ -411,7 +411,7 @@ def projector_slit_system(pis, model: ModelSpace) -> SlitSystem:
     """The validated slit system of the joins of k pairwise-orthogonal
     projectors (see subset_filters and slit_system).
 
-    A Lueders system depends only on the model's kind, d and label and on
+    A system depends only on the model's kind, d and label and on
     the projectors' bytes, so each is built once per process and shared
     (a hit returns the system built first, whose model is the first
     caller's: the same kind, d and label).  The last SYSTEM_CACHE_ENTRIES
@@ -419,10 +419,8 @@ def projector_slit_system(pis, model: ModelSpace) -> SlitSystem:
     kept.  A larger system is returned but not kept; a system that fails
     its checks raises and is not kept.  What derives from a system alone
     (complements, blocks, prop1's operator probes, face plans) is kept with
-    it.  Classical mask systems are cheap and built on every call.
+    it.
     """
-    if model.kind == "classical":
-        return slit_system(model, subset_filters(pis, model))
     pis = np.ascontiguousarray(pis)
     key = (model.kind, model.d, model.label, pis.dtype.str, pis.shape, pis.tobytes())
     return _slit_systems.lookup(
@@ -450,11 +448,7 @@ def spin1_operator(axis) -> np.ndarray:
 
 def _eigenprojectors_desc(op: np.ndarray) -> list[np.ndarray]:
     """Rank-1 eigenprojectors of a Hermitian matrix, descending eigenvalue."""
-    w, v = np.linalg.eigh(op)
-    order = np.argsort(w)[::-1]
-    w, v = w[order], v[:, order]
-    if np.min(np.abs(np.diff(w))) < _EIG_GAP_TOL:
-        raise ValueError("degenerate eigendecomposition; projectors ambiguous")
+    v = np.linalg.eigh(op)[1][:, ::-1]  # eigh sorts ascending
     return [np.outer(v[:, i], v[:, i].conj()) for i in range(v.shape[1])]
 
 
@@ -463,7 +457,4 @@ def spin1_feynman_setup(b, d) -> tuple[list[np.ndarray], list[np.ndarray]]:
     both ordered by descending spin eigenvalue."""
     slits = _eigenprojectors_desc(spin1_operator(b))
     dets = _eigenprojectors_desc(spin1_operator(d))
-    total = np.sum(slits, axis=0)
-    if np.linalg.norm(total - np.eye(3)) > 1e-12:
-        raise ValueError("slit projectors do not resolve the identity")
     return slits, dets

@@ -161,9 +161,8 @@ def record_to_csv(record: ExperimentRecord) -> str:
     shots = record.shots_per_setting
     for J in record.settings:
         counts = record.counts[J]
-        for idx, c in enumerate(counts):
+        for idx, (c, freq) in enumerate(zip(counts, record.frequencies(J))):
             name = "blocked" if idx == len(counts) - 1 else str(idx)
-            freq = c / shots if shots > 0 else 0.0
             w.writerow([subset_key(J), name, int(c), shots, repr(float(freq))])
     return buf.getvalue()
 

@@ -27,6 +27,8 @@ from sorkinlab.interference import random_tables
 from sorkinlab.models import build_quantum_model, build_real_quantum_model, subset_filters
 from sorkinlab.tomography import exact_frequencies
 
+from helpers import spin1_system
+
 MATRIX_MODELS = [(kind, d) for kind in ("quantum", "real_quantum") for d in (3, 4, 6, 10, 16)]
 
 
@@ -143,12 +145,6 @@ def block_rounding_bound(f):
     factor 4 leaves room for the norms' own rounding."""
     scale = max(1.0, np.linalg.norm(f.projection), np.linalg.norm(f.complement))
     return 4 * len(f.projection) * np.finfo(float).eps * scale**2
-
-
-def spin1_system():
-    model = build_quantum_model(3)
-    setup = sl.spin1_feynman_setup([0.48, -0.6, 0.64], [0, 0, 1])
-    return sl.slit_system(model, subset_filters(list(setup[0]), model))
 
 
 class TestEmbed:

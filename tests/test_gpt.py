@@ -13,13 +13,10 @@ from sorkinlab.models import (
     subset_filters,
 )
 
+from helpers import one_slit_filter
+
 PSI = np.ones(3, dtype=complex) / np.sqrt(3.0)
 PSI_PROJ = np.outer(PSI, PSI.conj())
-
-
-def one_slit_filter(pi, model):
-    """The Lueders filter pair of one projector, as subset_filters builds it."""
-    return subset_filters([pi], model)[frozenset({1})]
 
 
 @pytest.fixture(scope="module")

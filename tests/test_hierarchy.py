@@ -26,6 +26,8 @@ from sorkinlab.models import (
     subset_filters,
 )
 
+from helpers import basis_system
+
 PAIRS = [frozenset(J) for J in ((1, 2), (1, 3), (2, 3))]
 SINGLES = [frozenset({i}) for i in (1, 2, 3)]
 TRIPLE = frozenset({1, 2, 3})
@@ -70,11 +72,6 @@ def spin1_system(axis):
     model = build_quantum_model(3)
     setup = sl.spin1_feynman_setup(axis, axis)
     return slit_system(model, subset_filters(list(setup[0]), model))
-
-
-def basis_system(d, k):
-    model = build_quantum_model(d)
-    return slit_system(model, subset_filters(basis_projectors(d)[:k], model))
 
 
 class TestSignedSubsetSum:
@@ -134,18 +131,18 @@ class TestThreeSlitBytes:
 
 class TestOtherSlitCounts:
     def test_system_reads_k_from_its_filters(self):
-        ss = basis_system(5, 4)
+        ss = basis_system(5, k=4)
         assert ss.k == 4 and len(ss.derived) == 15
         assert ss.top == frozenset({1, 2, 3, 4})
         assert ss.validate().passed
 
     def test_prop1_four_quantum_slits_hold(self):
-        report = sl.prop1_verify(basis_system(4, 4), n_samples=30, seed=1)
+        report = sl.prop1_verify(basis_system(4, k=4), n_samples=30, seed=1)
         assert report.verdicts == (True, True, True) and report.consistent
 
     def test_prop1_two_quantum_slits_interfere(self):
         # I2 != 0: P12 - P1 - P2 is the coherence part, Frobenius norm sqrt(2)
-        report = sl.prop1_verify(basis_system(4, 2), n_samples=30, seed=1)
+        report = sl.prop1_verify(basis_system(4, k=2), n_samples=30, seed=1)
         assert report.verdicts == (False, False, False) and report.consistent
         assert report.operator_gap == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
@@ -157,7 +154,7 @@ class TestOtherSlitCounts:
         assert report.operator_gap == 0.0
 
     def test_table_and_operator_routes_agree(self):
-        ss = basis_system(4, 4)
+        ss = basis_system(4, k=4)
         rng = np.random.default_rng(3)
         bump = rng.standard_normal((16, 16)) * 0.1
         bumped = ss.with_triple_perturbation(bump)
@@ -171,7 +168,7 @@ class TestOtherSlitCounts:
             assert abs(sl.i3_operator(r, bumped, s)) > 1e-6
 
     def test_span_check_against_three_slit_faces(self):
-        ss = basis_system(5, 4)
+        ss = basis_system(5, k=4)
         assert span_condition_check(ss) < 1e-12
         # a coordinate that no filter reaches: im(P_1234) leaves the span
         top = ss.derived[ss.top].projection
@@ -181,7 +178,7 @@ class TestOtherSlitCounts:
         assert span_condition_check(ss.with_triple_perturbation(bump)) > 0.5
 
     def test_four_slit_experiment(self):
-        ss = basis_system(4, 4)
+        ss = basis_system(4, k=4)
         model = ss.model
         plan = sl.ExperimentPlan(
             ss, model.embed(np.array(basis_projectors(4))),
@@ -200,14 +197,14 @@ class TestOtherSlitCounts:
         assert len(sl.estimate_i3(record).frequency_tables) == 15
 
     def test_four_slit_exact_tomography(self):
-        ss = basis_system(4, 4)
+        ss = basis_system(4, k=4)
         s = sl.random_state(ss.model, 8)
         result = sl.tomography_roundtrip(ss, s, mode="exact")
         assert len(result.per_face) == 6
         assert result.reconstruction_error <= 1e-12
 
     def test_two_slit_exact_tomography(self):
-        ss = basis_system(3, 2)
+        ss = basis_system(3, k=2)
         s = sl.random_state(ss.model, 9)
         result = sl.tomography_roundtrip(ss, s, mode="exact")
         assert result.reconstruction_error <= 1e-12

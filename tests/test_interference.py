@@ -23,12 +23,7 @@ from sorkinlab.interference import (
     slit_system,
     subset_key,
 )
-from sorkinlab.models import (
-    build_classical_model,
-    build_quantum_model,
-    build_real_quantum_model,
-    subset_filters,
-)
+from sorkinlab.models import build_quantum_model, subset_filters
 from sorkinlab.gpt import (
     CHUNK_ELEMENTS,
     matvecs,
@@ -36,6 +31,8 @@ from sorkinlab.gpt import (
     random_pairs,
     rowdots,
 )
+
+from helpers import basis_system, spin1_system
 
 
 def real_qutrit_fixture():
@@ -118,21 +115,6 @@ def dense_prop1_probes(ss, n_samples, seed):
     for states, effects in random_pairs(ss.model, n_samples, seed):
         sup = max(sup, float(np.abs(rowdots(effects, matvecs(defect, states))).max()))
     return float(np.linalg.norm(defect, "fro")), sup
-
-
-def basis_system(d, kind="quantum", k=3):
-    if kind == "classical":
-        model = build_classical_model(d)
-    else:
-        model = (build_quantum_model if kind == "quantum" else build_real_quantum_model)(d)
-    dtype = complex if kind == "quantum" else float
-    return slit_system(model, subset_filters(basis_projectors(d, dtype)[:k], model))
-
-
-def spin1_system():
-    model = build_quantum_model(3)
-    setup = sl.spin1_feynman_setup([0.48, -0.6, 0.64], [0, 0, 1])
-    return slit_system(model, subset_filters(list(setup[0]), model))
 
 
 class TestSlitSystemValidate:

@@ -19,13 +19,10 @@ from sorkinlab.models import (
 from sorkinlab.gpt import DimensionMismatch, Filter, ModelSpace, NotAProjection
 from sorkinlab.interference import all_subsets, slit_system
 
+from helpers import one_slit_filter
+
 PSI = np.ones(3, dtype=complex) / np.sqrt(3.0)
 PSI_PROJ = np.outer(PSI, PSI.conj())
-
-
-def one_slit_filter(pi, model):
-    """The Lueders filter pair of one projector, as subset_filters builds it."""
-    return subset_filters([pi], model)[frozenset({1})]
 
 
 def dense_superoperator(pi, model):
@@ -464,10 +461,10 @@ class TestKernelAgainstSupportKernel:
     @pytest.mark.parametrize("model,pis", [f[1:] for f in kernel_families()],
                              ids=[f[0] for f in kernel_families()])
     def test_byte_identical(self, model, pis):
-        from sorkinlab.models import _conjugation_matrices
+        from sorkinlab.models import _conjugation_matrices, _plan_for
 
         for stack in (pis, np.eye(pis.shape[1]) - pis):
-            assert _conjugation_matrices(stack, model).tobytes() == \
+            assert _conjugation_matrices(stack, model, _plan_for(stack, model)).tobytes() == \
                 support_kernel(stack, model).tobytes()
 
     def test_byte_identical_across_chunks(self, monkeypatch):
@@ -482,8 +479,9 @@ class TestKernelAgainstSupportKernel:
                     monkeypatch.setattr(models, "CHUNK_ELEMENTS", rows * size)
                     models._plans.clear()
                     try:
-                        assert models._plan_for(stack, model).rows == rows
-                        assert models._conjugation_matrices(stack, model).tobytes() == \
+                        plan = models._plan_for(stack, model)
+                        assert plan.rows == rows
+                        assert models._conjugation_matrices(stack, model, plan).tobytes() == \
                             support_kernel(stack, model).tobytes()
                     finally:
                         models._plans.clear()
@@ -637,9 +635,9 @@ class TestLazyComplements:
         calls = []
         kernel = models._conjugation_matrices
 
-        def counted(pis, model, *pattern):
+        def counted(pis, model, plan):
             calls.append(len(pis))
-            return kernel(pis, model, *pattern)
+            return kernel(pis, model, plan)
 
         monkeypatch.setattr(models, "_conjugation_matrices", counted)
         return calls

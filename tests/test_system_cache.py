@@ -154,13 +154,16 @@ def test_least_recently_used_goes_first():
     assert [entry[0] for entry in models._slit_systems.values()][0] is first
 
 
-def test_classical_systems_are_not_kept():
+def test_classical_systems_are_kept_read_only():
     from sorkinlab.models import build_classical_model
 
     model = build_classical_model(3)
     pis = [np.diag(np.eye(3)[i]) for i in range(3)]
-    assert projector_slit_system(pis, model) is not projector_slit_system(pis, model)
-    assert not models._slit_systems
+    ss = projector_slit_system(pis, model)
+    assert projector_slit_system(pis, model) is ss
+    assert len(models._slit_systems) == 1
+    assert not any(f.projection.flags.writeable or f.complement.flags.writeable
+                   for f in ss.derived.values())
 
 
 def test_face_plans_built_once_and_dropped_with_the_filters(monkeypatch):
