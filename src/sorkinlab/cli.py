@@ -445,9 +445,12 @@ def main(argv=None) -> int:
     try:
         resolve_count(args.seed, "--seed")  # numpy seeds must be >= 0
         # refuse an output path that cannot be a file before doing any work
-        for path in filter(None, (args.out, vars(args).get("csv_out"))):
+        paths = [path for path in (args.out, vars(args).get("csv_out")) if path]
+        for path in paths:
             if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
                 raise InputError(f"cannot write {path}: not a file in an existing directory")
+        if len(paths) == 2 and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
+            raise InputError(f"--out and --csv-out name the same file {paths[0]}")
         try:
             return args.func(args)
         except InvalidSlitSystem as exc:

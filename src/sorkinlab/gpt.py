@@ -13,7 +13,7 @@ of a filter the image of its projection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from typing import Optional
 
 import numpy as np
@@ -224,11 +224,33 @@ class Filter:
     blocks' coordinates (n_blocks, w) and the flat indices of their entries
     in an m x m array (n_blocks, w, w).  The filters of one family share it;
     None stands for one block of all coordinates.
+
+    A filter's arrays are taken as fixed once they have been checked, as
+    SlitSystem's cached properties assume: identity_residuals is kept.
     """
 
     projection: np.ndarray
     complement: np.ndarray = _BuiltOnFirstRead()
     blocks: Optional[tuple] = None
+
+    @cached_property
+    def identity_residuals(self) -> tuple[float, float]:
+        """validate_filter's exact idempotence and complement_product
+        residuals, block by block of blocks: the Frobenius norms are the
+        square roots of the blocks' sums of squares.  Computed once."""
+        P, Pc = self.projection, self.complement
+        # sums of squares of P P - P, P Pc, Pc P, Pc Pc - Pc, P and Pc
+        sq = np.zeros(6)
+        for _, entries in self.blocks or one_block(len(P)):
+            x = diagonal_blocks((P, Pc), entries)
+            y = np.matmul(x[:, None], x[None])  # y[i, j] = x[i] x[j]
+            y[0, 0] -= x[0]
+            y[1, 1] -= x[1]
+            terms = np.concatenate((y.reshape(4, -1), x.reshape(2, -1)))
+            sq += rowdots(terms, terms)
+        norm = np.sqrt(sq)
+        idem = float(max(norm[0] / max(1.0, norm[4]), norm[3] / max(1.0, norm[5])))
+        return idem, float(max(norm[1], norm[2]) / max(1.0, norm[4]))
 
     def __getstate__(self):
         return {**self.__dict__, "complement": self.complement}
@@ -345,24 +367,11 @@ def validate_filter(f: Filter, model: ModelSpace, states: np.ndarray) -> Validat
     cone states, coordinates one per row (plus their filtered images, which
     exercise the fixed-point sets), so several filters can be checked on one
     draw of ``sample_states``; the algebraic identities are checked exactly
-    on the matrices, block by block of f.blocks: the Frobenius norms are
-    the square roots of the blocks' sums of squares.
+    on the matrices, once per filter (see Filter.identity_residuals).
     """
     P, Pc = f.projection, f.complement
     u = model.order_unit
-
-    # sums of squares of P P - P, P Pc, Pc P, Pc Pc - Pc, P and Pc
-    sq = np.zeros(6)
-    for _, entries in f.blocks or one_block(len(P)):
-        x = diagonal_blocks((P, Pc), entries)
-        y = np.matmul(x[:, None], x[None])  # y[i, j] = x[i] x[j]
-        y[0, 0] -= x[0]
-        y[1, 1] -= x[1]
-        terms = np.concatenate((y.reshape(4, -1), x.reshape(2, -1)))
-        sq += rowdots(terms, terms)
-    norm = np.sqrt(sq)
-    idem = float(max(norm[0] / max(1.0, norm[4]), norm[3] / max(1.0, norm[5])))
-    prod = float(max(norm[1], norm[2]) / max(1.0, norm[4]))
+    idem, prod = f.identity_residuals
 
     passed, blocked = matvecs(P, states), matvecs(Pc, states)
     # P t for t = states, passed, blocked

@@ -176,5 +176,52 @@ def record_to_dict(record: ExperimentRecord) -> dict:
     }
 
 
+_quote = json.encoder.encode_basestring_ascii  # the C function json itself calls
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _write(o, indent: str) -> str:
+    """o as json.dumps(o, indent=2, sort_keys=True) writes it, with indent
+    the newline and indentation of its own level."""
+    t = type(o)
+    if t is str:
+        return _quote(o)
+    if t is float:
+        r = float.__repr__(o)
+        return _NON_FINITE.get(r, r)
+    if t is dict:
+        if not o:
+            return "{}"
+        inner = indent + "  "
+        # sorted() or _quote raises TypeError on a key that is not a str
+        items = [_quote(k) + ": " + _write(o[k], inner) for k in sorted(o)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if t is list or t is tuple:
+        if not o:
+            return "[]"
+        inner = indent + "  "
+        try:  # a list of finite floats in one pass
+            items = list(map(float.__repr__, o)) if type(o[0]) is float else None
+        except TypeError:  # a later item is not a float
+            items = None
+        if items is None or not _NON_FINITE.keys().isdisjoint(items):
+            items = [_write(v, inner) for v in o]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if t is int:
+        return int.__repr__(o)
+    if t is bool:
+        return "true" if o else "false"
+    if o is None:
+        return "null"
+    for base in (str, int, float, list, tuple, dict):  # subclasses, such as numpy's float64
+        if isinstance(o, base):
+            return _write(base(o), indent)
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
 def dumps(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
+    """The bytes of json.dumps(payload, indent=2, sort_keys=True), written
+    without json's pure-Python encoder, which it uses whenever indent is
+    set.  Raises TypeError on what json.dumps rejects, such as numpy
+    integers and booleans or sets, and on keys that are not strings."""
+    return _write(payload, "\n")

@@ -7,17 +7,14 @@ import numpy as np
 import pytest
 
 import sorkinlab as sl
-from sorkinlab.fixtures import (
-    basis_projectors,
-    classical_fixture,
-    quantum4_subspace_fixture,
-    qutrit_fixture,
-    table_06,
-)
+from sorkinlab.fixtures import table_06
 from sorkinlab.models import (
+    basis_projectors,
     build_quantum_model,
     subset_filters,
 )
+
+from helpers import classical_fixture, quantum4_subspace_fixture, qutrit_fixture
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:

@@ -21,13 +21,17 @@ import pytest
 import sorkinlab as sl
 from sorkinlab import gpt, serialize
 from sorkinlab.cli import main
-from sorkinlab.fixtures import basis_projectors, quantum4_subspace_fixture
 from sorkinlab.gpt import matvecs, random_pairs, rowdots, sample_states
 from sorkinlab.interference import random_tables
-from sorkinlab.models import build_quantum_model, build_real_quantum_model, subset_filters
+from sorkinlab.models import (
+    basis_projectors,
+    build_quantum_model,
+    build_real_quantum_model,
+    subset_filters,
+)
 from sorkinlab.tomography import exact_frequencies
 
-from helpers import spin1_system
+from helpers import classical_fixture, quantum4_subspace_fixture, qutrit_fixture, spin1_system
 
 MATRIX_MODELS = [(kind, d) for kind in ("quantum", "real_quantum") for d in (3, 4, 6, 10, 16)]
 
@@ -523,9 +527,9 @@ ZERO_DEFECT = (
      for kind in ("quantum", "real_quantum") for d in (3, 6, 10, 16)]
     + [(f"classical{d}", lambda d=d: basis_slit_system("classical", d)) for d in (3, 4, 5, 6)]
     + [("spin1-0,0,1", lambda: spin1_axis_system("0,0,1")),
-       ("qutrit-fixture", lambda: sl.fixtures.qutrit_fixture()[1]),
-       ("real-qutrit-fixture", lambda: sl.fixtures.qutrit_fixture(float)[1]),
-       ("classical-fixture", lambda: sl.fixtures.classical_fixture()[1])]
+       ("qutrit-fixture", lambda: qutrit_fixture()[1]),
+       ("real-qutrit-fixture", lambda: qutrit_fixture(float)[1]),
+       ("classical-fixture", lambda: classical_fixture()[1])]
 )
 NONZERO_DEFECT = [
     ("spin1-0.6,0,0.8", lambda: spin1_axis_system("0.6,0,0.8")),

@@ -14,10 +14,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sorkinlab import cli, serialize
 from sorkinlab.cli import main, resolve_model, resolve_slits
-from sorkinlab.fixtures import qutrit_fixture
 from sorkinlab.gpt import Filter, sample_states, validate_filter
 from sorkinlab.interference import ProbabilityTable, SlitSystem, all_subsets, subset_key
 from sorkinlab.models import basis_projectors, build_quantum_model, subset_filters
+
+from helpers import qutrit_fixture
 
 
 def three_slit_entries(**changes):
@@ -277,6 +278,7 @@ BAD_ARGUMENTS = [
      "--slits", "from-model"],
     ["interference", "--table", {"k": 3, "entries": {key: [p] for key, p
                                                      in three_slit_entries().items()}}],
+    ["experiment", "--shots", "100", "--csv-out", Path("r.json"), "--out", Path("r.json")],
 ]
 BAD_IDS = ["state-dimension", "classical-state-dimension", "negative-shots",
            "table-negative-shots", "state-seed-not-integer",
@@ -313,7 +315,7 @@ BAD_IDS = ["state-dimension", "classical-state-dimension", "negative-shots",
            "basis-slits-classical2", "spin1-axis-two-numbers", "spin1-axis-not-numbers",
            "spin1-axis-zero", "tomography-rotated-filters", "experiment-rotated-filters",
            "uniform-state-quantum3", "experiment-custom-cone", "classical-model-n1",
-           "filter-projection-8x8", "table-entries-lists"]
+           "filter-projection-8x8", "table-entries-lists", "out-and-csv-out-same-file"]
 
 
 def materialize(argv, directory):
@@ -361,6 +363,22 @@ def test_unwritable_output_leaves_nothing_written(capsys, tmp_path, monkeypatch,
     assert not any(path.exists() for path in paths.values())
     assert not (tmp_path / "missing").exists()
     assert runs == []
+
+
+@pytest.mark.parametrize("out", ["t/r.json", "t/../t/r.json", "link/r.json"])
+def test_out_and_csv_out_naming_one_file_are_refused(capsys, tmp_path, monkeypatch, out):
+    # the JSON payload would overwrite the CSV; refused before any work
+    runs = []
+    monkeypatch.setattr(cli, "run_experiment", lambda plan: runs.append(plan))
+    (tmp_path / "t").mkdir()
+    (tmp_path / "link").symlink_to(tmp_path / "t")
+    code = main(["experiment", "--shots", "100", "--csv-out", str(tmp_path / "t" / "r.json"),
+                 "--out", str(tmp_path / out)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: --out and --csv-out name the same file ")
+    assert captured.err.count("\n") == 1
+    assert (list((tmp_path / "t").iterdir()), runs) == ([], [])
 
 
 @pytest.mark.parametrize("argv", [

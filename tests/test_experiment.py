@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 import sorkinlab as sl
-from sorkinlab.fixtures import qutrit_fixture, table_06
+from sorkinlab.fixtures import table_06
 from sorkinlab.models import (
     build_quantum_model,
     subset_filters,
 )
 from sorkinlab.interference import all_subsets, slit_system
+
+from helpers import qutrit_fixture
 
 SETTING_ORDER = all_subsets(3)
 

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import sorkinlab as sl
-from sorkinlab.fixtures import basis_projectors, quantum4_subspace_fixture
 from sorkinlab.interference import (
     ProbabilityTable,
     all_subsets,
@@ -21,12 +20,13 @@ from sorkinlab.interference import (
     subsets_of_size,
 )
 from sorkinlab.models import (
+    basis_projectors,
     build_classical_model,
     build_quantum_model,
     subset_filters,
 )
 
-from helpers import basis_system
+from helpers import basis_system, quantum4_subspace_fixture
 
 PAIRS = [frozenset(J) for J in ((1, 2), (1, 3), (2, 3))]
 SINGLES = [frozenset({i}) for i in (1, 2, 3)]

@@ -9,13 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import sorkinlab as sl
 from sorkinlab import serialize
-from sorkinlab.fixtures import (
-    basis_projectors,
-    classical_fixture,
-    quantum4_subspace_fixture,
-    qutrit_fixture,
-    table_06,
-)
+from sorkinlab.fixtures import table_06
 from sorkinlab.interference import (
     ProbabilityTable,
     _product_table,
@@ -23,7 +17,7 @@ from sorkinlab.interference import (
     slit_system,
     subset_key,
 )
-from sorkinlab.models import build_quantum_model, subset_filters
+from sorkinlab.models import basis_projectors, build_quantum_model, subset_filters
 from sorkinlab.gpt import (
     CHUNK_ELEMENTS,
     matvecs,
@@ -32,7 +26,13 @@ from sorkinlab.gpt import (
     rowdots,
 )
 
-from helpers import basis_system, spin1_system
+from helpers import (
+    basis_system,
+    classical_fixture,
+    quantum4_subspace_fixture,
+    qutrit_fixture,
+    spin1_system,
+)
 
 
 def real_qutrit_fixture():

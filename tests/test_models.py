@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import sorkinlab as sl
-from sorkinlab.fixtures import basis_projectors
 from sorkinlab.models import (
+    basis_projectors,
     SPIN1_X,
     SPIN1_Z,
     build_classical_model,

@@ -4,11 +4,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sorkinlab as sl
 from sorkinlab import serialize
-from sorkinlab.fixtures import qutrit_fixture, table_06
+from sorkinlab.fixtures import table_06
 from sorkinlab.models import build_quantum_model
+
+from helpers import qutrit_fixture
 
 
 class TestHermitian:
@@ -117,3 +120,42 @@ class TestRecord:
         first = lines[1].split(",")
         assert first[0] == "1"
         assert int(first[3]) == 1000
+
+
+# JSON values as the CLI's payloads hold them, and the tuples and non-finite
+# floats json.dumps also writes
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=5) | st.tuples(inner, inner)
+                   | st.lists(st.floats(), min_size=1, max_size=5)
+                   | st.dictionaries(st.text(), inner, max_size=5)),
+    max_leaves=30,
+)
+
+
+class TestDumps:
+    @settings(max_examples=200, deadline=None)
+    @given(JSON_VALUES)
+    def test_writes_the_bytes_of_json_dumps(self, value):
+        assert serialize.dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [
+        [1.5, float("nan"), -0.0], [float("inf"), 2.0], [-float("inf")], [0.5, 1, True, None],
+        {"b": [], "a": {}, "c": ()}, {"é": "ü\n\"", "": [10**30, -(10**30)]},
+    ], ids=["nan", "inf", "minus-inf", "mixed-list", "empty-containers", "non-ascii"])
+    def test_edge_cases(self, value):
+        assert serialize.dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_float_subclasses_are_floats(self):
+        value = {"x": np.float64(0.1), "y": [0.5, np.float64(1 / 3)]}
+        assert serialize.dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [
+        np.int64(1), [np.bool_(True)], {"a": {1, 2}}, {1: "a"}, {"a": 1, 2: "b"}, [1.0, b"x"],
+    ], ids=["numpy-int", "numpy-bool", "set", "int-key", "mixed-keys", "float-then-bytes"])
+    def test_refuses_what_json_refuses(self, value):
+        with pytest.raises(TypeError):
+            serialize.dumps(value)
+        if not isinstance(value, dict) or all(type(k) is str for k in value):
+            with pytest.raises(TypeError):
+                json.dumps(value, indent=2, sort_keys=True)

@@ -9,6 +9,7 @@ import pytest
 
 from sorkinlab import interference, models, tomography
 from sorkinlab.cli import main
+from sorkinlab.gpt import Filter
 from sorkinlab.interference import InvalidSlitSystem, prop1_verify
 from sorkinlab.models import (
     SYSTEM_CACHE_BYTES,
@@ -196,3 +197,28 @@ def test_joint_pattern_formed_once_per_stack(monkeypatch):
     assert len(calls) == 1
     next(iter(filters.values())).complement
     assert len(calls) == 2
+
+
+@pytest.fixture
+def identities(monkeypatch):
+    """The filters whose identity residuals were computed, one entry per
+    computation."""
+    computed = []
+    prop = Filter.__dict__["identity_residuals"]
+    compute = prop.func
+    monkeypatch.setattr(prop, "func", lambda f: computed.append(f) or compute(f))
+    return computed
+
+
+@pytest.mark.parametrize("model", ["quantum:6", "classical:4"])
+def test_validate_computes_each_filters_identities_once(capsys, identities, model):
+    argv = ["validate", "--model", model, "--samples", "10", "--seed", "1"]
+    first = run(capsys, argv)
+    assert first[0] == 0
+    assert len(identities) == len({id(f) for f in identities}) == 7
+    again = run(capsys, argv)
+    assert len(identities) == 7  # the kept system's filters kept theirs
+    models._slit_systems.clear()
+    fresh = run(capsys, argv)
+    assert len(identities) == 14
+    assert again == first and fresh == first

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import sorkinlab as sl
-from sorkinlab.fixtures import classical_fixture, qutrit_fixture
 from sorkinlab.gpt import with_blocked
 from sorkinlab.tomography import exact_frequencies, sample_frequencies
+
+from helpers import classical_fixture, qutrit_fixture
 
 PSI = np.ones(3, dtype=complex) / np.sqrt(3.0)
 PSI_PROJ = np.outer(PSI, PSI.conj())
