@@ -13,9 +13,9 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -243,10 +243,22 @@ def _print(text: str) -> None:
 
 
 def _write(path: str, text: str) -> None:
-    """Write an output file (--out, --csv-out); a path that cannot be
-    written is bad input."""
+    """Write an output file (--out, --csv-out) over its old bytes, then cut
+    a regular file to the new length; a path that cannot be written is bad
+    input.  Opening an existing file with O_TRUNC is slow on ext4, which
+    frees the file's blocks only to allocate them again; ftruncate fails
+    on devices such as /dev/null, which need no cut."""
+    data = memoryview(text.encode())
     try:
-        Path(path).write_text(text)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            written = 0
+            while written < len(data):
+                written += os.write(fd, data[written:])
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, written)
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
@@ -445,12 +457,23 @@ def main(argv=None) -> int:
     try:
         resolve_count(args.seed, "--seed")  # numpy seeds must be >= 0
         # refuse an output path that cannot be a file before doing any work
-        paths = [path for path in (args.out, vars(args).get("csv_out")) if path]
+        opts = vars(args)
+        paths = [path for path in (args.out, opts.get("csv_out")) if path]
         for path in paths:
             if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
                 raise InputError(f"cannot write {path}: not a file in an existing directory")
         if len(paths) == 2 and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
             raise InputError(f"--out and --csv-out name the same file {paths[0]}")
+        # nor one that would overwrite a file this run reads
+        reads = [opts.get(name) for name in ("model", "state", "effect")]
+        reads = [spec for spec in reads if spec and spec.endswith(".json")]
+        if opts.get("table") not in (None, "fixture:0.6"):  # any other table is a file
+            reads.append(opts["table"])
+        if paths and reads:
+            inputs = {os.path.realpath(spec) for spec in reads}
+            for path in paths:
+                if os.path.realpath(path) in inputs:
+                    raise InputError(f"cannot write {path}: it is an input file of this run")
         try:
             return args.func(args)
         except InvalidSlitSystem as exc:

@@ -7,8 +7,6 @@ exact IEEE double and never needs more than 17 significant digits.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 
 import numpy as np
@@ -155,16 +153,19 @@ def table_from_dict(d: dict) -> ProbabilityTable:
 
 
 def record_to_csv(record: ExperimentRecord) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["setting", "outcome", "count", "shots", "frequency"])
+    """The bytes csv.writer writes for the record's rows, CRLF after each:
+    no field (a subset key, an outcome index or "blocked", an integer or a
+    float repr) needs quoting, so the rows are joined directly."""
+    rows = ["setting,outcome,count,shots,frequency"]
     shots = record.shots_per_setting
     for J in record.settings:
-        counts = record.counts[J]
-        for idx, (c, freq) in enumerate(zip(counts, record.frequencies(J))):
-            name = "blocked" if idx == len(counts) - 1 else str(idx)
-            w.writerow([subset_key(J), name, int(c), shots, repr(float(freq))])
-    return buf.getvalue()
+        counts = record.counts[J].tolist()
+        names = [*map(str, range(len(counts) - 1)), "blocked"]
+        key = subset_key(J)
+        for name, c, freq in zip(names, counts, record.frequencies(J).tolist()):
+            rows.append(f"{key},{name},{c},{shots},{freq!r}")
+    rows.append("")
+    return "\r\n".join(rows)
 
 
 def record_to_dict(record: ExperimentRecord) -> dict:

@@ -130,10 +130,10 @@ class TestValidate:
         for bad in (str(tmp_path / "missing" / "out.json"), str(tmp_path)):
             assert run(capsys, *argv, "--out", bad) == (2, "")
 
-        def full(self, text):
+        def full(fd, data):
             raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(Path, "write_text", full)
+        monkeypatch.setattr(os, "write", full)
         code = main(argv + ["--out", str(out)])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
@@ -279,6 +279,10 @@ BAD_ARGUMENTS = [
     ["interference", "--table", {"k": 3, "entries": {key: [p] for key, p
                                                      in three_slit_entries().items()}}],
     ["experiment", "--shots", "100", "--csv-out", Path("r.json"), "--out", Path("r.json")],
+    # the first JSON value is written to 0.json in an empty directory
+    ["experiment", "--table", {"k": 3, "entries": three_slit_entries()}, "--shots", "100",
+     "--csv-out", Path("0.json")],
+    ["validate", "--model", custom_model(), "--slits", "from-model", "--out", Path("0.json")],
 ]
 BAD_IDS = ["state-dimension", "classical-state-dimension", "negative-shots",
            "table-negative-shots", "state-seed-not-integer",
@@ -315,7 +319,8 @@ BAD_IDS = ["state-dimension", "classical-state-dimension", "negative-shots",
            "basis-slits-classical2", "spin1-axis-two-numbers", "spin1-axis-not-numbers",
            "spin1-axis-zero", "tomography-rotated-filters", "experiment-rotated-filters",
            "uniform-state-quantum3", "experiment-custom-cone", "classical-model-n1",
-           "filter-projection-8x8", "table-entries-lists", "out-and-csv-out-same-file"]
+           "filter-projection-8x8", "table-entries-lists", "out-and-csv-out-same-file",
+           "csv-out-over-table", "out-over-model"]
 
 
 def materialize(argv, directory):
@@ -379,6 +384,70 @@ def test_out_and_csv_out_naming_one_file_are_refused(capsys, tmp_path, monkeypat
     assert captured.err.startswith("error: --out and --csv-out name the same file ")
     assert captured.err.count("\n") == 1
     assert (list((tmp_path / "t").iterdir()), runs) == ([], [])
+
+
+@pytest.mark.parametrize("out", ["t.json", "../d/t.json", "link.json"])
+@pytest.mark.parametrize("flag", ["--out", "--csv-out"])
+def test_output_naming_an_input_file_is_refused(capsys, tmp_path, monkeypatch, flag, out):
+    # the output would replace the table; refused before any work
+    runs = []
+    monkeypatch.setattr(cli, "record_from_table", lambda *a: runs.append(a))
+    directory = tmp_path / "d"
+    directory.mkdir()
+    table = directory / "t.json"
+    table.write_text(json.dumps({"k": 3, "entries": three_slit_entries()}))
+    (directory / "link.json").symlink_to(table)
+    before = table.read_bytes()
+    code = main(["experiment", "--table", str(table), "--shots", "100",
+                 flag, str(directory / out)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: cannot write ") and captured.err.count("\n") == 1
+    assert (table.read_bytes(), runs) == (before, [])
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "--shots", "100", "--csv-out"],
+    ["validate", "--samples", "2", "--out"],
+])
+def test_device_output_is_written(capsys, argv):
+    # /dev/null cannot be cut to length: only regular files are
+    code, printed = run(capsys, *argv[:-1])
+    assert run(capsys, *argv, os.devnull) == (code, "" if argv[-1] == "--out" else printed)
+    assert code == 0
+
+
+class TestWrite:
+    """cli._write overwrites a file in place and cuts it to the new length."""
+
+    @pytest.mark.parametrize("first, last", [("x" * 5000 + "\n", "short\n"),
+                                             ("short\n", "x" * 5000 + "\n")],
+                             ids=["long-then-short", "short-then-long"])
+    def test_holds_the_last_bytes(self, tmp_path, first, last):
+        path = tmp_path / "out.json"
+        for text in (first, last):
+            cli._write(str(path), text)
+        assert path.read_bytes() == last.encode()
+
+    def test_new_file_mode(self, tmp_path):
+        umask = os.umask(0o027)
+        try:
+            cli._write(str(tmp_path / "a"), "a\n")
+            (tmp_path / "b").write_text("b\n")
+        finally:
+            os.umask(umask)
+        modes = [(tmp_path / name).stat().st_mode & 0o777 for name in "ab"]
+        assert modes == [0o640, 0o640]
+
+    def test_writes_through_a_symlink(self, capsys, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old\n" * 1000)
+        link.symlink_to(target)
+        argv = ["experiment", "--shots", "100", "--state", "random:1", "--csv-out"]
+        assert run(capsys, *argv, str(link))[0] == 0
+        assert link.is_symlink()
+        assert run(capsys, *argv, str(tmp_path / "plain.csv"))[0] == 0
+        assert target.read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 
 @pytest.mark.parametrize("argv", [

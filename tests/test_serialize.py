@@ -1,5 +1,7 @@
 """Interchange formats: model JSON, Hermitian matrices, tables, records."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import sorkinlab as sl
 from sorkinlab import serialize
 from sorkinlab.fixtures import table_06
+from sorkinlab.interference import all_subsets, subset_key
 from sorkinlab.models import build_quantum_model
 
 from helpers import qutrit_fixture
@@ -120,6 +123,33 @@ class TestRecord:
         first = lines[1].split(",")
         assert first[0] == "1"
         assert int(first[3]) == 1000
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_writes_the_bytes_of_csv_writer(self, data):
+        k = data.draw(st.integers(2, 4))
+        n_outcomes = data.draw(st.integers(1, 4))
+        shots = data.draw(st.integers(0, 10) | st.integers(0, 2**62))
+        count = st.integers(0, shots)
+        counts = {J: np.array(data.draw(st.lists(count, min_size=n_outcomes + 1,
+                                                 max_size=n_outcomes + 1)), dtype=np.int64)
+                  for J in all_subsets(k)}
+        record = sl.ExperimentRecord(counts, shots, 0, "x")
+        assert serialize.record_to_csv(record) == csv_writer_record(record)
+
+
+def csv_writer_record(record):
+    """record_to_csv as it was written with csv.writer: the reference."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["setting", "outcome", "count", "shots", "frequency"])
+    shots = record.shots_per_setting
+    for J in record.settings:
+        counts = record.counts[J]
+        for idx, (c, freq) in enumerate(zip(counts, record.frequencies(J))):
+            name = "blocked" if idx == len(counts) - 1 else str(idx)
+            w.writerow([subset_key(J), name, int(c), shots, repr(float(freq))])
+    return buf.getvalue()
 
 
 # JSON values as the CLI's payloads hold them, and the tuples and non-finite
