@@ -167,7 +167,9 @@ def _random_seed(spec: str) -> int:
         seed = int(spec.split(":", 1)[1])
     except ValueError:
         raise InputError(f"bad seed in {spec!r}: expected an integer")
-    return resolve_count(seed, "random:<seed>")
+    if seed < 0:
+        raise InputError(f"random:<seed> must be >= 0, got {seed}")
+    return seed
 
 
 def _resolve_vector(spec: str, model: ModelSpace, noun: str, draw) -> np.ndarray:
@@ -208,19 +210,6 @@ def resolve_effect(spec: str, model: ModelSpace) -> np.ndarray:
     if spec == "order-unit":
         return model.order_unit.copy()
     return _resolve_vector(spec, model, "effect", random_effect)
-
-
-def resolve_count(n: int, name: str) -> int:
-    if n < 0:
-        raise InputError(f"{name} must be >= 0, got {n}")
-    return n
-
-
-def resolve_shots(n: int) -> int:
-    """--shots, at most 2^63 - 1: numpy draws the counts as int64."""
-    if n > 2**63 - 1:
-        raise InputError(f"--shots must be <= {2**63 - 1}, got {n}")
-    return resolve_count(n, "--shots")
 
 
 def resolve_table(spec: str):
@@ -273,10 +262,9 @@ def emit(payload: dict, args) -> None:
 
 
 def cmd_validate(args) -> int:
-    n_samples = resolve_count(args.samples, "--samples")
     model, named = resolve_model(args.model)
     ss = resolve_slits(args.slits, model, named)
-    states = sample_states(model, n_samples, args.seed)
+    states = sample_states(model, args.samples, args.seed)
     reports = [ss.report.to_dict()]  # checked when the system was built
     for J in all_subsets(ss.k):
         rep = validate_filter(ss.derived[J], model, states)
@@ -290,6 +278,8 @@ def cmd_validate(args) -> int:
 
 def cmd_interference(args) -> int:
     if args.table:
+        if args.sweep is not None:
+            raise InputError("--sweep is not read with --table")
         t = resolve_table(args.table)
         ik = ik_from_table(t)
         payload = {"source": "table", "k": t.k, "ik": ik}
@@ -298,11 +288,11 @@ def cmd_interference(args) -> int:
         emit(payload, args)
         return 0
     model, named = resolve_model(args.model)
-    ss = resolve_slits(args.slits, model, named)
     if args.sweep is not None:
+        ss = resolve_slits(args.slits, model, named)
         sup_i3 = 0.0
         max_i2 = 0.0
-        for probs in random_tables(ss, resolve_count(args.sweep, "--sweep"), args.seed):
+        for probs in random_tables(ss, args.sweep, args.seed):
             sup_i3 = max(sup_i3, float(np.abs(signed_subset_sum(probs, ss.k)).max()))
             for i2 in pair_interference(probs, ss.k).values():
                 max_i2 = max(max_i2, float(np.abs(i2).max()))
@@ -311,6 +301,7 @@ def cmd_interference(args) -> int:
         return 0
     s = resolve_state(args.state, model)
     r = resolve_effect(args.effect, model)
+    ss = resolve_slits(args.slits, model, named)
     t = table_from_system(r, ss, s)
     payload = {
         "i2": {subset_key(J): i2 for J, i2 in pair_interference(t.entries, t.k).items()},
@@ -323,10 +314,9 @@ def cmd_interference(args) -> int:
 
 
 def cmd_prop1(args) -> int:
-    n_samples = resolve_count(args.samples, "--samples")
     model, named = resolve_model(args.model)
     ss = resolve_slits(args.slits, model, named)
-    report = prop1_verify(ss, n_samples=n_samples, seed=args.seed)
+    report = prop1_verify(ss, n_samples=args.samples, seed=args.seed)
     emit(report.to_dict(), args)
     return 0 if report.consistent else 1
 
@@ -335,12 +325,10 @@ def cmd_tomography(args) -> int:
     model, named = resolve_model(args.model)
     if model.kind == "custom":
         raise InputError("tomography has no measurement family for custom cones")
-    ss = resolve_slits(args.slits, model, named)
     s = resolve_state(args.state, model)
+    ss = resolve_slits(args.slits, model, named)
     try:
-        result = tomography_roundtrip(
-            ss, s, mode=args.mode, shots=resolve_shots(args.shots), seed=args.seed
-        )
+        result = tomography_roundtrip(ss, s, mode=args.mode, shots=args.shots, seed=args.seed)
     except ValueError as exc:  # a model-file family with no complete face measurement
         raise InputError(str(exc)) from exc
     emit(result.to_dict(), args)
@@ -348,27 +336,27 @@ def cmd_tomography(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    shots = resolve_shots(args.shots)
+    if args.table and args.spin1:
+        raise InputError("--spin1 is not read with --table")
+    if args.slits and (args.table or args.spin1):
+        raise InputError(f"--slits is not read with {'--table' if args.table else '--spin1'}")
+    if not args.spin1 and (args.b or args.d):
+        raise InputError(f"{'--b' if args.b else '--d'} is read only with --spin1")
     if args.table:
-        record = record_from_table(resolve_table(args.table), shots, args.seed)
+        record = record_from_table(resolve_table(args.table), args.shots, args.seed)
     else:
         model, named = resolve_model(args.model)
+        if model.kind == "custom":
+            raise InputError("experiments on custom cones take a --table")
+        source = resolve_state(args.state, model)
         if args.spin1:
-            ss, detectors = _spin1_system(model, args.b, args.d)
+            ss, detectors = _spin1_system(model, args.b or "0,0,1", args.d or "0,0,1")
             detector = model.embed(np.array(detectors))
         else:
-            ss = resolve_slits(args.slits, model, named)
-            if model.kind == "custom":
-                raise InputError("experiments on custom cones take a --table")
+            ss = resolve_slits(args.slits or "basis", model, named)
             detector = (np.eye(model.d) if model.kind == "classical"
                         else model.embed(np.array(basis_projectors(model.d))))
-        plan = ExperimentPlan(
-            slits=ss,
-            detector=detector,
-            source_state=resolve_state(args.state, model),
-            shots_per_setting=shots,
-            seed=args.seed,
-        )
+        plan = ExperimentPlan(ss, detector, source, args.shots, args.seed)
         try:
             record = run_experiment(plan)
         except ValueError as exc:  # a source state giving probabilities outside [0, 1]
@@ -423,11 +411,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--state", default="random:0")
     sp.add_argument("--shots", type=int, default=100000)
     sp.add_argument("--spin1", action="store_true")
-    sp.add_argument("--b", default="0,0,1", help="filter axis bx,by,bz")
-    sp.add_argument("--d", default="0,0,1", help="detector axis dx,dy,dz")
+    sp.add_argument("--b", help="filter axis bx,by,bz of --spin1 (default 0,0,1)")
+    sp.add_argument("--d", help="detector axis dx,dy,dz of --spin1 (default 0,0,1)")
     sp.add_argument("--table", help="synthetic record from a raw table")
     sp.add_argument("--csv-out", dest="csv_out")
-    sp.set_defaults(func=cmd_experiment)
+    # --slits defaults to basis only where it is read: not with --spin1 or --table
+    sp.set_defaults(func=cmd_experiment, slits=None)
     return p
 
 
@@ -455,9 +444,16 @@ def main(argv=None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(_join_axes(sys.argv[1:] if argv is None else list(argv)))
     try:
-        resolve_count(args.seed, "--seed")  # numpy seeds must be >= 0
-        # refuse an output path that cannot be a file before doing any work
+        # refuse a bad count before doing any work: numpy seeds must be >= 0,
+        # and numpy draws the counts of --shots as int64
         opts = vars(args)
+        for name in ("seed", "samples", "sweep", "shots"):
+            n = opts.get(name)
+            if n is not None and n < 0:
+                raise InputError(f"--{name} must be >= 0, got {n}")
+        if opts.get("shots", 0) > 2**63 - 1:
+            raise InputError(f"--shots must be <= {2**63 - 1}, got {args.shots}")
+        # nor an output path that cannot be a file
         paths = [path for path in (args.out, opts.get("csv_out")) if path]
         for path in paths:
             if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):

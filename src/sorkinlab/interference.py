@@ -29,6 +29,8 @@ from .gpt import (
 )
 
 
+# Cached: a record names each setting in its CSV, its JSON and its frequencies.
+@cache
 def subset_key(J: frozenset) -> str:
     return "".join(str(i) for i in sorted(J))
 

@@ -186,18 +186,22 @@ class TestEmbed:
         assert build_real_quantum_model(5).basis.dtype == np.float64
 
     def test_nothing_built_at_import(self):
-        code = ("import sorkinlab.cli, sorkinlab.gpt as g, sorkinlab.models as m, "
+        # the top-level packages outside the standard library that importing
+        # the CLI loads (site may have loaded others before it): no scipy
+        code = ("import sys; before = set(sys.modules); "
+                "import sorkinlab.cli, sorkinlab.gpt as g, sorkinlab.models as m, "
                 "sorkinlab.interference as i; "
                 "print(g.hermitian_basis.cache_info().currsize, "
                 "g.basis_entries.cache_info().currsize, "
                 "len(m._plans), "
                 "i._product_table.cache_info().currsize, "
                 "len(m._slit_systems)); "
-                "import sys; print('scipy' in sys.modules)")
+                "print(*sorted({name.partition('.')[0] for name in set(sys.modules) - before}"
+                " - sys.stdlib_module_names))")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env=env)
-        assert out.stdout.split() == ["0"] * 5 + ["False"]
+        assert out.stdout.split() == ["0"] * 5 + ["numpy", "sorkinlab"]
 
 
 class TestBatchedDraws:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from sorkinlab import cli, serialize
+from sorkinlab import cli, interference, models, serialize
 from sorkinlab.cli import main, resolve_model, resolve_slits
 from sorkinlab.gpt import Filter, sample_states, validate_filter
 from sorkinlab.interference import ProbabilityTable, SlitSystem, all_subsets, subset_key
@@ -283,6 +283,13 @@ BAD_ARGUMENTS = [
     ["experiment", "--table", {"k": 3, "entries": three_slit_entries()}, "--shots", "100",
      "--csv-out", Path("0.json")],
     ["validate", "--model", custom_model(), "--slits", "from-model", "--out", Path("0.json")],
+    # an option the chosen mode does not read
+    ["experiment", "--b", "1,0,0", "--shots", "10"],
+    ["experiment", "--d", "1,0,0", "--shots", "10"],
+    ["experiment", "--spin1", "--slits", "from-model", "--shots", "10"],
+    ["experiment", "--table", "fixture:0.6", "--spin1", "--shots", "10"],
+    ["experiment", "--table", "fixture:0.6", "--slits", "basis", "--shots", "10"],
+    ["interference", "--table", "fixture:0.6", "--sweep", "5"],
 ]
 BAD_IDS = ["state-dimension", "classical-state-dimension", "negative-shots",
            "table-negative-shots", "state-seed-not-integer",
@@ -320,7 +327,8 @@ BAD_IDS = ["state-dimension", "classical-state-dimension", "negative-shots",
            "spin1-axis-zero", "tomography-rotated-filters", "experiment-rotated-filters",
            "uniform-state-quantum3", "experiment-custom-cone", "classical-model-n1",
            "filter-projection-8x8", "table-entries-lists", "out-and-csv-out-same-file",
-           "csv-out-over-table", "out-over-model"]
+           "csv-out-over-table", "out-over-model", "b-without-spin1", "d-without-spin1",
+           "slits-with-spin1", "spin1-with-table", "slits-with-table", "sweep-with-table"]
 
 
 def materialize(argv, directory):
@@ -337,6 +345,25 @@ def test_bad_arguments_are_input_errors(capsys, tmp_path, argv):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# refused by the checks their filters fail once they form a slit system
+REFUSED_AFTER_BUILD = {"tomography-rotated-filters", "experiment-rotated-filters"}
+
+
+@pytest.mark.parametrize("case", [case for case in BAD_IDS if case not in REFUSED_AFTER_BUILD])
+def test_bad_arguments_are_refused_before_a_slit_system_is_built(capsys, tmp_path, monkeypatch,
+                                                                 case):
+    built = []
+
+    def counted(build):
+        return lambda *args: built.append(build.__name__) or build(*args)
+
+    monkeypatch.setattr(models, "subset_filters", counted(models.subset_filters))
+    for module in (interference, models, cli):
+        monkeypatch.setattr(module, "slit_system", counted(interference.slit_system))
+    code = main(materialize(dict(zip(BAD_IDS, BAD_ARGUMENTS))[case], tmp_path))
+    assert (code, capsys.readouterr().out, built) == (2, "", [])
 
 
 @pytest.mark.parametrize("case", ["state-seed-not-integer", "interference-table-missing",
@@ -751,6 +778,19 @@ class TestExperiment:
         assert a.read_bytes() == b.read_bytes()
 
 
+COMMANDS = ["validate", "interference", "prop1", "tomography", "experiment"]
+
+
+@pytest.mark.parametrize("argv", [[]] + [[command] for command in COMMANDS],
+                         ids=["sorkinlab"] + COMMANDS)
+def test_help_exits_0_with_usage_on_stdout(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.err) == (0, "")
+    assert captured.out.startswith(" ".join(["usage: sorkinlab", *argv, "[-h]"]))
+
+
 class TestParserReuse:
     """main builds its parser once per process; reusing it changes no output."""
 
@@ -845,8 +885,7 @@ def argv_files(tmp_path_factory):
 @st.composite
 def generated_argv(draw, files):
     paths, custom, directory = files
-    command = draw(st.sampled_from(["validate", "interference", "prop1", "tomography",
-                                    "experiment"]))
+    command = draw(st.sampled_from(COMMANDS))
     argv = [command]
     count = st.integers(-2, 6).map(str)
     # about half of the runs take the valid custom cone, always with --slits
