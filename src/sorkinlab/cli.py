@@ -57,7 +57,7 @@ def _load_json(path: str) -> dict:
     try:
         with open(path) as f:
             return json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -277,9 +277,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_interference(args) -> int:
-    if args.table:
-        if args.sweep is not None:
-            raise InputError("--sweep is not read with --table")
+    if args.table is not None:
         t = resolve_table(args.table)
         ik = ik_from_table(t)
         payload = {"source": "table", "k": t.k, "ik": ik}
@@ -336,13 +334,7 @@ def cmd_tomography(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    if args.table and args.spin1:
-        raise InputError("--spin1 is not read with --table")
-    if args.slits and (args.table or args.spin1):
-        raise InputError(f"--slits is not read with {'--table' if args.table else '--spin1'}")
-    if not args.spin1 and (args.b or args.d):
-        raise InputError(f"{'--b' if args.b else '--d'} is read only with --spin1")
-    if args.table:
+    if args.table is not None:
         record = record_from_table(resolve_table(args.table), args.shots, args.seed)
     else:
         model, named = resolve_model(args.model)
@@ -350,10 +342,10 @@ def cmd_experiment(args) -> int:
             raise InputError("experiments on custom cones take a --table")
         source = resolve_state(args.state, model)
         if args.spin1:
-            ss, detectors = _spin1_system(model, args.b or "0,0,1", args.d or "0,0,1")
+            ss, detectors = _spin1_system(model, args.b, args.d)
             detector = model.embed(np.array(detectors))
         else:
-            ss = resolve_slits(args.slits or "basis", model, named)
+            ss = resolve_slits(args.slits, model, named)
             detector = (np.eye(model.d) if model.kind == "classical"
                         else model.embed(np.array(basis_projectors(model.d))))
         plan = ExperimentPlan(ss, detector, source, args.shots, args.seed)
@@ -368,55 +360,56 @@ def cmd_experiment(args) -> int:
     return 0
 
 
+# The options of the CLI in parser order, with their argparse keywords; the
+# COUNTS are read as integers and refused below 0 before any work.
+COUNTS = ("seed", "samples", "sweep", "shots")
+OPTIONS = {
+    "model": {}, "slits": {}, "seed": {}, "out": {}, "samples": {}, "state": {}, "effect": {},
+    "mode": {"choices": ["exact", "sampled"]}, "shots": {}, "spin1": {"action": "store_true"},
+    "b": {"help": "filter axis bx,by,bz of --spin1 (default 0,0,1)"},
+    "d": {"help": "detector axis dx,dy,dz of --spin1 (default 0,0,1)"},
+    "table": {"help": "raw probability table (JSON path or fixture:0.6)"},
+    "sweep": {"help": "number of random (state, effect) pairs"}, "csv_out": {},
+}
+
+# Per command: its help, its handler and its modes.  A mode is keyed by the
+# words that choose it ('--name' or '--name value'), the first given key
+# winning, and the last mode, keyed "", is taken otherwise.  Each mode maps
+# the options it reads to their defaults; the command's others are refused.
+_SYSTEM = {"model": "quantum:3", "slits": "basis", "out": None}  # a run on a slit system
+COMMANDS = {
+    "validate": ("check filter axioms and product relations", cmd_validate,
+                 {"": {**_SYSTEM, "seed": 0, "samples": 200}}),
+    "interference": ("I2 / I3 / Ik from a system or a raw table", cmd_interference, {
+        "--table": {"out": None, "table": None},
+        "--sweep": {**_SYSTEM, "seed": 0, "sweep": None},
+        "": {**_SYSTEM, "state": "fixture:qutrit", "effect": "fixture:qutrit"}}),
+    "prop1": ("three-way no-third-order equivalence check", cmd_prop1,
+              {"": {**_SYSTEM, "seed": 0, "samples": 500}}),
+    "tomography": ("two-slit-filtering state reconstruction", cmd_tomography, {
+        "--mode sampled": {**_SYSTEM, "seed": 0, "state": "fixture:qutrit", "mode": "sampled",
+                           "shots": 100000},
+        "": {**_SYSTEM, "state": "fixture:qutrit", "mode": "exact"}}),
+    "experiment": ("seeded Monte Carlo seven-setting run", cmd_experiment, {
+        "--table": {"seed": 0, "out": None, "shots": 100000, "table": None, "csv_out": None},
+        "--spin1": {"model": "quantum:3", "seed": 0, "out": None, "state": "random:0",
+                    "shots": 100000, "spin1": True, "b": "0,0,1", "d": "0,0,1", "csv_out": None},
+        "": {**_SYSTEM, "seed": 0, "state": "random:0", "shots": 100000, "csv_out": None}}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="sorkinlab",
         description="Third-order interference and two-slit-filtering tomography",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--model", default="quantum:3")
-        sp.add_argument("--slits", default="basis")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--out")
-
-    sp = sub.add_parser("validate", help="check filter axioms and product relations")
-    common(sp)
-    sp.add_argument("--samples", type=int, default=200)
-    sp.set_defaults(func=cmd_validate)
-
-    sp = sub.add_parser("interference", help="I2 / I3 / Ik from a system or a raw table")
-    common(sp)
-    sp.add_argument("--state", default="fixture:qutrit")
-    sp.add_argument("--effect", default="fixture:qutrit")
-    sp.add_argument("--table", help="raw probability table (JSON path or fixture:0.6)")
-    sp.add_argument("--sweep", type=int, help="number of random (state, effect) pairs")
-    sp.set_defaults(func=cmd_interference)
-
-    sp = sub.add_parser("prop1", help="three-way no-third-order equivalence check")
-    common(sp)
-    sp.add_argument("--samples", type=int, default=500)
-    sp.set_defaults(func=cmd_prop1)
-
-    sp = sub.add_parser("tomography", help="two-slit-filtering state reconstruction")
-    common(sp)
-    sp.add_argument("--state", default="fixture:qutrit")
-    sp.add_argument("--mode", choices=["exact", "sampled"], default="exact")
-    sp.add_argument("--shots", type=int, default=100000)
-    sp.set_defaults(func=cmd_tomography)
-
-    sp = sub.add_parser("experiment", help="seeded Monte Carlo seven-setting run")
-    common(sp)
-    sp.add_argument("--state", default="random:0")
-    sp.add_argument("--shots", type=int, default=100000)
-    sp.add_argument("--spin1", action="store_true")
-    sp.add_argument("--b", help="filter axis bx,by,bz of --spin1 (default 0,0,1)")
-    sp.add_argument("--d", help="detector axis dx,dy,dz of --spin1 (default 0,0,1)")
-    sp.add_argument("--table", help="synthetic record from a raw table")
-    sp.add_argument("--csv-out", dest="csv_out")
-    # --slits defaults to basis only where it is read: not with --spin1 or --table
-    sp.set_defaults(func=cmd_experiment, slits=None)
+    for command, (text, _, modes) in COMMANDS.items():
+        # an option not given is left out of the namespace: main tells it apart
+        sp = sub.add_parser(command, help=text, argument_default=argparse.SUPPRESS)
+        for name in filter(lambda name: any(name in mode for mode in modes.values()), OPTIONS):
+            sp.add_argument("--" + name.replace("_", "-"),
+                            **({"type": int} if name in COUNTS else {}), **OPTIONS[name])
     return p
 
 
@@ -442,19 +435,26 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:  # built on the first call, then reused
         _parser = build_parser()
-    args = _parser.parse_args(_join_axes(sys.argv[1:] if argv is None else list(argv)))
+    given = vars(_parser.parse_args(_join_axes(sys.argv[1:] if argv is None else list(argv))))
+    _, handler, modes = COMMANDS[command := given.pop("command")]
+    words = {f"--{name}" for name in given} | {f"--{name} {v}" for name, v in given.items()}
+    key = next(key for key in modes if not key or key in words)
     try:
-        # refuse a bad count before doing any work: numpy seeds must be >= 0,
-        # and numpy draws the counts of --shots as int64
-        opts = vars(args)
-        for name in ("seed", "samples", "sweep", "shots"):
-            n = opts.get(name)
-            if n is not None and n < 0:
-                raise InputError(f"--{name} must be >= 0, got {n}")
-        if opts.get("shots", 0) > 2**63 - 1:
-            raise InputError(f"--shots must be <= {2**63 - 1}, got {args.shots}")
+        # refuse an option the chosen mode does not read, then fill in its defaults
+        for name in OPTIONS:  # in parser order
+            if name in given and name not in modes[key]:
+                where = key or "without " + " or ".join(filter(None, modes))
+                raise InputError(f"--{name.replace('_', '-')} is not read by {command} {where}")
+        opts = {**modes[key], **given}
+        args = argparse.Namespace(**{**dict.fromkeys(OPTIONS), **opts})
+        # refuse a bad count before any work: numpy needs seeds >= 0 and int64 shots
+        for name in filter(opts.__contains__, COUNTS):
+            if opts[name] < 0:
+                raise InputError(f"--{name} must be >= 0, got {opts[name]}")
+            if name == "shots" and opts[name] > 2**63 - 1:
+                raise InputError(f"--shots must be <= {2**63 - 1}, got {opts[name]}")
         # nor an output path that cannot be a file
-        paths = [path for path in (args.out, opts.get("csv_out")) if path]
+        paths = [path for path in (args.out, args.csv_out) if path]
         for path in paths:
             if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
                 raise InputError(f"cannot write {path}: not a file in an existing directory")
@@ -471,7 +471,7 @@ def main(argv=None) -> int:
                 if os.path.realpath(path) in inputs:
                     raise InputError(f"cannot write {path}: it is an input file of this run")
         try:
-            return args.func(args)
+            return handler(args)
         except InvalidSlitSystem as exc:
             # constructed but invalid filters: a validation failure, not bad input
             emit({"passed": False, "error": str(exc)}, args)

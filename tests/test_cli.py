@@ -290,6 +290,23 @@ BAD_ARGUMENTS = [
     ["experiment", "--table", "fixture:0.6", "--spin1", "--shots", "10"],
     ["experiment", "--table", "fixture:0.6", "--slits", "basis", "--shots", "10"],
     ["interference", "--table", "fixture:0.6", "--sweep", "5"],
+    ["interference", "--table", "fixture:0.6", "--model", "junk", "--state", "junk",
+     "--slits", "junk"],
+    ["interference", "--sweep", "5", "--state", "junk", "--effect", "junk"],
+    ["tomography", "--mode", "exact", "--shots", "10"],
+    ["interference", "--seed", "3"],
+    ["tomography", "--seed", "3"],
+    ["experiment", "--table", "fixture:0.6", "--model", "quantum:4"],
+    # specs no reader knows
+    ["validate", "--slits", "junk"],
+    ["interference", "--state", "junk"],
+    ["interference", "--effect", "junk"],
+    # files that are not UTF-8, or nest deeper than the JSON reader recurses
+    ["interference", "--state", b"\xff\xfe{}"],
+    ["interference", "--effect", b"\xff\xfe{}"],
+    ["interference", "--model", b"[" * 100000],
+    ["interference", "--table", b"[" * 100000],
+    ["interference", "--state", b"[" * 100000],
 ]
 BAD_IDS = ["state-dimension", "classical-state-dimension", "negative-shots",
            "table-negative-shots", "state-seed-not-integer",
@@ -328,13 +345,18 @@ BAD_IDS = ["state-dimension", "classical-state-dimension", "negative-shots",
            "uniform-state-quantum3", "experiment-custom-cone", "classical-model-n1",
            "filter-projection-8x8", "table-entries-lists", "out-and-csv-out-same-file",
            "csv-out-over-table", "out-over-model", "b-without-spin1", "d-without-spin1",
-           "slits-with-spin1", "spin1-with-table", "slits-with-table", "sweep-with-table"]
+           "slits-with-spin1", "spin1-with-table", "slits-with-table", "sweep-with-table",
+           "system-options-with-table", "state-and-effect-with-sweep", "shots-with-exact-mode",
+           "interference-seed-without-sweep", "tomography-seed-with-exact-mode",
+           "model-with-table", "unknown-slits", "unknown-state", "unknown-effect",
+           "state-not-utf8", "effect-not-utf8", "model-nested-100000-deep",
+           "table-nested-100000-deep", "state-nested-100000-deep"]
 
 
 def materialize(argv, directory):
-    """argv with each JSON value replaced by the path of a file holding it,
-    and each Path by that path under directory (Path(".") for directory
-    itself)."""
+    """argv with each JSON value (or bytes) replaced by the path of a file
+    holding it, and each Path by that path under directory (Path(".") for
+    directory itself)."""
     return [arg if isinstance(arg, str) else str(directory / arg) if isinstance(arg, Path)
             else _json_file(directory, arg) for arg in argv]
 
@@ -347,13 +369,9 @@ def test_bad_arguments_are_input_errors(capsys, tmp_path, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-# refused by the checks their filters fail once they form a slit system
-REFUSED_AFTER_BUILD = {"tomography-rotated-filters", "experiment-rotated-filters"}
-
-
-@pytest.mark.parametrize("case", [case for case in BAD_IDS if case not in REFUSED_AFTER_BUILD])
-def test_bad_arguments_are_refused_before_a_slit_system_is_built(capsys, tmp_path, monkeypatch,
-                                                                 case):
+@pytest.fixture
+def built(monkeypatch):
+    """The names of the slit-system builders called while the test runs."""
     built = []
 
     def counted(build):
@@ -362,12 +380,73 @@ def test_bad_arguments_are_refused_before_a_slit_system_is_built(capsys, tmp_pat
     monkeypatch.setattr(models, "subset_filters", counted(models.subset_filters))
     for module in (interference, models, cli):
         monkeypatch.setattr(module, "slit_system", counted(interference.slit_system))
+    return built
+
+
+# refused by the checks their filters fail once they form a slit system
+REFUSED_AFTER_BUILD = {"tomography-rotated-filters", "experiment-rotated-filters"}
+
+
+@pytest.mark.parametrize("case", [case for case in BAD_IDS if case not in REFUSED_AFTER_BUILD])
+def test_bad_arguments_are_refused_before_a_slit_system_is_built(capsys, tmp_path, built, case):
     code = main(materialize(dict(zip(BAD_IDS, BAD_ARGUMENTS))[case], tmp_path))
     assert (code, capsys.readouterr().out, built) == (2, "", [])
 
 
+# a value of each option that runs where it is read
+OPTION_VALUES = {"model": "quantum:3", "slits": "basis", "seed": "3", "out": Path("out.json"),
+                 "samples": "5", "state": "random:1", "effect": "random:2", "mode": "sampled",
+                 "shots": "10", "b": "1,0,0", "d": "1,0,0", "table": "fixture:0.6",
+                 "sweep": "3", "csv_out": Path("run.csv")}
+# each command, mode and option of the command that the mode does not read
+UNREAD = [(command, key, name) for command, (_, _, modes) in cli.COMMANDS.items()
+          for key, reads in modes.items() for name in cli.OPTIONS
+          if name not in reads and any(name in mode for mode in modes.values())]
+
+
+@pytest.mark.parametrize("command, key, name", UNREAD,
+                         ids=[f"{command}:{key.lstrip('-').replace(' ', '=') or 'default'}:{name}"
+                              for command, key, name in UNREAD])
+def test_options_a_mode_does_not_read_are_refused(capsys, tmp_path, built, command, key, name):
+    # every option the mode reads, at its default where it has one, with
+    # the words that choose the mode, and then the option it does not read
+    reads = cli.COMMANDS[command][2][key]
+    argv = [command]
+    for option in [*reads, name]:
+        flag, value = "--" + option.replace("_", "-"), reads.get(option)
+        if option == "spin1":
+            argv.append(flag)
+        elif key.startswith(flag + " "):
+            argv += key.split()
+        else:
+            argv += [flag, str(value) if value is not None else OPTION_VALUES[option]]
+    code = main(materialize(argv, tmp_path))
+    captured = capsys.readouterr()
+    assert (code, captured.out, built) == (2, "", [])
+    assert captured.err.startswith("error: --") and captured.err.count("\n") == 1
+    assert " is not read by " + command in captured.err
+
+
+def test_each_command_takes_the_same_flags():
+    parser = cli.build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    flags = {command: [flag for action in sp._actions for flag in action.option_strings]
+             for command, sp in commands.items()}
+    assert flags == {
+        "validate": ["-h", "--help", "--model", "--slits", "--seed", "--out", "--samples"],
+        "interference": ["-h", "--help", "--model", "--slits", "--seed", "--out", "--state",
+                         "--effect", "--table", "--sweep"],
+        "prop1": ["-h", "--help", "--model", "--slits", "--seed", "--out", "--samples"],
+        "tomography": ["-h", "--help", "--model", "--slits", "--seed", "--out", "--state",
+                       "--mode", "--shots"],
+        "experiment": ["-h", "--help", "--model", "--slits", "--seed", "--out", "--state",
+                       "--shots", "--spin1", "--b", "--d", "--table", "--csv-out"],
+    }
+
+
 @pytest.mark.parametrize("case", ["state-seed-not-integer", "interference-table-missing",
-                                  "prop1-spin1-quantum4", "classical-state-overflows"])
+                                  "prop1-spin1-quantum4", "classical-state-overflows",
+                                  "table-nested-100000-deep"])
 def test_bad_arguments_in_a_fresh_process(tmp_path, case):
     argv = materialize(dict(zip(BAD_IDS, BAD_ARGUMENTS))[case], tmp_path)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "PYTHONWARNINGS": "error"}
@@ -848,9 +927,10 @@ TABLE_KEYS = ["1", "2", "3", "4", "12", "13", "23", "123", "14", "1234", "21",
 
 
 def _json_file(directory, value) -> str:
-    """Write a JSON value to a fresh file and return its path."""
+    """Write a JSON value, or bytes as they are, to a fresh file and return
+    its path."""
     path = directory / f"{len(list(directory.iterdir()))}.json"
-    path.write_text(json.dumps(value))
+    path.write_bytes(value if isinstance(value, bytes) else json.dumps(value).encode())
     return str(path)
 
 
@@ -884,60 +964,61 @@ def argv_files(tmp_path_factory):
 
 @st.composite
 def generated_argv(draw, files):
+    """A command, one of its modes (cli.COMMANDS), mostly options that mode
+    reads, and now and then one it does not."""
     paths, custom, directory = files
     command = draw(st.sampled_from(COMMANDS))
-    argv = [command]
+    modes = cli.COMMANDS[command][2]
+    key = draw(st.sampled_from(list(modes)))
     count = st.integers(-2, 6).map(str)
+    # an output file, one in a missing directory, or a directory
+    out = st.sampled_from([str(directory / "out"), str(directory / "missing" / "out"),
+                           str(directory)])
+    vector = st.sampled_from(ARGV_VECTORS + paths)
+    axis = st.sampled_from(ARGV_AXES)
     # about half of the runs take the valid custom cone, always with --slits
     # and most often with its own filters, so that custom-cone sampling is
     # reached
     model = draw(st.sampled_from(ARGV_MODELS + paths) | st.just(custom))
-    if model == custom or draw(st.booleans()):
-        argv += ["--model", model]
-    slits = st.sampled_from(["basis", "from-model", "junk"])
-    slits = slits | st.sampled_from(ARGV_AXES).map(lambda a: "spin1:" + a)
+    slits = st.sampled_from(["basis", "from-model", "junk"]) | axis.map(lambda a: "spin1:" + a)
+    entries = st.dictionaries(
+        st.sampled_from(TABLE_KEYS),
+        st.floats(-0.5, 1.5) | st.sampled_from([None, "0.5", float("nan")]),
+        max_size=16,
+    )
+    tables = st.fixed_dictionaries(
+        {"k": st.integers(0, 5) | st.sampled_from([None, "3", 2.5]), "entries": entries})
+    # or a complete table of k slits
+    tables |= st.integers(2, 4).flatmap(lambda k: st.fixed_dictionaries({
+        "k": st.just(k),
+        "entries": st.fixed_dictionaries({subset_key(J): st.floats(0, 1)
+                                          for J in all_subsets(k)})}))
     if model == custom:
         slits = st.just("from-model") | slits
-    if model == custom or draw(st.booleans()):
-        argv += ["--slits", draw(slits)]
-    argv += ["--seed", draw(st.integers(-1, 9).map(str))]
-    # an output file, one in a missing directory, or a directory
-    out = st.sampled_from([str(directory / "out"), str(directory / "missing" / "out"),
-                           str(directory)])
-    if draw(st.booleans()):
-        argv += ["--out", draw(out)]
-    if command == "experiment" and draw(st.booleans()):
-        argv += ["--csv-out", draw(out)]
-    vector = st.sampled_from(ARGV_VECTORS + paths)
-    if command in ("validate", "prop1"):
-        argv += ["--samples", draw(count)]
-    if command in ("interference", "tomography", "experiment"):
-        argv += ["--state", draw(vector)]
-    if command == "interference":
-        argv += ["--effect", draw(vector)]
-        if draw(st.booleans()):
-            argv += ["--sweep", draw(count)]
-    if command == "tomography":
-        argv += ["--mode", draw(st.sampled_from(["exact", "sampled"]))]
-        argv += ["--shots", draw(st.integers(-1, 1000).map(str))]
-    if command == "experiment":
-        argv += ["--shots", draw(st.integers(-1, 1000).map(str))]
-        if draw(st.booleans()):
-            argv += ["--spin1", "--b", draw(st.sampled_from(ARGV_AXES)),
-                     "--d", draw(st.sampled_from(ARGV_AXES))]
-    if command in ("interference", "experiment") and draw(st.booleans()):
-        entries = st.dictionaries(
-            st.sampled_from(TABLE_KEYS),
-            st.floats(-0.5, 1.5) | st.sampled_from([None, "0.5", float("nan")]),
-            max_size=16,
-        )
-        table = {"k": draw(st.integers(0, 5) | st.sampled_from([None, "3", 2.5])),
-                 "entries": draw(entries)}
-        if draw(st.booleans()):  # a complete table of k slits
-            k = draw(st.integers(2, 4))
-            table = {"k": k, "entries": {subset_key(J): draw(st.floats(0, 1))
-                                         for J in all_subsets(k)}}
-        argv += ["--table", _json_file(directory, table)]
+    values = {"model": st.just(model), "slits": slits, "seed": st.integers(-1, 9).map(str),
+              "out": out, "samples": count, "state": vector, "effect": vector,
+              "mode": st.sampled_from(["exact", "sampled"]),
+              "shots": st.integers(-1, 1000).map(str), "b": axis, "d": axis,
+              "table": tables.map(lambda table: _json_file(directory, table)),
+              "sweep": count, "csv_out": out}
+
+    def option(name):
+        flag = "--" + name.replace("_", "-")
+        if name == "spin1":
+            return [flag]
+        return key.split() if key.startswith(flag + " ") else [flag, draw(values[name])]
+
+    # the option that chooses the mode, the custom cone's model and slits,
+    # about half of the mode's other options, and in one run of five an
+    # option of the command that the mode does not read
+    argv = [command]
+    for name in modes[key]:
+        if (key.split()[:1] == ["--" + name] or model == custom and name in ("model", "slits")
+                or draw(st.booleans())):
+            argv += option(name)
+    unread = [name for mode in modes.values() for name in mode if name not in modes[key]]
+    if unread and draw(st.integers(0, 4)) == 0:
+        argv += option(draw(st.sampled_from(sorted(set(unread)))))
     return argv
 
 
