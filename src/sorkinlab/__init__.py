@@ -53,7 +53,6 @@ from .experiment import (
     estimate_i3,
     record_from_table,
     run_experiment,
-    simulate_setting,
 )
 
 __version__ = "0.1.0"

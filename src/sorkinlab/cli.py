@@ -100,12 +100,13 @@ def resolve_slits(spec: str, model: ModelSpace, named_filters: dict) -> SlitSyst
 
 
 def _spin1_system(model: ModelSpace, b: str, d: str | None = None):
-    """The slit system of spin-1 slits along axis b and the spin-1 detector
-    effects along axis d (default b); both need the quantum:3 model."""
+    """The slit system of spin-1 slits along axis b and, given an axis d, the
+    spin-1 detector effects along d (None without it); both need the
+    quantum:3 model."""
     if model.kind != "quantum" or model.d != 3:
         raise InputError("spin-1 slits need --model quantum:3")
     axis = _parse_vec3(b)
-    slits, detectors = spin1_feynman_setup(axis, axis if d is None else _parse_vec3(d))
+    slits, detectors = spin1_feynman_setup(axis, None if d is None else _parse_vec3(d))
     return projector_slit_system(slits, model), detectors
 
 
@@ -343,7 +344,7 @@ def cmd_experiment(args) -> int:
         source = resolve_state(args.state, model)
         if args.spin1:
             ss, detectors = _spin1_system(model, args.b, args.d)
-            detector = model.embed(np.array(detectors))
+            detector = model.embed(detectors)
         else:
             ss = resolve_slits(args.slits, model, named)
             detector = (np.eye(model.d) if model.kind == "classical"

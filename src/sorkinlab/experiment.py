@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +24,14 @@ from .interference import (
 @dataclass(eq=False)
 class ExperimentPlan:
     """A k-slit experiment with a detector of effect coordinate vectors that
-    sum to the order unit, one per row (any sequence of vectors will do)."""
+    sum to the order unit, one per row (any sequence of vectors will do).
+
+    Its probabilities are one (2^k - 1) x (n + 1) table for n effects, a row
+    per setting in all_subsets order (of the seed substreams) and the blocked
+    event last.  Part of the output bytes: each entry is one dot of an effect,
+    as laid out, with P_J @ s (a matrix-vector product rounds differently),
+    and with_blocked sums along each row.
+    """
 
     slits: SlitSystem
     detector: np.ndarray
@@ -31,26 +39,33 @@ class ExperimentPlan:
     shots_per_setting: int
     seed: int
 
-    def setting_probabilities(self, J: frozenset) -> np.ndarray:
-        """Joint outcome probabilities for one setting, blocked event last.
-
-        One dot product per effect, on the effect as it is laid out: a
-        matrix-vector product, or a copy of the effects into another layout,
-        rounds differently and would move the output bytes.
-        """
-        s_f = self.slits.derived[J].projection @ self.source_state
-        probs = np.array([float(e @ s_f) for e in self.detector])
-        if probs.min() < -EPS_TOL or probs.max() > 1.0 + EPS_TOL:
+    def probability_table(self) -> np.ndarray:
+        """The table; raises ValueError on the first setting whose
+        probabilities leave [0, 1] or sum above 1 (see with_blocked)."""
+        settings = all_subsets(self.slits.k)
+        filtered = [self.slits.derived[J].projection @ self.source_state for J in settings]
+        effects = list(self.detector)
+        probs = np.array([[e.dot(s_f) for e in effects] for s_f in filtered])  # e @ s_f
+        outside = (probs.min(axis=1) < -EPS_TOL) | (probs.max(axis=1) > 1.0 + EPS_TOL)
+        first = int(outside.argmax()) if outside.any() else len(settings)
+        table = with_blocked(probs[:first])  # raises on an earlier sum above 1
+        if first < len(settings):
             raise ValueError(
-                f"setting {subset_key(J)} produced probabilities outside [0, 1]; "
-                "model and plan are inconsistent"
+                f"setting {subset_key(settings[first])} produced probabilities outside "
+                "[0, 1]; model and plan are inconsistent"
             )
-        return with_blocked(probs)
+        return table
 
 
 @dataclass(eq=False)
 class ExperimentRecord:
-    """Per-setting detector counts; last outcome index is the blocked event."""
+    """Detector counts per setting, keyed by subset, the blocked event last.
+
+    count_table stacks them, a row per setting in settings order, and
+    frequency_table divides it by the shots, each once, for estimate_i3 and
+    serialize's writers.  estimate_i3 adds the rows one after the other, an
+    order that is part of the output bytes.
+    """
 
     counts: dict  # frozenset -> np.ndarray of ints, length n_outcomes + 1
     shots_per_setting: int
@@ -64,14 +79,24 @@ class ExperimentRecord:
         more."""
         return all_subsets(max(2, len(self.counts).bit_length()))
 
+    @cached_property
+    def count_table(self) -> np.ndarray:
+        for J in self.settings:
+            if J not in self.counts:
+                raise KeyError(f"record is missing setting {subset_key(J)}")
+        return np.array([self.counts[J] for J in self.settings])
+
+    @cached_property
+    def frequency_table(self) -> np.ndarray:  # all zeros at zero shots
+        shots = self.shots_per_setting
+        return self.count_table / shots if shots else np.zeros(self.count_table.shape)
+
     @property
     def n_outcomes(self) -> int:
-        return len(next(iter(self.counts.values()))) - 1
+        return self.count_table.shape[1] - 1
 
     def frequencies(self, J) -> np.ndarray:
-        if self.shots_per_setting == 0:
-            return np.zeros_like(self.counts[frozenset(J)], dtype=float)
-        return self.counts[frozenset(J)] / self.shots_per_setting
+        return self.frequency_table[self.settings.index(frozenset(J))]
 
 
 def plan_hash(plan: ExperimentPlan) -> str:
@@ -86,20 +111,15 @@ def plan_hash(plan: ExperimentPlan) -> str:
     return h.hexdigest()[:16]
 
 
-def simulate_setting(plan: ExperimentPlan, J) -> np.ndarray:
-    """Multinomial draw of all shots for one setting; deterministic in
-    (seed, setting)."""
-    J = frozenset(J)
-    full = plan.setting_probabilities(J)
-    idx = all_subsets(plan.slits.k).index(J)
-    rng = np.random.default_rng([plan.seed, idx])
-    return rng.multinomial(plan.shots_per_setting, full)
-
-
 def run_experiment(plan: ExperimentPlan) -> ExperimentRecord:
-    counts = {J: simulate_setting(plan, J) for J in all_subsets(plan.slits.k)}
+    """All shots of setting idx (in all_subsets order) drawn from [seed, idx]."""
+    table = plan.probability_table()
+    counts = np.empty(table.shape, dtype=np.int64)
+    for idx, probs in enumerate(table):
+        rng = np.random.default_rng([plan.seed, idx])
+        counts[idx] = rng.multinomial(plan.shots_per_setting, probs)
     return ExperimentRecord(
-        counts=counts,
+        counts=dict(zip(all_subsets(plan.slits.k), counts)),
         shots_per_setting=plan.shots_per_setting,
         seed=plan.seed,
         plan_hash=plan_hash(plan),
@@ -153,28 +173,21 @@ def estimate_i3(record: ExperimentRecord) -> I3Estimate:
     sum of the per-setting binomial variances.
     """
     settings = record.settings
-    for J in settings:
-        if J not in record.counts:
-            raise KeyError(f"record is missing setting {subset_key(J)}")
+    freqs = record.frequency_table
     n_out = record.n_outcomes
     shots = record.shots_per_setting
-    freqs = {J: record.frequencies(J)[:n_out] for J in settings}
-    est = signed_subset_sum(freqs, len(settings[-1]))
-    if shots > 0:
-        var = sum(f * (1.0 - f) / shots for f in freqs.values())
-        se = np.sqrt(var)
-    else:
-        se = np.zeros(n_out)
-    degenerate = bool(np.any(se == 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(se > 0.0, est / se, 0.0)
+    rows = freqs[:, :n_out]
+    est = signed_subset_sum(dict(zip(settings, rows)), len(settings[-1]))
+    # the settings' variances added one after the other, as a running sum
+    # does (np.sum adds a single column pairwise)
+    var = np.cumsum(rows * (1.0 - rows) / shots, axis=0)[-1] if shots > 0 else np.zeros(n_out)
+    se = np.sqrt(var)
+    z = np.divide(est, se, out=np.zeros(n_out), where=se > 0.0)
     return I3Estimate(
         estimates=est,
         standard_errors=se,
         z_scores=z,
-        chi_square=float(np.sum(z**2)),
-        degenerate=degenerate,
-        frequency_tables={
-            subset_key(J): record.frequencies(J).tolist() for J in settings
-        },
+        chi_square=float((z**2).sum()),
+        degenerate=bool((se == 0.0).any()),
+        frequency_tables=dict(zip(map(subset_key, settings), freqs.tolist())),
     )

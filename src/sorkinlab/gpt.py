@@ -299,18 +299,20 @@ class ValidationReport:
 
 
 def with_blocked(probs: np.ndarray) -> np.ndarray:
-    """Outcome probabilities, clipped at 0 and completed by the blocked (not
-    passed) event as the last entry, normalized to sum 1.
+    """Outcome probabilities, a row or a stack of rows, clipped at 0 and
+    completed by the blocked (not passed) event as the last entry, each row
+    normalized by its own sum (an order that is part of the output bytes).
 
-    Raises ValueError when the clipped probabilities sum above 1 + EPS_TOL:
+    Raises ValueError when a row's clipped probabilities sum above 1 + EPS_TOL:
     rescaling them would hide a source state that is not normalized.
     """
-    probs = np.clip(probs, 0.0, None)
-    total = probs.sum()
-    if total > 1.0 + EPS_TOL:
-        raise ValueError(f"outcome probabilities sum to {total:.6g} > 1")
-    full = np.append(probs, max(0.0, 1.0 - total))
-    return full / full.sum()
+    probs = np.maximum(probs, 0.0)  # what np.clip(probs, 0.0, None) calls
+    total = probs.sum(axis=-1, keepdims=True)
+    over = total[total > 1.0 + EPS_TOL]
+    if over.size:
+        raise ValueError(f"outcome probabilities sum to {over[0]:.6g} > 1")
+    full = np.concatenate([probs, np.maximum(0.0, 1.0 - total)], axis=-1)
+    return full / full.sum(axis=-1, keepdims=True)
 
 
 def _excess(x: float) -> float:

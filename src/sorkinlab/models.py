@@ -389,15 +389,22 @@ def subset_filters(pis, model: ModelSpace) -> dict[frozenset, Filter]:
     diagonal n x n matrices, and each filter is the coordinate mask pair
     (P, I - P).
 
+    Each join is the join of its slits but the last plus the last slit's
+    projector, from +0.0: the sums np.sum(axis=0) forms, one slit at a time.
+
     Raises when the supplied projectors are not pairwise orthogonal.
     """
+    pis = np.asarray(pis)
     for a, b in combinations(pis, 2):
         if not np.linalg.norm(a @ b, "fro") <= _ORTHO_TOL:  # NaN fails too
             raise ValueError("slits not pairwise orthogonal")
     subsets = all_subsets(len(pis))
-    joins = [np.sum([pis[i - 1] for i in sorted(J)], axis=0) for J in subsets]
+    joins = {frozenset(): 0.0}
+    for J in subsets:
+        top = max(J)
+        joins[J] = joins[J - {top}] + pis[top - 1]
     build = _mask_filters if model.kind == "classical" else _lueders_filters
-    return dict(zip(subsets, build(joins, model)))
+    return dict(zip(subsets, build([joins[J] for J in subsets], model)))
 
 
 # Slit systems by (model kind, d, label, projector dtype, shape, bytes), least
@@ -446,15 +453,12 @@ def spin1_operator(axis) -> np.ndarray:
     return axis[0] * SPIN1_X + axis[1] * SPIN1_Y + axis[2] * SPIN1_Z
 
 
-def _eigenprojectors_desc(op: np.ndarray) -> list[np.ndarray]:
-    """Rank-1 eigenprojectors of a Hermitian matrix, descending eigenvalue."""
-    v = np.linalg.eigh(op)[1][:, ::-1]  # eigh sorts ascending
-    return [np.outer(v[:, i], v[:, i].conj()) for i in range(v.shape[1])]
-
-
-def spin1_feynman_setup(b, d) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def spin1_feynman_setup(b, d=None) -> tuple[np.ndarray, np.ndarray | None]:
     """Three slit projectors along b and three detector effects along d,
-    both ordered by descending spin eigenvalue."""
-    slits = _eigenprojectors_desc(spin1_operator(b))
-    dets = _eigenprojectors_desc(spin1_operator(d))
-    return slits, dets
+    each a (3, 3, 3) stack ordered by descending spin eigenvalue, from one
+    stacked eigh; without d, the slits alone and None."""
+    axes = [b] if d is None else [b, d]
+    v = np.linalg.eigh(np.array([spin1_operator(a) for a in axes]))[1]
+    v = v[..., ::-1].swapaxes(-1, -2)  # eigh sorts ascending; one eigenvector per row
+    projectors = v[..., :, None] * v.conj()[..., None, :]
+    return projectors[0], None if d is None else projectors[1]

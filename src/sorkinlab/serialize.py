@@ -158,11 +158,11 @@ def record_to_csv(record: ExperimentRecord) -> str:
     float repr) needs quoting, so the rows are joined directly."""
     rows = ["setting,outcome,count,shots,frequency"]
     shots = record.shots_per_setting
-    for J in record.settings:
-        counts = record.counts[J].tolist()
-        names = [*map(str, range(len(counts) - 1)), "blocked"]
+    counts, freqs = record.count_table.tolist(), record.frequency_table.tolist()
+    names = [*map(str, range(record.n_outcomes)), "blocked"]
+    for J, setting_counts, setting_freqs in zip(record.settings, counts, freqs):
         key = subset_key(J)
-        for name, c, freq in zip(names, counts, record.frequencies(J).tolist()):
+        for name, c, freq in zip(names, setting_counts, setting_freqs):
             rows.append(f"{key},{name},{c},{shots},{freq!r}")
     rows.append("")
     return "\r\n".join(rows)
@@ -173,7 +173,7 @@ def record_to_dict(record: ExperimentRecord) -> dict:
         "shots_per_setting": record.shots_per_setting,
         "seed": record.seed,
         "plan_hash": record.plan_hash,
-        "counts": {subset_key(J): record.counts[J].tolist() for J in record.settings},
+        "counts": dict(zip(map(subset_key, record.settings), record.count_table.tolist())),
     }
 
 

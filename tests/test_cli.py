@@ -857,6 +857,41 @@ class TestExperiment:
         assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.fixture
+def eigh_sizes(monkeypatch):
+    """The number of matrices of each np.linalg.eigh call while the test runs."""
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        sizes.append(int(np.prod(np.shape(a)[:-2])))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return sizes
+
+
+SPIN1_SLITS = "--slits=spin1:0.48,-0.6,0.64"
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", SPIN1_SLITS, "--samples", "5"],
+    ["prop1", SPIN1_SLITS, "--samples", "5"],
+    ["interference", SPIN1_SLITS, "--state", "random:1", "--effect", "random:2"],
+], ids=["validate", "prop1", "interference"])
+def test_spin1_slits_alone_diagonalise_one_axis(capsys, eigh_sizes, argv):
+    # the slit axis only: no detector effects are built beside the slits
+    assert run(capsys, *argv)[0] == 0
+    assert eigh_sizes == [1]
+
+
+def test_spin1_slits_and_detectors_diagonalise_in_one_call(eigh_sizes):
+    model = build_quantum_model(3)
+    ss = resolve_slits(SPIN1_SLITS.split("=")[1], model, {})
+    assert cli._spin1_system(model, "0.48,-0.6,0.64", "1,0,0")[0] is ss
+    assert eigh_sizes == [1, 2]
+
+
 COMMANDS = ["validate", "interference", "prop1", "tomography", "experiment"]
 
 

@@ -4,14 +4,19 @@ import numpy as np
 import pytest
 
 import sorkinlab as sl
+from sorkinlab import cli, serialize
 from sorkinlab.fixtures import table_06
-from sorkinlab.models import (
-    build_quantum_model,
-    subset_filters,
-)
-from sorkinlab.interference import all_subsets, slit_system
+from sorkinlab.models import basis_projectors, build_quantum_model, projector_slit_system
+from sorkinlab.interference import ProbabilityTable, all_subsets, slit_system
 
-from helpers import qutrit_fixture
+from helpers import (
+    basis_system,
+    per_setting_counts,
+    per_setting_experiment,
+    per_setting_outputs,
+    qutrit_fixture,
+)
+from test_cli import BAD_ARGUMENTS, BAD_IDS, materialize
 
 SETTING_ORDER = all_subsets(3)
 
@@ -24,15 +29,15 @@ def qutrit_plan():
     return sl.ExperimentPlan(ss, detector, s, 100000, 17)
 
 
-class TestSimulateSetting:
+class TestSettingCounts:
     def test_open_triple_has_no_blocked(self, qutrit_plan):
-        counts = sl.simulate_setting(qutrit_plan, {1, 2, 3})
+        counts = sl.run_experiment(qutrit_plan).counts[frozenset({1, 2, 3})]
         assert counts[-1] == 0
         assert counts.sum() == qutrit_plan.shots_per_setting
 
     def test_single_slit_blocked_fraction(self, qutrit_plan):
         # Tr(Pi1 rho) = 1/3 for the uniform superposition, so ~2/3 blocked
-        counts = sl.simulate_setting(qutrit_plan, {1})
+        counts = sl.run_experiment(qutrit_plan).counts[frozenset({1})]
         frac = counts[-1] / counts.sum()
         sigma = np.sqrt(2 / 9 / qutrit_plan.shots_per_setting)
         assert abs(frac - 2.0 / 3.0) < 5 * sigma
@@ -45,7 +50,7 @@ class TestSimulateSetting:
             0,
             17,
         )
-        counts = sl.simulate_setting(plan, {1, 2})
+        counts = sl.run_experiment(plan).counts[frozenset({1, 2})]
         assert counts.sum() == 0
 
 
@@ -69,8 +74,7 @@ class TestRunExperiment:
         detector = model.embed(np.array(setup[1]))
         plan = sl.ExperimentPlan(ss, detector, s, 10**6, 23)
         record = sl.run_experiment(plan)
-        for J in SETTING_ORDER:
-            probs = plan.setting_probabilities(J)
+        for J, probs in zip(SETTING_ORDER, plan.probability_table(), strict=True):
             freqs = record.frequencies(J)
             for p, f in zip(probs, freqs):
                 sigma = np.sqrt(max(p * (1 - p), 1e-12) / plan.shots_per_setting)
@@ -120,9 +124,8 @@ class TestEstimateI3:
         f12 = record.frequencies({1, 2})
         f1 = record.frequencies({1})
         f2 = record.frequencies({2})
-        p12 = qutrit_plan.setting_probabilities(frozenset({1, 2}))
-        p1 = qutrit_plan.setting_probabilities(frozenset({1}))
-        p2 = qutrit_plan.setting_probabilities(frozenset({2}))
+        table = dict(zip(SETTING_ORDER, qutrit_plan.probability_table(), strict=True))
+        p12, p1, p2 = table[frozenset({1, 2})], table[frozenset({1})], table[frozenset({2})]
         for l in range(3):
             i2_emp = f12[l] - f1[l] - f2[l]
             i2_exact = p12[l] - p1[l] - p2[l]
@@ -151,3 +154,130 @@ class TestCalibration:
         record = sl.run_experiment(qutrit_plan)
         rows = [record.counts[J] for J in SETTING_ORDER]
         assert len({tuple(r) for r in rows}) > 1
+
+
+def random_axes(seed, n):
+    """n random unit axes."""
+    axes = np.random.default_rng(seed).standard_normal((n, 3))
+    return axes / np.linalg.norm(axes, axis=1)[:, None]
+
+
+def basis_plan(kind, d, k, state_seed, shots, seed):
+    """k basis slits of a quantum, real_quantum or classical model with the
+    detector the CLI gives them."""
+    ss = basis_system(d, kind, k)
+    model = ss.model
+    detector = (np.eye(d) if kind == "classical"
+                else model.embed(np.array(basis_projectors(d))))
+    return sl.ExperimentPlan(ss, detector, sl.random_state(model, state_seed), shots, seed)
+
+
+def spin1_plan(b, d, state_seed, shots, seed):
+    model = build_quantum_model(3)
+    slits, detectors = sl.spin1_feynman_setup(b, d)
+    ss = projector_slit_system(slits, model)
+    return sl.ExperimentPlan(ss, model.embed(detectors), sl.random_state(model, state_seed),
+                             shots, seed)
+
+
+def table_outputs(record):
+    """The frequencies, CSV text and CLI JSON text of a record."""
+    estimate = sl.estimate_i3(record)
+    payload = {"estimate": estimate.to_dict(), "record": serialize.record_to_dict(record)}
+    freqs = dict(zip(record.settings, record.frequency_table))
+    return freqs, serialize.record_to_csv(record), serialize.dumps(payload)
+
+
+def assert_same_bytes(record, reference):
+    counts, freqs, csv, text = reference
+    assert list(record.counts) == list(counts)
+    for J, row in zip(record.settings, record.count_table, strict=True):
+        assert row.tobytes() == counts[J].tobytes()
+    got_freqs, got_csv, got_text = table_outputs(record)
+    assert [f.tobytes() for f in got_freqs.values()] == [freqs[J].tobytes() for J in got_freqs]
+    assert (got_csv, got_text) == (csv, text)
+
+
+PLANS = {
+    **{f"quantum3-basis-{i}": (lambda i=i: basis_plan("quantum", 3, 3, [4, i], 10**6, i))
+       for i in range(3)},
+    **{f"spin1-{i}": (lambda i=i: spin1_plan(*random_axes(i, 2), [5, i], 10**6, 3 * i))
+       for i in range(20)},
+    "real_quantum3": lambda: basis_plan("real_quantum", 3, 3, 1, 10**5, 4),
+    "classical3": lambda: basis_plan("classical", 3, 3, 2, 10**5, 1),
+    "quantum4-four-slits": lambda: basis_plan("quantum", 4, 4, 6, 1000, 7),
+    "zero-shots": lambda: spin1_plan([0, 0, 1], [1, 0, 0], 3, 0, 2),
+}
+
+
+class TestTableBytes:
+    """The table of all settings gives the counts, frequencies, CSV and JSON
+    bytes of the experiment computed one setting at a time."""
+
+    @pytest.mark.parametrize("name", PLANS)
+    def test_plan(self, name):
+        plan = PLANS[name]()
+        assert_same_bytes(sl.run_experiment(plan), per_setting_experiment(plan))
+
+    def test_zero_shots_estimate_is_degenerate(self):
+        estimate = sl.estimate_i3(sl.run_experiment(PLANS["zero-shots"]()))
+        assert estimate.degenerate and estimate.chi_square == 0.0
+        assert not estimate.standard_errors.any() and not estimate.z_scores.any()
+
+    @pytest.mark.parametrize("k", [3, 4, 6])
+    @pytest.mark.parametrize("shots", [0, 1000])
+    def test_table_record(self, k, shots):
+        # one outcome and its blocked event: from 15 settings on, np.sum
+        # would add the single column of variances pairwise
+        p = np.random.default_rng(k).uniform(size=2**k - 1)
+        record = sl.record_from_table(ProbabilityTable(k, dict(zip(all_subsets(k), p))),
+                                      shots, 9)
+        assert_same_bytes(record, (record.counts, *per_setting_outputs(
+            record.counts, shots, 9, record.plan_hash)))
+
+
+def raised(fn, *args):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+class TestInvalidPlans:
+    def test_first_setting_outside_zero_one_is_named(self):
+        # diag(1, -0.5, -0.5): settings 2, 3, 12, 13, 23 and 123 leave [0, 1]
+        model, ss, _, _ = qutrit_fixture()
+        state = model.embed(np.diag([1.0, -0.5, -0.5]))
+        plan = sl.ExperimentPlan(ss, model.embed(np.array(basis_projectors(3))), state, 10, 0)
+        message = raised(sl.run_experiment, plan)
+        assert message.startswith("setting 2 produced probabilities outside [0, 1]")
+        assert message == raised(per_setting_counts, plan)
+
+    def test_sum_above_one(self):
+        # diag(0.5, 0.5, 0.5): setting 123 sums to 1.5 with every entry in [0, 1]
+        model, ss, _, _ = qutrit_fixture()
+        state = model.embed(np.diag([0.5, 0.5, 0.5]))
+        plan = sl.ExperimentPlan(ss, model.embed(np.array(basis_projectors(3))), state, 10, 0)
+        message = raised(sl.run_experiment, plan)
+        assert message == "outcome probabilities sum to 1.5 > 1"
+        assert message == raised(per_setting_counts, plan)
+        assert message == raised(sl.gpt.with_blocked, np.array([0.5, 0.5, 0.5]))
+
+    def test_earlier_sum_above_one_before_a_later_entry_above_one(self):
+        # setting 12 sums to 1.8 in [0, 1] each; setting 123 has an entry of 1.05
+        ss = basis_system(3, "classical")
+        detector = np.array([[1.0, 0, 0], [0, 1.0, 0], [0.5, 0.5, 0.5]])
+        plan = sl.ExperimentPlan(ss, detector, np.array([0.6, 0.6, 0.9]), 10, 0)
+        message = raised(sl.run_experiment, plan)
+        assert message == "outcome probabilities sum to 1.8 > 1"
+        assert message == raised(per_setting_counts, plan)
+
+    def test_rotated_filters_experiment_exits_2(self, capsys, tmp_path):
+        argv = dict(zip(BAD_IDS, BAD_ARGUMENTS))["experiment-rotated-filters"]
+        argv = materialize(argv, tmp_path)
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        model, named = cli.resolve_model(argv[argv.index("--model") + 1])
+        ss = cli.resolve_slits("from-model", model, named)
+        plan = sl.ExperimentPlan(ss, model.embed(np.array(basis_projectors(3))),
+                                 cli.resolve_state("random:0", model), 100000, 0)
+        assert err == f"error: {raised(per_setting_counts, plan)}\n"

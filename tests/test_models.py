@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import sorkinlab as sl
+from sorkinlab import models
 from sorkinlab.models import (
     basis_projectors,
     SPIN1_X,
@@ -317,6 +318,27 @@ class TestConjugationKernel:
             assert np.array_equal(
                 f.complement, dense_superoperator(np.eye(3) - pi, model)
             )
+
+    @pytest.mark.parametrize("kind", ["spin1", "signed-zeros", "classical"])
+    def test_joins_are_the_sums_np_sum_forms(self, monkeypatch, kind):
+        # each join adds one slit to an earlier join, from +0.0: the sums
+        # np.sum(axis=0) forms, down to the sign of a zero
+        if kind == "spin1":
+            model, pis = build_quantum_model(3), sl.spin1_feynman_setup([0.48, -0.6, 0.64])[0]
+        elif kind == "signed-zeros":
+            model, pis = build_quantum_model(4), np.array(basis_projectors(4)[:4])
+            pis[pis == 0] = complex(-0.0, -0.0)
+        else:
+            model, pis = build_classical_model(5), np.array(basis_projectors(5, float)[:4])
+            pis[pis == 0] = -0.0
+        seen = []
+        for name in ("_lueders_filters", "_mask_filters"):
+            build = getattr(models, name)
+            monkeypatch.setattr(models, name, lambda joins, model, build=build:
+                                seen.append(joins) or build(joins, model))
+        subset_filters(pis, model)
+        want = [np.sum([pis[i - 1] for i in sorted(J)], axis=0) for J in all_subsets(len(pis))]
+        assert [j.tobytes() for j in seen[0]] == [w.tobytes() for w in want]
 
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
     def test_real_quantum_within_reordering_bound(self, d):
