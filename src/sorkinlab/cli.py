@@ -82,12 +82,11 @@ def resolve_model(spec: str) -> tuple[ModelSpace, dict]:
 def resolve_slits(spec: str, model: ModelSpace, named_filters: dict) -> SlitSystem:
     """'basis', 'spin1:bx,by,bz', or filters carried by the model file."""
     if spec == "basis":
-        if model.kind == "custom":
-            raise InputError("basis slits are not defined for custom cones")
+        if model.slit_dtype is None:
+            raise InputError(f"basis slits are not defined for {model.kind} cones")
         if model.d < 3:
-            raise InputError("classical basis slits need n >= 3" if model.kind == "classical"
-                             else "basis slits need d >= 3")
-        pis = basis_projectors(model.d, complex if model.kind == "quantum" else float)[:3]
+            raise InputError(f"basis slits need {model.size_key} >= 3")
+        pis = basis_projectors(model.d, model.slit_dtype)[:3]
         return projector_slit_system(pis, model)
     if spec.startswith("spin1:"):
         return _spin1_system(model, spec.split(":", 1)[1])[0]
@@ -145,9 +144,9 @@ def _coords_from_file(spec: str, model: ModelSpace) -> np.ndarray:
             skew = np.linalg.norm(mat - mat.conj().T)
             if skew > EPS_TOL * max(1.0, np.linalg.norm(mat)):
                 raise InputError(f"matrix in {spec} is not Hermitian")
-            if model.kind == "real_quantum" and np.any(mat.imag):
-                raise InputError(f"matrix in {spec} has an imaginary part on a real model")
             coords = model.embed(mat)
+            if model.slit_dtype is float and np.any(mat.imag):
+                raise InputError(f"matrix in {spec} has an imaginary part on a real model")
         else:
             raise InputError(f"file {spec} needs 'coords' or 're'/'im'")
     except (KeyError, TypeError, ValueError) as exc:
@@ -322,8 +321,8 @@ def cmd_prop1(args) -> int:
 
 def cmd_tomography(args) -> int:
     model, named = resolve_model(args.model)
-    if model.kind == "custom":
-        raise InputError("tomography has no measurement family for custom cones")
+    if model.face_settings is None:
+        raise InputError(f"tomography has no measurement family for {model.kind} cones")
     s = resolve_state(args.state, model)
     ss = resolve_slits(args.slits, model, named)
     try:
@@ -339,16 +338,15 @@ def cmd_experiment(args) -> int:
         record = record_from_table(resolve_table(args.table), args.shots, args.seed)
     else:
         model, named = resolve_model(args.model)
-        if model.kind == "custom":
-            raise InputError("experiments on custom cones take a --table")
+        if model.detector is None:
+            raise InputError(f"experiments on {model.kind} cones take a --table")
         source = resolve_state(args.state, model)
         if args.spin1:
             ss, detectors = _spin1_system(model, args.b, args.d)
             detector = model.embed(detectors)
         else:
             ss = resolve_slits(args.slits, model, named)
-            detector = (np.eye(model.d) if model.kind == "classical"
-                        else model.embed(np.array(basis_projectors(model.d))))
+            detector = model.detector()
         plan = ExperimentPlan(ss, detector, source, args.shots, args.seed)
         try:
             record = run_experiment(plan)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -86,15 +87,16 @@ def basis_entries(d: int, dtype=complex) -> tuple[np.ndarray, ...]:
 class ModelSpace:
     """A finite-dimensional model: coordinate space, order unit, cone.
 
-    kind is one of "quantum", "real_quantum", "classical", "custom".
-    quantum(d) embeds Hermitian d x d matrices (m = d^2) and real_quantum(d)
-    real symmetric ones (m = d(d+1)/2) in the orthonormal basis ``basis`` of
-    shape (m, d, d), so embed/unembed round-trip exactly; classical(d) is the
-    nonnegative orthant on d outcomes (m = d).  For these the constructor
-    works out the dimension, the order unit and the default label "kind:d".
-    A custom cone is given by its generators (n_gen, m) and order unit, and
-    membership is decided by a nonnegative-least-squares residual; its
-    default label is "custom".
+    ModelSpace(kind, ...) builds kind's cone class (see CONES), which works
+    out all that depends on the cone; the kind string is kept for labels and
+    model files.  quantum(d) embeds Hermitian d x d matrices (m = d^2) and
+    real_quantum(d) real symmetric ones (m = d(d+1)/2) in the orthonormal
+    basis ``basis`` of shape (m, d, d), so embed/unembed round-trip exactly;
+    classical(d) is the nonnegative orthant on d outcomes (m = d).  These
+    are labelled "kind:d", and a custom cone, given by its generators (n_gen,
+    m) and order unit, "custom".  extreme_values(x) are the values of a
+    functional on the normalized extreme states: their minimum and maximum
+    bound its value on every normalized state, exactly.
     """
 
     kind: str
@@ -104,32 +106,32 @@ class ModelSpace:
     label: Optional[str] = None
     dimension: int = field(init=False)
 
+    basis = None  # the embedding basis of a matrix model
+    slit_dtype = None  # the dtype of the basis slits; None where there are none
+    size_key = "d"  # the key of the size in a model file
+    masks = False  # slits filter by coordinate masks, not by Lueders maps
+    detector = None  # the default experiment detector, if the cone has one
+    face_settings = None  # the tomography family of a face, if the cone has one
+
+    def __new__(cls, kind, *args, **kwargs):
+        if kind not in CONES:
+            raise ValueError(f"unknown model kind {kind!r} (known: {', '.join(CONES)})")
+        return super().__new__(CONES[kind])
+
     def __post_init__(self):
         if self.label is None:
-            self.label = "custom" if self.kind == "custom" else f"{self.kind}:{self.d}"
-        if self.kind == "custom":
-            self.dimension = self.generators.shape[1]
-            return
-        d = self.d
-        self.dimension = {"quantum": d * d, "real_quantum": d * (d + 1) // 2, "classical": d}[self.kind]
-        self.order_unit = np.ones(d) if self.kind == "classical" else self.embed(np.eye(d))
+            self.label = f"{self.kind}:{self.d}"
 
-    @property
-    def _matrix_dtype(self):
-        return {"quantum": complex, "real_quantum": float}.get(self.kind)
-
-    @property
-    def basis(self) -> Optional[np.ndarray]:
-        """The embedding basis of a matrix model, None for other cones."""
-        dtype = self._matrix_dtype
-        return None if dtype is None else hermitian_basis(self.d, dtype)
+    def __reduce__(self):
+        # copies are built anew, so a matrix model's order unit keeps embed's layout
+        return ModelSpace, (self.kind, self.d, self.generators, self.order_unit, self.label)
 
     @property
     def basis_entries(self) -> tuple[np.ndarray, ...]:
         """The nonzero entries of the embedding basis (see basis_entries)."""
-        if self._matrix_dtype is None:
+        if self.basis is None:
             raise ValueError(f"model {self.label!r} has no matrix embedding")
-        return basis_entries(self.d, self._matrix_dtype)
+        return basis_entries(self.d, self.slit_dtype)
 
     def _zero_coords(self, shape: tuple, complex_: bool) -> np.ndarray:
         """Zero coordinate vectors of a shape (..., m), laid out as embed lays
@@ -155,7 +157,7 @@ class ModelSpace:
         if mat.shape[-2:] != (d, d):
             raise DimensionMismatch(f"matrix is {mat.shape[-2:]}, model needs {(d, d)}")
         x = mat[..., j, i]
-        complex_ = self._matrix_dtype is complex or np.iscomplexobj(mat)
+        complex_ = self.slit_dtype is complex or np.iscomplexobj(mat)
         out = self._zero_coords(mat.shape[:-2], complex_)
         np.add.at(out.T, k, (vr * x.real - vi * np.imag(x)).T)
         return out
@@ -166,29 +168,137 @@ class ModelSpace:
             raise ValueError(f"model {self.label!r} has no matrix embedding")
         return np.einsum("k,kij->ij", np.asarray(coords, dtype=float), self.basis)
 
-    def extreme_values(self, coords: np.ndarray) -> np.ndarray:
-        """The values of a functional on the normalized extreme states: the
-        coordinates (classical), the eigenvalues (matrix models), or g.x / g.u
-        for each generator g (custom).  Their minimum and maximum bound its
-        value on every normalized state, exactly; on the self-dual matrix
-        and classical cones they also decide cone membership."""
-        if self.kind == "classical":
-            return coords
-        if self.kind == "custom":
-            return (self.generators @ coords) / (self.generators @ self.order_unit)
-        return np.linalg.eigvalsh(self.unembed(coords))
-
     def cone_residual(self, coords: np.ndarray) -> float:
         """How far a coordinate vector sits outside the cone (0 = inside)."""
         coords = np.asarray(coords, dtype=float)
-        if self.kind != "custom":
-            return _excess(-float(self.extreme_values(coords).min()))
-        from scipy.optimize import nnls  # slow to import; only custom cones need it
-        _, resid = nnls(self.generators.T, coords)
-        return float(resid)
+        return _excess(-float(self.extreme_values(coords).min()))
 
     def contains(self, coords: np.ndarray) -> bool:
         return self.cone_residual(coords) <= EPS_CONE
+
+    def draw(self, seeds, effect: bool) -> np.ndarray:
+        """Coordinates of random states (effect=False) or effects, one per
+        row; row i is drawn from the substream seeds[i].  This cone draws
+        them one at a time."""
+        draw = self._random_effect if effect else self._random_state
+        out = np.zeros((len(seeds), self.dimension))
+        for row, seed in enumerate(seeds):
+            out[row] = draw(np.random.default_rng(seed))
+        return out
+
+    def _random_effect(self, rng) -> np.ndarray:
+        # map a random functional affinely, e -> (e - lo u) / (hi - lo), so that
+        # its values on the normalized extreme states lie in [0, 1]; a draw
+        # already in [0, u] (lo, hi = 0, 1) maps to itself bit for bit
+        coords = rng.uniform(0.0, 1.0, size=self.dimension)
+        vals = self.extreme_values(coords)
+        lo, hi = min(float(vals.min()), 0.0), max(float(vals.max()), 1.0)
+        return (coords - lo * self.order_unit) / (hi - lo)
+
+
+class PSDCone(ModelSpace):
+    """The positive semidefinite d x d matrices, complex (quantum) or real
+    symmetric (real_quantum); extreme values are eigenvalues."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.slit_dtype = {"quantum": complex, "real_quantum": float}[self.kind]
+        self.dimension = len(self.basis)
+        self.order_unit = self.embed(np.eye(self.d))
+
+    @property
+    def basis(self) -> np.ndarray:
+        return hermitian_basis(self.d, self.slit_dtype)
+
+    def extreme_values(self, coords: np.ndarray) -> np.ndarray:
+        return np.linalg.eigvalsh(self.unembed(coords))
+
+    def draw(self, seeds, effect: bool) -> np.ndarray:
+        """Matrix draws (see _random_matrices) in batches of CHUNK_ELEMENTS
+        entries, so the linear algebra and the embedding run once per batch."""
+        out = self._zero_coords((len(seeds),), self.slit_dtype is complex)
+        rows = max(1, CHUNK_ELEMENTS // self.d**2)
+        for lo in range(0, len(seeds), rows):
+            out[lo : lo + rows] = self.embed(_random_matrices(self, seeds[lo : lo + rows], effect))
+        return out
+
+    def detector(self) -> np.ndarray:
+        """The computational-basis projectors, embedded."""
+        return self.embed(np.array(basis_projectors(self.d)))
+
+    def face_settings(self, f: Filter) -> list[tuple[np.ndarray, ...]]:
+        """The subspace's basis projectors plus, per basis pair, superposition
+        (and for quantum, phase-shifted) bases, each completed by u - sum."""
+        w, q = np.linalg.eigh(self.unembed(f.projection @ self.order_unit))
+        vecs = [q[:, i] for i in range(len(w)) if w[i] > 0.5]
+        families = [[np.outer(v, v.conj()) for v in vecs]]
+        for a, b in combinations(range(len(vecs)), 2):
+            for s in (vecs[b], 1j * vecs[b]) if self.slit_dtype is complex else (vecs[b],):
+                plus, minus = (vecs[a] + s) / np.sqrt(2.0), (vecs[a] - s) / np.sqrt(2.0)
+                families.append([np.outer(plus, plus.conj()), np.outer(minus, minus.conj())])
+        coords = self.embed(np.array([m for fam in families for m in fam]))
+        ends = np.cumsum([len(fam) for fam in families])
+        return [(*c, self.order_unit - np.sum(c, axis=0)) for c in np.split(coords, ends[:-1])]
+
+
+class Orthant(ModelSpace):
+    """The nonnegative orthant on d outcomes (classical), order unit all ones;
+    extreme values are coordinates, and slits are 0/1 coordinate masks."""
+
+    slit_dtype = float
+    size_key = "n"
+    masks = True
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.dimension, self.order_unit = self.d, np.ones(self.d)
+
+    def extreme_values(self, coords: np.ndarray) -> np.ndarray:
+        return coords
+
+    def _random_state(self, rng) -> np.ndarray:
+        return rng.dirichlet(np.ones(self.d))
+
+    def detector(self) -> np.ndarray:
+        return np.eye(self.d)
+
+    def face_settings(self, f: Filter) -> list[tuple[np.ndarray, ...]]:
+        """The indicator measurement of the face's coordinates."""
+        mask = np.round(np.diagonal(f.projection))
+        return [(*np.eye(self.dimension)[np.flatnonzero(mask)], 1.0 - mask)]
+
+
+class PolyhedralCone(ModelSpace):
+    """The cone generated by the rows g of generators (custom): extreme values
+    are g.x / g.u, and membership is a nonnegative-least-squares residual."""
+
+    def __post_init__(self):
+        if self.generators is None or self.order_unit is None:
+            raise ValueError("a custom cone needs generators and an order unit")
+        self.label = "custom" if self.label is None else self.label
+        self.dimension = self.generators.shape[1]
+
+    def extreme_values(self, coords: np.ndarray) -> np.ndarray:
+        return (self.generators @ coords) / (self.generators @ self.order_unit)
+
+    def cone_residual(self, coords: np.ndarray) -> float:
+        from scipy.optimize import nnls  # slow to import; only custom cones need it
+        _, resid = nnls(self.generators.T, np.asarray(coords, dtype=float))
+        return float(resid)
+
+    def _random_state(self, rng) -> np.ndarray:
+        coords = rng.dirichlet(np.ones(len(self.generators))) @ self.generators
+        return coords / float(self.order_unit @ coords)
+
+
+CONES = {"quantum": PSDCone, "real_quantum": PSDCone, "classical": Orthant,
+         "custom": PolyhedralCone}
+
+
+def basis_projectors(d: int, dtype=complex) -> list[np.ndarray]:
+    """The d rank-1 projectors onto the computational basis vectors."""
+    eye = np.eye(d, dtype=dtype)
+    return [np.outer(eye[:, i], eye[:, i].conj()) for i in range(d)]
 
 
 class _BuiltOnFirstRead:
@@ -340,7 +450,7 @@ def diagonal_blocks(mats, entries: np.ndarray) -> np.ndarray:
 def sample_states(model: ModelSpace, n_samples: int, seed: int) -> np.ndarray:
     """Coordinates of n_samples random states, one per row; row i is the
     state random_state draws from the substream [seed, i]."""
-    return _draw(model, [[seed, i] for i in range(n_samples)], effect=False)
+    return model.draw([[seed, i] for i in range(n_samples)], effect=False)
 
 
 # Row-by-row products that round as the products of single vectors do:
@@ -402,7 +512,7 @@ def validate_filter(f: Filter, model: ModelSpace, states: np.ndarray) -> Validat
 
 def validate_effect(e: np.ndarray, model: ModelSpace) -> ValidationReport:
     """Check 0 <= e.s <= 1 on normalized states, exactly: on the normalized
-    extreme states (see ModelSpace.extreme_values)."""
+    extreme states (see ModelSpace)."""
     w = model.extreme_values(e)
     low, high = _excess(-float(w.min())), _excess(float(w.max()) - 1.0)
     return ValidationReport(
@@ -470,7 +580,7 @@ def _random_matrices(model: ModelSpace, seeds, effect: bool) -> np.ndarray:
     the drawn eigenvalues.
     """
     d = model.d
-    quantum = model.kind == "quantum"
+    quantum = model.slit_dtype is complex
     g = np.empty((len(seeds), d, d), complex if quantum else float)
     lam = np.empty((len(seeds), d))
     for row, seed in enumerate(seeds):
@@ -489,54 +599,13 @@ def _random_matrices(model: ModelSpace, seeds, effect: bool) -> np.ndarray:
     return (q * lam[:, None, :]) @ q.conj().swapaxes(1, 2)
 
 
-def _random_state_coords(model: ModelSpace, rng) -> np.ndarray:
-    if model.kind == "classical":
-        return rng.dirichlet(np.ones(model.d))
-    gens = model.generators
-    coords = rng.dirichlet(np.ones(gens.shape[0])) @ gens
-    return coords / float(model.order_unit @ coords)
-
-
-def _random_effect_coords(model: ModelSpace, rng) -> np.ndarray:
-    # map a random functional affinely, e -> (e - lo u) / (hi - lo), so that
-    # its values on the normalized extreme states lie in [0, 1]; a draw
-    # already in [0, u] (lo, hi = 0, 1) maps to itself bit for bit
-    coords = rng.uniform(0.0, 1.0, size=model.dimension)
-    vals = model.extreme_values(coords)
-    lo, hi = min(float(vals.min()), 0.0), max(float(vals.max()), 1.0)
-    return (coords - lo * model.order_unit) / (hi - lo)
-
-
-def _draw(model: ModelSpace, seeds, effect: bool) -> np.ndarray:
-    """Coordinates of random states (effect=False) or effects, one per row;
-    row i is drawn from the substream seeds[i].
-
-    Matrix models draw in batches of CHUNK_ELEMENTS matrix entries, so the
-    linear algebra and the embedding run once per batch; the other cones
-    draw one at a time.
-    """
-    n = len(seeds)
-    if model._matrix_dtype is None:
-        draw = _random_effect_coords if effect else _random_state_coords
-        out = np.zeros((n, model.dimension))
-        for row, seed in enumerate(seeds):
-            out[row] = draw(model, np.random.default_rng(seed))
-        return out
-    out = model._zero_coords((n,), model.kind == "quantum")
-    rows = max(1, CHUNK_ELEMENTS // model.d**2)
-    for lo in range(0, n, rows):
-        mats = _random_matrices(model, seeds[lo : lo + rows], effect)
-        out[lo : lo + rows] = model.embed(mats)
-    return out
-
-
 def random_state(model: ModelSpace, seed) -> np.ndarray:
     """The coordinates of a normalized random state, deterministic in the seed.
 
     quantum / real_quantum draw a full-rank Ginibre density matrix, classical
     a flat Dirichlet point on the simplex, custom a convex mix of generators.
     """
-    return _draw(model, [seed], effect=False)[0]
+    return model.draw([seed], effect=False)[0]
 
 
 def random_effect(model: ModelSpace, seed) -> np.ndarray:
@@ -546,7 +615,7 @@ def random_effect(model: ModelSpace, seed) -> np.ndarray:
     [0, 1]; classical models draw coordinates uniform in [0, 1]; custom cones
     draw coordinates uniform in [0, 1] and map them into [0, u].
     """
-    return _draw(model, [seed], effect=True)[0]
+    return model.draw([seed], effect=True)[0]
 
 
 def random_pairs(model: ModelSpace, n: int, seed: int):
@@ -557,5 +626,5 @@ def random_pairs(model: ModelSpace, n: int, seed: int):
     rows = max(1, CHUNK_ELEMENTS // model.dimension)
     for lo in range(0, n, rows):
         pairs = range(lo, min(n, lo + rows))
-        yield (_draw(model, [[seed, i, 0] for i in pairs], effect=False),
-               _draw(model, [[seed, i, 1] for i in pairs], effect=True))
+        yield (model.draw([[seed, i, 0] for i in pairs], effect=False),
+               model.draw([[seed, i, 1] for i in pairs], effect=True))

@@ -23,6 +23,7 @@ from .gpt import (
     ModelSpace,
     NotAProjection,
     basis_entries,
+    basis_projectors,
     hermitian_basis,
 )
 from .interference import SlitSystem, all_subsets, slit_system
@@ -59,7 +60,7 @@ def model_builder(kind: str):
     builders = {"quantum": build_quantum_model, "real_quantum": build_real_quantum_model,
                 "classical": build_classical_model}
     if kind not in builders:
-        raise ValueError(f"unknown model kind {kind!r}")
+        raise ValueError(f"unknown model kind {kind!r} (known: {', '.join(builders)})")
     return builders[kind]
 
 
@@ -257,7 +258,7 @@ def _joint_pattern(pis: np.ndarray) -> bytes:
 def _plan_for(pis: np.ndarray, model: ModelSpace) -> _ConjugationPlan:
     """The conjugation plan of a stack of projectors in a matrix model, kept
     in _plans."""
-    key = (model.d, model._matrix_dtype, _joint_pattern(pis), len(pis))
+    key = (model.d, model.slit_dtype, _joint_pattern(pis), len(pis))
     return _plans.lookup(key, lambda: _conjugation_plan(*key), _plan_bytes)
 
 
@@ -313,7 +314,7 @@ def _conjugation_matrices(
 
 
 def _check_projectors(pis: np.ndarray, model: ModelSpace) -> None:
-    if model._matrix_dtype is None:
+    if model.basis is None:
         raise ValueError(f"model {model.label!r} has no matrix embedding")
     d = model.d
     if pis.shape[1:] != (d, d):
@@ -377,12 +378,6 @@ def _mask_filters(pis, model: ModelSpace) -> list[Filter]:
     return [Filter(p, c) for p, c in zip(*pairs)]
 
 
-def basis_projectors(d: int, dtype=complex) -> list[np.ndarray]:
-    """The d rank-1 projectors onto the computational basis vectors."""
-    eye = np.eye(d, dtype=dtype)
-    return [np.outer(eye[:, i], eye[:, i].conj()) for i in range(d)]
-
-
 def subset_filters(pis, model: ModelSpace) -> dict[frozenset, Filter]:
     """All 2^k - 1 join filters generated by k pairwise-orthogonal projectors,
     keyed by subset of 1..k.  On a classical model the projectors are 0/1
@@ -403,7 +398,7 @@ def subset_filters(pis, model: ModelSpace) -> dict[frozenset, Filter]:
     for J in subsets:
         top = max(J)
         joins[J] = joins[J - {top}] + pis[top - 1]
-    build = _mask_filters if model.kind == "classical" else _lueders_filters
+    build = _mask_filters if model.masks else _lueders_filters
     return dict(zip(subsets, build([joins[J] for J in subsets], model)))
 
 

@@ -55,10 +55,10 @@ def hermitian_from_dict(d: dict) -> np.ndarray:
 
 def model_to_dict(model: ModelSpace, filters: dict | None = None) -> dict:
     cone = {"type": model.kind}
-    if model.kind == "custom":
+    if model.generators is not None:
         cone["generators"] = model.generators.tolist()
     else:
-        cone["n" if model.kind == "classical" else "d"] = model.d
+        cone[model.size_key] = model.d
     out = {
         "label": model.label,
         "dimension": model.dimension,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -35,49 +34,18 @@ class FaceMeasurementPlan:
     design_matrix: np.ndarray  # (n_effects_total, rank)
 
 
-def _subspace_vectors(pi: np.ndarray) -> list[np.ndarray]:
-    w, v = np.linalg.eigh(pi)
-    return [v[:, i] for i in range(len(w)) if w[i] > 0.5]
-
-
 def build_face_measurement(f: Filter, model: ModelSpace) -> FaceMeasurementPlan:
     """Tomographic measurement family for the states fixed by a filter (the
     face of face_of).
 
-    Matrix models use basis projectors of the supporting subspace plus, for
-    each basis pair, superposition bases (and for complex models the
-    phase-shifted ones); every family is completed to a measurement with the
-    effect u - sum.  Classical faces need only their indicator measurement.
-    Each effect vector keeps the layout it is computed in (a row of the
-    embedding, or u - sum on its own): dot products round by layout.
+    The cone gives the family (see ModelSpace.face_settings).  Each effect
+    vector keeps the layout it is computed in (a row of the embedding, or
+    u - sum on its own): dot products round by layout.
     """
     basis = face_of(f)
-    kind = model.kind
-    settings: list[tuple[np.ndarray, ...]] = []
-    if kind in ("quantum", "real_quantum"):
-        # the Hilbert-space projector whose conjugation map is the filter
-        pi = model.unembed(f.projection @ model.order_unit)
-        vecs = _subspace_vectors(pi)
-        families: list[list[np.ndarray]] = []
-        families.append([np.outer(v, v.conj()) for v in vecs])
-        for a, b in combinations(range(len(vecs)), 2):
-            plus = (vecs[a] + vecs[b]) / np.sqrt(2.0)
-            minus = (vecs[a] - vecs[b]) / np.sqrt(2.0)
-            families.append([np.outer(plus, plus.conj()), np.outer(minus, minus.conj())])
-            if kind == "quantum":
-                ip = (vecs[a] + 1j * vecs[b]) / np.sqrt(2.0)
-                im = (vecs[a] - 1j * vecs[b]) / np.sqrt(2.0)
-                families.append([np.outer(ip, ip.conj()), np.outer(im, im.conj())])
-        coords = model.embed(np.array([m for fam in families for m in fam]))
-        lo = 0
-        for fam in families:
-            fam_coords, lo = coords[lo : lo + len(fam)], lo + len(fam)
-            settings.append((*fam_coords, model.order_unit - np.sum(fam_coords, axis=0)))
-    elif kind == "classical":
-        mask = np.round(np.diagonal(f.projection))
-        settings.append((*np.eye(model.dimension)[np.flatnonzero(mask)], 1.0 - mask))
-    else:
-        raise ValueError("no tomographic family available for custom cones")
+    if model.face_settings is None:
+        raise ValueError(f"no tomographic family available for {model.kind} cones")
+    settings = model.face_settings(f)
 
     rows = np.array([e @ basis for effects in settings for e in effects])
     rank = np.linalg.matrix_rank(rows, tol=EPS_RANK_REL * max(1.0, np.abs(rows).max()))

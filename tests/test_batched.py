@@ -480,17 +480,21 @@ def assert_same_report(got, want):
 def draws(monkeypatch):
     """The states and effects drawn, and the calls of _random_matrices."""
     counts = {"states": 0, "effects": 0, "matrices": 0}
-    draw, matrices = gpt._draw, gpt._random_matrices
+    matrices = gpt._random_matrices
 
-    def counted_draw(model, seeds, effect):
-        counts["effects" if effect else "states"] += len(seeds)
-        return draw(model, seeds, effect)
+    def counted_draw(draw):
+        def counted(model, seeds, effect):
+            counts["effects" if effect else "states"] += len(seeds)
+            return draw(model, seeds, effect)
+        return counted
 
     def counted_matrices(model, seeds, effect):
         counts["matrices"] += 1
         return matrices(model, seeds, effect)
 
-    monkeypatch.setattr(gpt, "_draw", counted_draw)
+    # the cones that draw one at a time inherit ModelSpace.draw
+    for cone in (gpt.ModelSpace, gpt.PSDCone):
+        monkeypatch.setattr(cone, "draw", counted_draw(cone.draw))
     monkeypatch.setattr(gpt, "_random_matrices", counted_matrices)
     return counts
 

@@ -271,6 +271,8 @@ BAD_ARGUMENTS = [
     ["experiment", "--model", ROTATED_MODEL, "--slits", "from-model"],
     ["interference", "--model", "quantum:3", "--state", "uniform"],
     ["experiment", "--model", custom_model(), "--slits", "from-model"],
+    ["tomography", "--model", custom_model(), "--slits", "from-model"],
+    ["tomography", "--model", custom_model(), "--slits", "from-model", "--state", "random:0"],
     ["validate", "--model", "classical:1"],
     ["validate", "--model", {"dimension": 9, "cone": {"type": "quantum", "d": 3},
                              "filters": {"1": {"projection": np.eye(8).tolist(),
@@ -342,7 +344,8 @@ BAD_IDS = ["state-dimension", "classical-state-dimension", "negative-shots",
            "model-d-not-a-number", "basis-slits-on-custom-cone", "basis-slits-quantum2",
            "basis-slits-classical2", "spin1-axis-two-numbers", "spin1-axis-not-numbers",
            "spin1-axis-zero", "tomography-rotated-filters", "experiment-rotated-filters",
-           "uniform-state-quantum3", "experiment-custom-cone", "classical-model-n1",
+           "uniform-state-quantum3", "experiment-custom-cone", "tomography-custom-cone",
+           "tomography-custom-cone-random-state", "classical-model-n1",
            "filter-projection-8x8", "table-entries-lists", "out-and-csv-out-same-file",
            "csv-out-over-table", "out-over-model", "b-without-spin1", "d-without-spin1",
            "slits-with-spin1", "spin1-with-table", "slits-with-table", "sweep-with-table",

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from sorkinlab import serialize
-from sorkinlab.gpt import CheckResult, DimensionMismatch, ValidationReport, with_blocked
+from sorkinlab.gpt import (
+    CheckResult,
+    DimensionMismatch,
+    ModelSpace,
+    ValidationReport,
+    with_blocked,
+)
 from sorkinlab.interference import (
     ProbabilityTable,
     all_subsets,
@@ -70,6 +76,11 @@ GUARDS = {
         np.eye(2), build_quantum_model(3)), DimensionMismatch, "model needs"),
     "face-measurement-custom-cone": (custom_cone_face_measurement, ValueError,
                                      "custom cones"),
+    "model-space-unknown-kind": (lambda: ModelSpace("octonion", 3), ValueError,
+                                 r"unknown model kind 'octonion' \(known: quantum, "
+                                 r"real_quantum, classical, custom\)"),
+    "model-space-custom-without-generators": (lambda: ModelSpace("custom"), ValueError,
+                                              "needs generators"),
 }
 
 

@@ -1,13 +1,16 @@
 """Model builders, embeddings, conjugation superoperators, and the spin-1
 geometry."""
 
+import ast
+import copy
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sorkinlab as sl
-from sorkinlab import models
+from sorkinlab import gpt, models
 from sorkinlab.models import (
     basis_projectors,
     SPIN1_X,
@@ -120,6 +123,76 @@ class TestModelRecord:
         custom = ModelSpace("custom", generators=gens, order_unit=np.ones(2))
         assert (custom.dimension, custom.label) == (2, "custom")
         assert ModelSpace("custom", generators=gens, order_unit=np.ones(2), label="c").label == "c"
+
+
+# one model of each kind
+EVERY_KIND = {
+    "quantum": lambda: build_quantum_model(3),
+    "real_quantum": lambda: build_real_quantum_model(3),
+    "classical": lambda: build_classical_model(3),
+    "custom": lambda: ModelSpace("custom", generators=np.array([[1.0, 0.0], [1.0, 1.0]]),
+                                 order_unit=np.array([1.0, 0.0]), label="wedge"),
+}
+
+
+class TestConeClasses:
+    @pytest.mark.parametrize("kind", EVERY_KIND)
+    def test_each_kind_has_its_cone_class(self, kind):
+        model = EVERY_KIND[kind]()
+        assert type(model) is gpt.CONES[kind]
+        assert isinstance(model, ModelSpace) and model.kind == kind
+
+    @pytest.mark.parametrize("copier", [lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    @pytest.mark.parametrize("kind", EVERY_KIND)
+    def test_models_survive_pickling_and_deepcopy(self, kind, copier):
+        model = EVERY_KIND[kind]()
+        twin = copier(model)
+        assert (type(twin), twin.kind, twin.label, twin.dimension) == (
+            type(model), model.kind, model.label, model.dimension)
+        assert (twin.order_unit.tobytes(), twin.order_unit.strides) == (
+            model.order_unit.tobytes(), model.order_unit.strides)
+        assert (twin.slit_dtype, twin.size_key, twin.masks) == (
+            model.slit_dtype, model.size_key, model.masks)
+        assert twin.extreme_values(twin.order_unit).tobytes() == (
+            model.extreme_values(model.order_unit).tobytes())
+
+
+SRC = Path(gpt.__file__).parent
+
+
+def kind_comparisons() -> list[tuple[str, str, int]]:
+    """(file, top-level class or function, line) of each comparison of a
+    name or attribute `kind` with a string literal (or a tuple of them) in
+    the package's modules."""
+    def is_kind(node):
+        return getattr(node, "id", getattr(node, "attr", None)) == "kind"
+
+    def is_literal(node):
+        items = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+        return all(isinstance(x, ast.Constant) and isinstance(x.value, str) for x in items)
+
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            scope = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Compare):
+                    operands = [node.left, *node.comparators]
+                    if any(map(is_kind, operands)) and any(map(is_literal, operands)):
+                        out.append((path.name, scope, node.lineno))
+    return out
+
+
+def test_only_the_cone_classes_compare_kind_with_a_string():
+    # the cone decides; kind strings are read only where a model file is
+    # parsed and by the CLI's fixtures that name one model (uniform,
+    # fixture:qutrit and spin-1)
+    cones = {("gpt.py", cls.__name__) for cls in {ModelSpace, *gpt.CONES.values()}}
+    outside = [(name, scope) for name, scope, _ in kind_comparisons()
+               if (name, scope) not in cones | {("serialize.py", "model_from_dict")}]
+    assert sorted(outside) == [("cli.py", "_resolve_vector"), ("cli.py", "_spin1_system"),
+                               ("cli.py", "resolve_state")]
 
 
 def classical_subset_filters(blocks, model):
@@ -492,7 +565,7 @@ class TestKernelAgainstSupportKernel:
     def test_byte_identical_across_chunks(self, monkeypatch):
         # chunks of one and of two projectors: the row offsets of the plan's
         # flat indices and a last chunk shorter than the others
-        from sorkinlab import models
+        from sorkinlab import gpt, models
 
         for _, model, pis in kernel_families():
             for stack in (pis, np.eye(pis.shape[1]) - pis):
@@ -509,7 +582,7 @@ class TestKernelAgainstSupportKernel:
                         models._plans.clear()
 
     def test_bookkeeping_is_shared_and_read_only(self):
-        from sorkinlab import models
+        from sorkinlab import gpt, models
         from sorkinlab.models import _conjugation_plan
 
         model = build_quantum_model(5)
@@ -528,7 +601,7 @@ class TestKernelAgainstSupportKernel:
     def test_dense_plans_stay_within_the_byte_bound(self):
         # a dense quantum:24 plan holds ~36 MB of index arrays; stacks of
         # 1..33 projectors are 33 distinct keys, one more than the entry bound
-        from sorkinlab import models
+        from sorkinlab import gpt, models
 
         model = build_quantum_model(24)
         rng = np.random.default_rng(12)
@@ -548,7 +621,7 @@ class TestKernelAgainstSupportKernel:
     @pytest.mark.parametrize("name", ["quantum6-basis", "quantum10-basis", "quantum16-basis",
                                       "spin1-0.48,-0.6,0.64", "spin1-0,0,1"])
     def test_basis_and_spin1_plans_are_kept(self, name):
-        from sorkinlab import models
+        from sorkinlab import gpt, models
 
         model, pis = next((m, p) for n, m, p in kernel_families() if n == name)
         models._plans.clear()
@@ -652,7 +725,7 @@ class TestLazyComplements:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        from sorkinlab import models
+        from sorkinlab import gpt, models
 
         calls = []
         kernel = models._conjugation_matrices
