@@ -11,6 +11,7 @@ from .gpt import (
     random_effect,
     random_state,
     validate_filter,
+    validate_filters,
     validate_measurement,
 )
 from .models import (

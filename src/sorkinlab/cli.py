@@ -27,7 +27,7 @@ from .gpt import (
     random_state,
     sample_states,
     validate_effect,
-    validate_filter,
+    validate_filters,
 )
 from .interference import (
     InvalidSlitSystem,
@@ -266,8 +266,8 @@ def cmd_validate(args) -> int:
     ss = resolve_slits(args.slits, model, named)
     states = sample_states(model, args.samples, args.seed)
     reports = [ss.report.to_dict()]  # checked when the system was built
-    for J in all_subsets(ss.k):
-        rep = validate_filter(ss.derived[J], model, states)
+    subsets = all_subsets(ss.k)
+    for J, rep in zip(subsets, validate_filters([ss.derived[J] for J in subsets], model, states)):
         d = rep.to_dict()
         d["subject"] = f"filter_{subset_key(J)}"
         reports.append(d)
@@ -409,6 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
         for name in filter(lambda name: any(name in mode for mode in modes.values()), OPTIONS):
             sp.add_argument("--" + name.replace("_", "-"),
                             **({"type": int} if name in COUNTS else {}), **OPTIONS[name])
+    p.commands = sub.choices  # command -> its parser, for _parse
     return p
 
 
@@ -430,12 +431,28 @@ def _join_axes(argv: list[str]) -> list[str]:
     return out
 
 
-def main(argv=None) -> int:
+def _parse(argv: list[str]) -> tuple[str, dict]:
+    """The command argv names and the options given to it, as
+    build_parser().parse_args(argv) reads them.
+
+    When argv[0] names a command, that command's parser reads the rest, as
+    the full parser would after its own scan of every word.  Words it leaves
+    over, or an argv that names no command, go to the full parser, whose
+    usage and errors are then the ones printed."""
     global _parser
     if _parser is None:  # built on the first call, then reused
         _parser = build_parser()
-    given = vars(_parser.parse_args(_join_axes(sys.argv[1:] if argv is None else list(argv))))
-    _, handler, modes = COMMANDS[command := given.pop("command")]
+    if argv and argv[0] in _parser.commands:
+        given, rest = _parser.commands[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            return argv[0], vars(given)
+    given = vars(_parser.parse_args(argv))
+    return given.pop("command"), given
+
+
+def main(argv=None) -> int:
+    command, given = _parse(_join_axes(sys.argv[1:] if argv is None else list(argv)))
+    _, handler, modes = COMMANDS[command]
     words = {f"--{name}" for name in given} | {f"--{name} {v}" for name, v in given.items()}
     key = next(key for key in modes if not key or key in words)
     try:

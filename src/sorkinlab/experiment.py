@@ -24,13 +24,15 @@ from .interference import (
 @dataclass(eq=False)
 class ExperimentPlan:
     """A k-slit experiment with a detector of effect coordinate vectors that
-    sum to the order unit, one per row (any sequence of vectors will do).
+    sum to the order unit, one per row (a sequence of vectors is read with
+    np.asarray).
 
     Its probabilities are one (2^k - 1) x (n + 1) table for n effects, a row
     per setting in all_subsets order (of the seed substreams) and the blocked
     event last.  Part of the output bytes: each entry is one dot of an effect,
     as laid out, with P_J @ s (a matrix-vector product rounds differently),
-    and with_blocked sums along each row.
+    and with_blocked sums along each row.  The dots are one stacked matmul,
+    which rounds as the single products do (see gpt.matvecs).
     """
 
     slits: SlitSystem
@@ -43,9 +45,12 @@ class ExperimentPlan:
         """The table; raises ValueError on the first setting whose
         probabilities leave [0, 1] or sum above 1 (see with_blocked)."""
         settings = all_subsets(self.slits.k)
-        filtered = [self.slits.derived[J].projection @ self.source_state for J in settings]
-        effects = list(self.detector)
-        probs = np.array([[e.dot(s_f) for e in effects] for s_f in filtered])  # e @ s_f
+        # one P_J @ s per setting: stacking the dense P_J would copy them
+        filtered = np.array([self.slits.derived[J].projection @ self.source_state
+                             for J in settings])
+        effects = np.asarray(self.detector)
+        # e @ s_f per setting and effect
+        probs = np.matmul(effects[None, :, None, :], filtered[:, None, :, None])[:, :, 0, 0]
         outside = (probs.min(axis=1) < -EPS_TOL) | (probs.max(axis=1) > 1.0 + EPS_TOL)
         first = int(outside.argmax()) if outside.any() else len(settings)
         table = with_blocked(probs[:first])  # raises on an earlier sum above 1

@@ -119,6 +119,9 @@ class ModelSpace:
         return super().__new__(CONES[kind])
 
     def __post_init__(self):
+        # the cones of a size: custom cones take generators instead
+        if self.d is None or self.d < 2:
+            raise ValueError(f"{self.kind.replace('_', ' ')} model needs {self.size_key} >= 2")
         if self.label is None:
             self.label = f"{self.kind}:{self.d}"
 
@@ -345,7 +348,7 @@ class Filter:
 
     @cached_property
     def identity_residuals(self) -> tuple[float, float]:
-        """validate_filter's exact idempotence and complement_product
+        """validate_filters' exact idempotence and complement_product
         residuals, block by block of blocks: the Frobenius norms are the
         square roots of the blocks' sums of squares.  Computed once."""
         P, Pc = self.projection, self.complement
@@ -472,42 +475,86 @@ def _rownorms(xs: np.ndarray) -> np.ndarray:
     return np.sqrt(rowdots(xs, xs))
 
 
-def validate_filter(f: Filter, model: ModelSpace, states: np.ndarray) -> ValidationReport:
-    """Check the three filter axioms: idempotence, neutrality, complementation.
+def _python_max(cur: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Python's max(cur, new), element by element: new where it is larger,
+    so a NaN in new is dropped and one in cur is kept."""
+    return np.where(new > cur, new, cur)
+
+
+def _sampled_residuals(filters, u: np.ndarray, states: np.ndarray) -> tuple[list, list]:
+    """The neutrality and complement_equivalence residuals of each filter of
+    a stack (see validate_filters), as two lists.
+
+    Each filter's five products are one matrix-vector product per state (see
+    matvecs), written into one array (5, n_filters, n_states, m), and the
+    reductions run once over it, with the bytes each filter's own reductions
+    give.  The neutrality check takes the norms of the rows it keeps only:
+    a row it leaves out may overflow in a norm.
+    """
+    n, m = states.shape
+    # per filter: P s, Pc s, P P s, P Pc s, Pc P s
+    prod = np.empty((5, len(filters), n, m))
+    col = states[:, :, None]
+    for i, f in enumerate(filters):
+        P, Pc = f.projection, f.complement
+        np.matmul(P, col, out=prod[0, i, :, :, None])
+        np.matmul(Pc, col, out=prod[1, i, :, :, None])
+        np.matmul(P, prod[:2, i, :, :, None], out=prod[2:4, i, :, :, None])
+        np.matmul(Pc, prod[0, i, :, :, None], out=prod[4, i, :, :, None])
+    # pass/block equivalences on the filtered samples: Pc P s and P Pc s
+    norms = _rownorms(prod[3:].reshape(-1, m)).reshape(2, len(filters), n)
+    equiv = _python_max(*norms[::-1].max(axis=2, initial=0.0))
+    # neutrality on t = s, P s, Pc s, with P t = P s, P P s, P Pc s
+    us = prod[:4] @ u
+    nt = np.empty((3, len(filters), n))
+    nt[0], nt[1:] = states @ u, us[:2]
+    ptu = us[[0, 2, 3]]
+    # P t - t, written over the products no longer read: prod[1:4]
+    prod[2:4] -= prod[:2]
+    np.subtract(prod[0], states, out=prod[1])
+    # states the filter passes whole, of positive normalization
+    kept = (nt > EPS_TOL) & (np.abs(ptu - nt) <= EPS_TOL * np.maximum(1.0, nt))
+    dev = np.zeros(kept.shape)
+    dev[kept] = _rownorms(prod[1:4][kept]) / np.maximum(1.0, nt[kept])
+    neutral = np.zeros(len(filters))
+    for worst in dev.max(axis=2, initial=0.0):
+        neutral = _python_max(neutral, worst)
+    return neutral.tolist(), equiv.tolist()
+
+
+def validate_filters(filters, model: ModelSpace, states: np.ndarray) -> list[ValidationReport]:
+    """Check the three filter axioms, idempotence, neutrality and
+    complementation, for each filter of a sequence; one report per filter.
 
     Neutrality and the pass/block equivalences are sampled over the given
     cone states, coordinates one per row (plus their filtered images, which
-    exercise the fixed-point sets), so several filters can be checked on one
-    draw of ``sample_states``; the algebraic identities are checked exactly
-    on the matrices, once per filter (see Filter.identity_residuals).
+    exercise the fixed-point sets); the algebraic identities are checked
+    exactly on the matrices, once per filter (see Filter.identity_residuals).
+    The sampled checks stay dense products.  They run on stacks of filters,
+    as many as keep each product of a stack within CHUNK_ELEMENTS entries
+    (one filter at least): a family of few samples is one stack.
     """
-    P, Pc = f.projection, f.complement
-    u = model.order_unit
-    idem, prod = f.identity_residuals
+    rows = max(1, CHUNK_ELEMENTS // max(1, states.size))
+    reports = []
+    for lo in range(0, len(filters), rows):
+        stack = filters[lo : lo + rows]
+        for f, neutral, equiv in zip(stack, *_sampled_residuals(stack, model.order_unit, states)):
+            idem, prod = f.identity_residuals
+            reports.append(ValidationReport(
+                subject="filter",
+                checks=(
+                    CheckResult("idempotence", idem, EPS_PROJ),
+                    CheckResult("neutrality", neutral, EPS_TOL * 10),
+                    CheckResult("complement_product", prod, EPS_PROJ),
+                    CheckResult("complement_equivalence", equiv, EPS_TOL * 10),
+                ),
+            ))
+    return reports
 
-    passed, blocked = matvecs(P, states), matvecs(Pc, states)
-    # P t for t = states, passed, blocked
-    filtered = (passed, matvecs(P, passed), matvecs(P, blocked))
-    neutral_worst = 0.0
-    for t, pt in zip((states, passed, blocked), filtered):
-        nt = t @ u
-        # states the filter passes whole, of positive normalization
-        kept = (nt > EPS_TOL) & (np.abs(pt @ u - nt) <= EPS_TOL * np.maximum(1.0, nt))
-        dev = _rownorms((pt - t)[kept]) / np.maximum(1.0, nt[kept])
-        neutral_worst = max(neutral_worst, float(dev.max(initial=0.0)))
-    # pass/block equivalences on the filtered samples
-    equiv_worst = float(max(_rownorms(matvecs(Pc, passed)).max(initial=0.0),
-                            _rownorms(filtered[2]).max(initial=0.0)))
 
-    return ValidationReport(
-        subject="filter",
-        checks=(
-            CheckResult("idempotence", idem, EPS_PROJ),
-            CheckResult("neutrality", neutral_worst, EPS_TOL * 10),
-            CheckResult("complement_product", prod, EPS_PROJ),
-            CheckResult("complement_equivalence", equiv_worst, EPS_TOL * 10),
-        ),
-    )
+def validate_filter(f: Filter, model: ModelSpace, states: np.ndarray) -> ValidationReport:
+    """validate_filters for one filter."""
+    return validate_filters([f], model, states)[0]
 
 
 def validate_effect(e: np.ndarray, model: ModelSpace) -> ValidationReport:

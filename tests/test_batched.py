@@ -31,7 +31,13 @@ from sorkinlab.models import (
 )
 from sorkinlab.tomography import exact_frequencies
 
-from helpers import classical_fixture, quantum4_subspace_fixture, qutrit_fixture, spin1_system
+from helpers import (
+    basis_system,
+    classical_fixture,
+    quantum4_subspace_fixture,
+    qutrit_fixture,
+    spin1_system,
+)
 
 MATRIX_MODELS = [(kind, d) for kind in ("quantum", "real_quantum") for d in (3, 4, 6, 10, 16)]
 
@@ -268,6 +274,40 @@ class TestBatchedDraws:
             assert list(random_pairs(model, 0, 1)) == []
 
 
+def custom_file_family(generators, order_unit):
+    """A custom-cone model file of dimension 3 with the seven mask filters
+    that --slits from-model reads, as serialize reads it back."""
+    filters = {}
+    for J in sl.interference.all_subsets(3):
+        mask = np.isin([1, 2, 3], list(J)).astype(float)
+        filters[sl.interference.subset_key(J)] = {
+            "projection": np.diag(mask).tolist(), "complement": np.diag(1.0 - mask).tolist()}
+    model, named = serialize.model_from_dict({
+        "label": "c3", "dimension": 3, "order_unit": order_unit,
+        "cone": {"type": "custom", "generators": generators}, "filters": filters})
+    return model, list(named.values())
+
+
+def system_family(ss):
+    return ss.model, list(ss.derived.values())
+
+
+# filter families with their model, as validate checks them
+FAMILIES = {
+    "quantum:4-basis": lambda: system_family(basis_system(4)),
+    "quantum:10-basis": lambda: system_family(basis_system(10)),
+    "spin1": lambda: system_family(spin1_system()),
+    "real_quantum:4-basis": lambda: system_family(basis_system(4, "real_quantum")),
+    "classical:6-masks": lambda: system_family(basis_system(6, "classical")),
+    "custom-file": lambda: custom_file_family([[1, 0, 0], [0, 2, 0], [0, 0, 0.5]], [1, 1, 1]),
+    # its states' coordinates reach 1e300: rows the neutrality check does
+    # not keep would overflow in a norm
+    "custom-huge-generator": lambda: custom_file_family(
+        [[1e300, 0, 0], [0, 1, 0], [0, 0, 1]], [1e-300, 1.0, 1.0]),
+    "quantum:4-four-slits": lambda: system_family(basis_system(4, k=4)),
+}
+
+
 class TestStackedChecks:
     @pytest.mark.parametrize("slits", ["basis", "spin1", "dense"])
     def test_validate_filter_matches_loop(self, slits):
@@ -307,6 +347,20 @@ class TestStackedChecks:
             bound = block_rounding_bound(f)
             for g, w in zip(got.checks, want.checks):
                 assert abs(g.residual - w.residual) <= bound
+
+    @pytest.mark.parametrize("stack", [None, 3], ids=["one-stack", "stacks-of-3"])
+    @pytest.mark.parametrize("n_states", [0, 1, 10])
+    @pytest.mark.parametrize("case", list(FAMILIES))
+    def test_validate_filters_matches_one_filter_at_a_time(self, monkeypatch, case, n_states,
+                                                            stack):
+        model, filters = FAMILIES[case]()
+        states = sample_states(model, n_states, 5)
+        if stack:  # products of at most that many filters' entries per stack
+            monkeypatch.setattr(gpt, "CHUNK_ELEMENTS", stack * max(1, states.size))
+        family = gpt.validate_filters(filters, model, states)
+        one_by_one = [gpt.validate_filter(f, model, states) for f in filters]
+        assert (serialize.dumps([r.to_dict() for r in family])
+                == serialize.dumps([r.to_dict() for r in one_by_one]))
 
     def test_validate_filter_with_no_states(self):
         ss = spin1_system()

@@ -1072,3 +1072,43 @@ def test_generated_argv_keeps_the_exit_code_contract(argv_files, data):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2)
+
+
+def parse_outcome(parse, argv):
+    """What a parse returns, or its SystemExit code, with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(cli._join_axes(argv))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+def full_parse(argv):
+    """The full parser's reading of argv: the command and the options given."""
+    given = vars(cli.build_parser().parse_args(argv))
+    return given.pop("command"), given
+
+
+PARSE_CASES = [[], ["-h"], ["--help"], ["junk"], ["--model", "quantum:3", "validate"],
+               ["validate", "--help"], ["validate", "-h", "--samples", "x"],
+               ["validate", "extra"], ["validate", "--model"], ["validate", "--samples", "x"],
+               ["validate", "--mod", "quantum:4"], ["validate", "--b", "0,0,1"],
+               ["validate", "--", "--samples", "3"], ["experiment", "--spin1", "--b", "-1,0,0"],
+               ["experiment", "--spin1", "--b", "-1,0"], ["prop1", "--samples=3", "--samples", "4"],
+               ["tomography", "--mode", "guess"], ["interference", "--sweep", "2", "x", "y"]]
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES + BAD_ARGUMENTS,
+                         ids=[" ".join(argv) or "empty" for argv in PARSE_CASES] + BAD_IDS)
+def test_parse_matches_the_full_parser(tmp_path, argv):
+    argv = materialize(argv, tmp_path)
+    assert parse_outcome(cli._parse, argv) == parse_outcome(full_parse, argv)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=list(HealthCheck))
+@given(data=st.data())
+def test_parse_of_generated_argv_matches_the_full_parser(argv_files, data):
+    argv = data.draw(generated_argv(argv_files))
+    assert parse_outcome(cli._parse, argv) == parse_outcome(full_parse, argv)

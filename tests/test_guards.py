@@ -81,6 +81,12 @@ GUARDS = {
                                  r"real_quantum, classical, custom\)"),
     "model-space-custom-without-generators": (lambda: ModelSpace("custom"), ValueError,
                                               "needs generators"),
+    "model-space-quantum-1": (lambda: ModelSpace("quantum", 1), ValueError,
+                              "quantum model needs d >= 2"),
+    "model-space-classical-0": (lambda: ModelSpace("classical", 0), ValueError,
+                                "classical model needs n >= 2"),
+    "model-space-quantum-without-d": (lambda: ModelSpace("quantum"), ValueError,
+                                      "quantum model needs d >= 2"),
 }
 
 
