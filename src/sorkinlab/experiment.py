@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gpt import EPS_TOL, with_blocked
+from .gpt import EPS_TOL, draw_counts, with_blocked
 from .interference import (
     ProbabilityTable,
     SlitSystem,
@@ -64,41 +64,40 @@ class ExperimentPlan:
 
 @dataclass(eq=False)
 class ExperimentRecord:
-    """Detector counts per setting, keyed by subset, the blocked event last.
+    """Detector counts as one (2^k - 1) x (n + 1) table, a row per setting in
+    settings order and the blocked event last.
 
-    count_table stacks them, a row per setting in settings order, and
-    frequency_table divides it by the shots, each once, for estimate_i3 and
+    frequency_table divides it by the shots once, for estimate_i3 and
     serialize's writers.  estimate_i3 adds the rows one after the other, an
-    order that is part of the output bytes.
+    order that is part of the output bytes.  Raises ValueError unless the
+    counts are such a table for some k >= 2.
     """
 
-    counts: dict  # frozenset -> np.ndarray of ints, length n_outcomes + 1
+    counts: np.ndarray
     shots_per_setting: int
     seed: int
     plan_hash: str
 
+    def __post_init__(self):
+        shape = np.shape(self.counts)
+        if len(shape) != 2 or shape[0] < 3 or shape[0] & (shape[0] + 1) or shape[1] < 1:
+            raise ValueError(f"counts are {shape}, not a (2^k - 1, n + 1) table with k >= 2")
+        self.counts = np.asarray(self.counts)
+
     @property
     def settings(self) -> list[frozenset]:
         """Every nonempty subset of the slits 1..k in setting order (the order
-        of the seed substreams): k >= 2 is the least with 2^k - 1 settings or
-        more."""
-        return all_subsets(max(2, len(self.counts).bit_length()))
-
-    @cached_property
-    def count_table(self) -> np.ndarray:
-        for J in self.settings:
-            if J not in self.counts:
-                raise KeyError(f"record is missing setting {subset_key(J)}")
-        return np.array([self.counts[J] for J in self.settings])
+        of the seed substreams)."""
+        return all_subsets(len(self.counts).bit_length())
 
     @cached_property
     def frequency_table(self) -> np.ndarray:  # all zeros at zero shots
         shots = self.shots_per_setting
-        return self.count_table / shots if shots else np.zeros(self.count_table.shape)
+        return self.counts / shots if shots else np.zeros(self.counts.shape)
 
     @property
     def n_outcomes(self) -> int:
-        return self.count_table.shape[1] - 1
+        return self.counts.shape[1] - 1
 
     def frequencies(self, J) -> np.ndarray:
         return self.frequency_table[self.settings.index(frozenset(J))]
@@ -117,33 +116,22 @@ def plan_hash(plan: ExperimentPlan) -> str:
 
 
 def run_experiment(plan: ExperimentPlan) -> ExperimentRecord:
-    """All shots of setting idx (in all_subsets order) drawn from [seed, idx]."""
-    table = plan.probability_table()
-    counts = np.empty(table.shape, dtype=np.int64)
-    for idx, probs in enumerate(table):
-        rng = np.random.default_rng([plan.seed, idx])
-        counts[idx] = rng.multinomial(plan.shots_per_setting, probs)
-    return ExperimentRecord(
-        counts=dict(zip(all_subsets(plan.slits.k), counts)),
-        shots_per_setting=plan.shots_per_setting,
-        seed=plan.seed,
-        plan_hash=plan_hash(plan),
-    )
+    """Counts of every row of the plan's probability table, setting idx (in
+    all_subsets order) drawn from [seed, idx] (see draw_counts)."""
+    counts = draw_counts(plan.probability_table(), plan.shots_per_setting, [plan.seed])
+    return ExperimentRecord(np.array(counts), plan.shots_per_setting, plan.seed, plan_hash(plan))
 
 
 def record_from_table(table: ProbabilityTable, shots: int, seed: int) -> ExperimentRecord:
     """Synthetic record from a raw probability table: outcome 0 fires with the
-    tabulated probability, everything else is blocked."""
+    tabulated probability, clipped to [0, 1], and everything else is blocked;
+    setting idx draws from [seed, idx] (see draw_counts)."""
     table.require_complete()
-    counts = {}
-    for idx, J in enumerate(all_subsets(table.k)):
-        p = min(max(table.entries[J], 0.0), 1.0)
-        rng = np.random.default_rng([seed, idx])
-        hit = rng.binomial(shots, p) if shots > 0 else 0
-        counts[J] = np.array([hit, shots - hit], dtype=np.int64)
+    probs = [min(max(table.entries[J], 0.0), 1.0) for J in all_subsets(table.k)]
+    counts = draw_counts([[p, 1.0 - p] for p in probs], shots, [seed])
     entries = sorted((subset_key(J), p) for J, p in table.entries.items())
     h = hashlib.sha256(str((entries, shots, seed)).encode())
-    return ExperimentRecord(counts, shots, seed, h.hexdigest()[:16])
+    return ExperimentRecord(np.array(counts), shots, seed, h.hexdigest()[:16])
 
 
 @dataclass(eq=False)

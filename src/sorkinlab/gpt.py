@@ -273,13 +273,26 @@ class Orthant(ModelSpace):
 
 class PolyhedralCone(ModelSpace):
     """The cone generated by the rows g of generators (custom): extreme values
-    are g.x / g.u, and membership is a nonnegative-least-squares residual."""
+    are g.x / g.u, and membership is a nonnegative-least-squares residual.
+    Raises ValueError unless the generators are an (n >= 1, m) array and the
+    order unit has m entries whose pairing with every g is finite and positive."""
 
     def __post_init__(self):
         if self.generators is None or self.order_unit is None:
             raise ValueError("a custom cone needs generators and an order unit")
+        gens = self.generators = np.asarray(self.generators, dtype=float)
+        u = self.order_unit = np.asarray(self.order_unit, dtype=float)
+        m = gens.shape[1] if gens.ndim == 2 else "m"
+        if gens.ndim != 2 or len(gens) < 1:
+            raise ValueError(f"generators are {gens.shape}, not an (n >= 1, {m}) array")
+        if u.shape != (m,):
+            raise ValueError(f"order_unit has shape {u.shape}, not ({m},)")
+        with np.errstate(over="ignore", invalid="ignore"):
+            pairing = gens @ u
+        if not (np.isfinite(pairing) & (pairing > 0)).all():
+            raise ValueError("order_unit @ g must be finite and positive for every generator g")
         self.label = "custom" if self.label is None else self.label
-        self.dimension = self.generators.shape[1]
+        self.dimension = m
 
     def extreme_values(self, coords: np.ndarray) -> np.ndarray:
         return (self.generators @ coords) / (self.generators @ self.order_unit)
@@ -426,6 +439,15 @@ def with_blocked(probs: np.ndarray) -> np.ndarray:
         raise ValueError(f"outcome probabilities sum to {over[0]:.6g} > 1")
     full = np.concatenate([probs, np.maximum(0.0, 1.0 - total)], axis=-1)
     return full / full.sum(axis=-1, keepdims=True)
+
+
+def draw_counts(rows, shots: int, seed: list) -> list[np.ndarray]:
+    """Every count an experiment or sampled tomography draws: shots draws from
+    each row of probabilities (rows may differ in length), row idx from the
+    substream [*seed, idx].  The first count of a row [p, 1 - p] is the draw
+    of binomial(shots, p): multinomial draws each count but the last so."""
+    return [np.random.default_rng([*seed, idx]).multinomial(shots, row)
+            for idx, row in enumerate(rows)]
 
 
 def _excess(x: float) -> float:

@@ -17,6 +17,7 @@ from .gpt import (
     EPS_RANK_REL,
     Filter,
     ModelSpace,
+    draw_counts,
     face_of,
     with_blocked,
 )
@@ -85,13 +86,10 @@ def sample_frequencies(
 ) -> list[np.ndarray]:
     """Finite-shot frequencies; the blocked (not passed) event absorbs the
     missing normalization so joint frequencies stay estimable.  Setting idx
-    draws from the substream [*seed, idx]."""
-    out = []
-    for idx, probs in enumerate(exact_frequencies(plan, s_filtered)):
-        rng = np.random.default_rng([*seed, idx])
-        counts = rng.multinomial(shots, with_blocked(probs))
-        out.append(counts[:-1] / shots if shots > 0 else np.zeros(len(probs)))
-    return out
+    draws from the substream [*seed, idx] (see draw_counts)."""
+    rows = [with_blocked(probs) for probs in exact_frequencies(plan, s_filtered)]
+    return [c[:-1] / shots if shots > 0 else np.zeros(len(c) - 1)
+            for c in draw_counts(rows, shots, seed)]
 
 
 def estimate_filtered_state(plan: FaceMeasurementPlan, freqs: list[np.ndarray]) -> np.ndarray:

@@ -76,8 +76,9 @@ def quantum4_subspace_fixture(seed: int = 0):
 
 
 # --- the experiment one setting at a time ------------------------------------
-# run_experiment, estimate_i3 and serialize's record writers work on one table
-# of all settings; the loops below are how they were written per setting, as
+# run_experiment, record_from_table, estimate_i3, serialize's record writers
+# and sample_frequencies work on one table of all settings, drawn by
+# gpt.draw_counts; the loops below are how they were written per setting, as
 # the reference whose bytes the table reproduces.
 
 
@@ -92,9 +93,9 @@ def _with_blocked_row(probs):
 
 
 def per_setting_counts(plan):
-    """run_experiment's counts, one setting at a time in all_subsets order,
-    raising on the first setting whose probabilities are not valid."""
-    counts = {}
+    """run_experiment's count table, one setting at a time in all_subsets
+    order, raising on the first setting whose probabilities are not valid."""
+    counts = []
     for idx, J in enumerate(all_subsets(plan.slits.k)):
         s_f = plan.slits.derived[J].projection @ plan.source_state
         probs = np.array([float(e @ s_f) for e in plan.detector])
@@ -104,14 +105,38 @@ def per_setting_counts(plan):
                 "model and plan are inconsistent"
             )
         rng = np.random.default_rng([plan.seed, idx])
-        counts[J] = rng.multinomial(plan.shots_per_setting, _with_blocked_row(probs))
-    return counts
+        counts.append(rng.multinomial(plan.shots_per_setting, _with_blocked_row(probs)))
+    return np.array(counts)
+
+
+def binomial_table_counts(table, shots, seed):
+    """record_from_table's count table, one binomial draw of outcome 0 per
+    setting, in all_subsets order."""
+    counts = []
+    for idx, J in enumerate(all_subsets(table.k)):
+        p = min(max(table.entries[J], 0.0), 1.0)
+        rng = np.random.default_rng([seed, idx])
+        hit = rng.binomial(shots, p) if shots > 0 else 0
+        counts.append([hit, shots - hit])
+    return np.array(counts, dtype=np.int64)
+
+
+def per_setting_frequencies(plan, s_filtered, shots, seed):
+    """tomography.sample_frequencies, one setting at a time."""
+    out = []
+    for idx, effects in enumerate(plan.settings):
+        probs = np.array([float(e @ s_filtered) for e in effects])
+        rng = np.random.default_rng([*seed, idx])
+        counts = rng.multinomial(shots, _with_blocked_row(probs))
+        out.append(counts[:-1] / shots if shots > 0 else np.zeros(len(probs)))
+    return out
 
 
 def per_setting_outputs(counts, shots, seed, hash_):
     """The frequencies (keyed by setting), the CSV text and the CLI's JSON
-    text of a record of these counts, one setting at a time."""
-    settings = all_subsets(max(2, len(counts).bit_length()))
+    text of a record of this count table, one setting at a time."""
+    settings = all_subsets(len(counts).bit_length())
+    counts = dict(zip(settings, counts, strict=True))
     freqs = {J: counts[J] / shots if shots else np.zeros_like(counts[J], dtype=float)
              for J in settings}
     n_out = len(counts[settings[0]]) - 1

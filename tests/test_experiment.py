@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sorkinlab as sl
 from sorkinlab import cli, serialize
@@ -11,6 +12,7 @@ from sorkinlab.interference import ProbabilityTable, all_subsets, slit_system
 
 from helpers import (
     basis_system,
+    binomial_table_counts,
     per_setting_counts,
     per_setting_experiment,
     per_setting_outputs,
@@ -19,6 +21,11 @@ from helpers import (
 from test_cli import BAD_ARGUMENTS, BAD_IDS, materialize
 
 SETTING_ORDER = all_subsets(3)
+
+
+def row(J):
+    """The index of setting J in a three-slit count table."""
+    return SETTING_ORDER.index(frozenset(J))
 
 
 @pytest.fixture(scope="module")
@@ -31,13 +38,13 @@ def qutrit_plan():
 
 class TestSettingCounts:
     def test_open_triple_has_no_blocked(self, qutrit_plan):
-        counts = sl.run_experiment(qutrit_plan).counts[frozenset({1, 2, 3})]
+        counts = sl.run_experiment(qutrit_plan).counts[row({1, 2, 3})]
         assert counts[-1] == 0
         assert counts.sum() == qutrit_plan.shots_per_setting
 
     def test_single_slit_blocked_fraction(self, qutrit_plan):
         # Tr(Pi1 rho) = 1/3 for the uniform superposition, so ~2/3 blocked
-        counts = sl.run_experiment(qutrit_plan).counts[frozenset({1})]
+        counts = sl.run_experiment(qutrit_plan).counts[row({1})]
         frac = counts[-1] / counts.sum()
         sigma = np.sqrt(2 / 9 / qutrit_plan.shots_per_setting)
         assert abs(frac - 2.0 / 3.0) < 5 * sigma
@@ -50,22 +57,20 @@ class TestSettingCounts:
             0,
             17,
         )
-        counts = sl.run_experiment(plan).counts[frozenset({1, 2})]
+        counts = sl.run_experiment(plan).counts[row({1, 2})]
         assert counts.sum() == 0
 
 
 class TestRunExperiment:
     def test_record_totals(self, qutrit_plan):
         record = sl.run_experiment(qutrit_plan)
-        assert len(record.counts) == 7
-        for J in SETTING_ORDER:
-            assert record.counts[J].sum() == qutrit_plan.shots_per_setting
+        assert record.counts.shape == (7, 4) and record.counts.dtype == np.int64
+        assert (record.counts.sum(axis=1) == qutrit_plan.shots_per_setting).all()
 
     def test_determinism(self, qutrit_plan):
         a = sl.run_experiment(qutrit_plan)
         b = sl.run_experiment(qutrit_plan)
-        for J in SETTING_ORDER:
-            np.testing.assert_array_equal(a.counts[J], b.counts[J])
+        np.testing.assert_array_equal(a.counts, b.counts)
         assert a.plan_hash == b.plan_hash
 
     def test_frequencies_converge(self):
@@ -105,18 +110,15 @@ class TestEstimateI3:
 
     def test_all_blocked_degenerate(self):
         model, ss, _, _ = qutrit_fixture()
-        counts = {J: np.array([0, 0, 0, 0]) for J in SETTING_ORDER}
-        record = sl.ExperimentRecord(counts, 0, 0, "none")
+        record = sl.ExperimentRecord(np.zeros((7, 4), dtype=np.int64), 0, 0, "none")
         est = sl.estimate_i3(record)
         assert est.degenerate
         np.testing.assert_array_equal(est.estimates, np.zeros(3))
         np.testing.assert_array_equal(est.standard_errors, np.zeros(3))
 
     def test_missing_setting_raises(self):
-        counts = {frozenset({1}): np.array([1, 0])}
-        record = sl.ExperimentRecord(counts, 1, 0, "x")
-        with pytest.raises(KeyError):
-            sl.estimate_i3(record)
+        with pytest.raises(ValueError, match=r"counts are \(1, 2\), not a \(2\^k - 1"):
+            sl.ExperimentRecord(np.array([[1, 0]]), 1, 0, "x")
 
     def test_empirical_i2_matches_exact(self, qutrit_plan):
         record = sl.run_experiment(qutrit_plan)
@@ -152,8 +154,7 @@ class TestCalibration:
 
     def test_setting_substreams_differ(self, qutrit_plan):
         record = sl.run_experiment(qutrit_plan)
-        rows = [record.counts[J] for J in SETTING_ORDER]
-        assert len({tuple(r) for r in rows}) > 1
+        assert len({tuple(r) for r in record.counts}) > 1
 
 
 def random_axes(seed, n):
@@ -190,9 +191,8 @@ def table_outputs(record):
 
 def assert_same_bytes(record, reference):
     counts, freqs, csv, text = reference
-    assert list(record.counts) == list(counts)
-    for J, row in zip(record.settings, record.count_table, strict=True):
-        assert row.tobytes() == counts[J].tobytes()
+    assert record.counts.shape == counts.shape and record.counts.dtype == np.int64
+    assert record.counts.tobytes() == counts.tobytes()
     got_freqs, got_csv, got_text = table_outputs(record)
     assert [f.tobytes() for f in got_freqs.values()] == [freqs[J].tobytes() for J in got_freqs]
     assert (got_csv, got_text) == (csv, text)
@@ -230,10 +230,21 @@ class TestTableBytes:
         # one outcome and its blocked event: from 15 settings on, np.sum
         # would add the single column of variances pairwise
         p = np.random.default_rng(k).uniform(size=2**k - 1)
-        record = sl.record_from_table(ProbabilityTable(k, dict(zip(all_subsets(k), p))),
-                                      shots, 9)
-        assert_same_bytes(record, (record.counts, *per_setting_outputs(
-            record.counts, shots, 9, record.plan_hash)))
+        table = ProbabilityTable(k, dict(zip(all_subsets(k), p)))
+        record = sl.record_from_table(table, shots, 9)
+        counts = binomial_table_counts(table, shots, 9)
+        assert_same_bytes(record, (counts, *per_setting_outputs(
+            counts, shots, 9, record.plan_hash)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(2, 4), data=st.data(), shots=st.sampled_from([0, 1, 10**6, 2**40]),
+           seed=st.integers(0, 2**64))
+    def test_table_record_draws_the_binomial(self, k, data, shots, seed):
+        # multinomial(shots, [p, 1 - p]) draws binomial(shots, p) first
+        p = data.draw(st.lists(st.floats(0.0, 1.0), min_size=2**k - 1, max_size=2**k - 1))
+        table = ProbabilityTable(k, dict(zip(all_subsets(k), p)))
+        counts = sl.record_from_table(table, shots, seed).counts
+        assert counts.tobytes() == binomial_table_counts(table, shots, seed).tobytes()
 
 
 def raised(fn, *args):

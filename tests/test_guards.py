@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sorkinlab import serialize
+from sorkinlab.experiment import ExperimentRecord
 from sorkinlab.gpt import (
     CheckResult,
     DimensionMismatch,
@@ -87,6 +88,24 @@ GUARDS = {
                                 "classical model needs n >= 2"),
     "model-space-quantum-without-d": (lambda: ModelSpace("quantum"), ValueError,
                                       "quantum model needs d >= 2"),
+    "custom-cone-1d-generators": (lambda: ModelSpace(
+        "custom", generators=np.ones(3), order_unit=np.ones(3)), ValueError,
+        r"generators are \(3,\), not an \(n >= 1, m\) array"),
+    "custom-cone-list-generators": (lambda: ModelSpace(
+        "custom", generators=[[1, 0], [0, 1]], order_unit=[1, 1, 1]), ValueError,
+        r"order_unit has shape \(3,\), not \(2,\)"),
+    "custom-cone-negative-on-generator": (lambda: ModelSpace(
+        "custom", generators=np.eye(2), order_unit=np.array([1.0, -1.0])), ValueError,
+        "finite and positive for every generator"),
+    "record-1d-counts": (lambda: ExperimentRecord(np.zeros(7, dtype=np.int64), 0, 0, "x"),
+                         ValueError, r"counts are \(7,\), not a \(2\^k - 1, n \+ 1\) table"),
+    "record-2-settings": (lambda: ExperimentRecord(np.zeros((2, 2), dtype=np.int64), 0, 0, "x"),
+                          ValueError, r"counts are \(2, 2\)"),
+    "record-5-settings": (lambda: ExperimentRecord(np.zeros((5, 2), dtype=np.int64), 0, 0, "x"),
+                          ValueError, r"counts are \(5, 2\)"),
+    "record-no-blocked-column": (lambda: ExperimentRecord(np.zeros((7, 0), dtype=np.int64),
+                                                          0, 0, "x"),
+                                 ValueError, r"counts are \(7, 0\)"),
 }
 
 

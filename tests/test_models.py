@@ -124,6 +124,17 @@ class TestModelRecord:
         assert (custom.dimension, custom.label) == (2, "custom")
         assert ModelSpace("custom", generators=gens, order_unit=np.ones(2), label="c").label == "c"
 
+    def test_custom_cone_reads_lists(self):
+        gens = [[1, 0], [1, 1]]
+        from_lists = ModelSpace("custom", generators=gens, order_unit=[1, 0])
+        from_arrays = ModelSpace("custom", generators=np.array(gens, dtype=float),
+                                 order_unit=np.array([1.0, 0.0]))
+        for a, b in [(from_lists.generators, from_arrays.generators),
+                     (from_lists.order_unit, from_arrays.order_unit)]:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        x = np.array([0.3, -0.2])
+        assert from_lists.extreme_values(x).tobytes() == from_arrays.extreme_values(x).tobytes()
+
 
 # one model of each kind
 EVERY_KIND = {

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import sorkinlab as sl
 from sorkinlab import serialize
 from sorkinlab.fixtures import table_06
-from sorkinlab.interference import all_subsets, subset_key
+from sorkinlab.interference import subset_key
 from sorkinlab.models import build_quantum_model
 
 from helpers import qutrit_fixture
@@ -131,9 +131,9 @@ class TestRecord:
         n_outcomes = data.draw(st.integers(1, 4))
         shots = data.draw(st.integers(0, 10) | st.integers(0, 2**62))
         count = st.integers(0, shots)
-        counts = {J: np.array(data.draw(st.lists(count, min_size=n_outcomes + 1,
-                                                 max_size=n_outcomes + 1)), dtype=np.int64)
-                  for J in all_subsets(k)}
+        counts = np.array([data.draw(st.lists(count, min_size=n_outcomes + 1,
+                                              max_size=n_outcomes + 1))
+                           for _ in range(2**k - 1)], dtype=np.int64)
         record = sl.ExperimentRecord(counts, shots, 0, "x")
         assert serialize.record_to_csv(record) == csv_writer_record(record)
 
@@ -144,8 +144,7 @@ def csv_writer_record(record):
     w = csv.writer(buf)
     w.writerow(["setting", "outcome", "count", "shots", "frequency"])
     shots = record.shots_per_setting
-    for J in record.settings:
-        counts = record.counts[J]
+    for J, counts in zip(record.settings, record.counts):
         for idx, (c, freq) in enumerate(zip(counts, record.frequencies(J))):
             name = "blocked" if idx == len(counts) - 1 else str(idx)
             w.writerow([subset_key(J), name, int(c), shots, repr(float(freq))])

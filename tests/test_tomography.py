@@ -6,9 +6,10 @@ import pytest
 
 import sorkinlab as sl
 from sorkinlab.gpt import with_blocked
+from sorkinlab.interference import subsets_of_size
 from sorkinlab.tomography import exact_frequencies, sample_frequencies
 
-from helpers import classical_fixture, qutrit_fixture
+from helpers import basis_system, classical_fixture, per_setting_frequencies, qutrit_fixture
 
 PSI = np.ones(3, dtype=complex) / np.sqrt(3.0)
 PSI_PROJ = np.outer(PSI, PSI.conj())
@@ -80,6 +81,19 @@ class TestEstimateFilteredState:
             counts = np.random.default_rng([seed, 1, idx]).multinomial(
                 1000, with_blocked(probs))
             assert f.tobytes() == (counts[:-1] / 1000).tobytes()
+
+    @pytest.mark.parametrize("d", [3, 6])
+    @pytest.mark.parametrize("shots", [0, 1, 1000, 10**6])
+    def test_draws_of_one_setting_at_a_time(self, d, shots):
+        ss = basis_system(d)
+        s = sl.random_state(ss.model, d)
+        for pair_idx, J in enumerate(subsets_of_size(3, 2)):
+            filt = ss.derived[J]
+            plan = sl.build_face_measurement(filt, ss.model)
+            s_f = filt.projection @ s
+            got = sample_frequencies(plan, s_f, shots, [11, pair_idx])
+            want = per_setting_frequencies(plan, s_f, shots, [11, pair_idx])
+            assert [f.tobytes() for f in got] == [f.tobytes() for f in want]
 
     def test_zero_state(self):
         model, ss, _, _ = qutrit_fixture()
