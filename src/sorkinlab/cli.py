@@ -16,6 +16,7 @@ import re
 import stat
 import sys
 import time
+from functools import cache
 
 import numpy as np
 
@@ -254,7 +255,7 @@ def _write(path: str, text: str) -> None:
 
 def emit(payload: dict, args) -> None:
     text = serialize.dumps(payload)
-    if args.out:
+    if args.out is not None:
         _write(args.out, text + "\n")
         print(f"# wrote {args.out} at {time.strftime('%Y-%m-%dT%H:%M:%S')}", file=sys.stderr)
     else:
@@ -352,7 +353,7 @@ def cmd_experiment(args) -> int:
             record = run_experiment(plan)
         except ValueError as exc:  # a source state giving probabilities outside [0, 1]
             raise InputError(str(exc)) from exc
-    if args.csv_out:  # written before the JSON payload
+    if args.csv_out is not None:  # written before the JSON payload
         _write(args.csv_out, serialize.record_to_csv(record))
     emit({"estimate": estimate_i3(record).to_dict(), "record": serialize.record_to_dict(record)},
          args)
@@ -397,19 +398,26 @@ COMMANDS = {
 }
 
 
+@cache
+def _flags(command: str) -> dict:
+    """The options of a command, keyed by their flags ('--csv-out'), in
+    parser order."""
+    modes = COMMANDS[command][2]
+    return {"--" + name.replace("_", "-"): name for name in OPTIONS
+            if any(name in mode for mode in modes.values())}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="sorkinlab",
         description="Third-order interference and two-slit-filtering tomography",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for command, (text, _, modes) in COMMANDS.items():
+    for command, (text, _, _) in COMMANDS.items():
         # an option not given is left out of the namespace: main tells it apart
         sp = sub.add_parser(command, help=text, argument_default=argparse.SUPPRESS)
-        for name in filter(lambda name: any(name in mode for mode in modes.values()), OPTIONS):
-            sp.add_argument("--" + name.replace("_", "-"),
-                            **({"type": int} if name in COUNTS else {}), **OPTIONS[name])
-    p.commands = sub.choices  # command -> its parser, for _parse
+        for flag, name in _flags(command).items():
+            sp.add_argument(flag, **({"type": int} if name in COUNTS else {}), **OPTIONS[name])
     return p
 
 
@@ -431,21 +439,59 @@ def _join_axes(argv: list[str]) -> list[str]:
     return out
 
 
+def _read_exact(command: str, words: list[str]) -> dict | None:
+    """The options words give to command, as its argparse parser reads
+    them, when every word is an exact '--name value', '--name=value' or
+    '--spin1' of the command; None otherwise.
+
+    A separate value that starts with '-' is declined too, as are a count
+    int() refuses and a --mode outside its choices: argparse then reads the
+    words and prints their errors."""
+    flags = _flags(command)
+    given = {}
+    words = iter(words)
+    for word in words:
+        flag, eq, value = word.partition("=")
+        name = flags.get(flag)
+        if name is None:  # '--', a prefix, '-h' or no option at all
+            return None
+        if name == "spin1":
+            if eq:
+                return None
+            given[name] = True
+            continue
+        if not eq:
+            value = next(words, None)
+            if value is None or value.startswith("-"):
+                return None
+        if value == "--":  # argparse drops it from '--name=--'
+            return None
+        if name in COUNTS:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        choices = OPTIONS[name].get("choices")
+        if choices is not None and value not in choices:
+            return None
+        given[name] = value
+    return given
+
+
 def _parse(argv: list[str]) -> tuple[str, dict]:
     """The command argv names and the options given to it, as
     build_parser().parse_args(argv) reads them.
 
-    When argv[0] names a command, that command's parser reads the rest, as
-    the full parser would after its own scan of every word.  Words it leaves
-    over, or an argv that names no command, go to the full parser, whose
-    usage and errors are then the ones printed."""
+    Words made only of a command's exact options are read directly (see
+    _read_exact); the full parser reads any other argv, and its usage and
+    errors are then the ones printed."""
     global _parser
+    if argv and argv[0] in COMMANDS:
+        given = _read_exact(argv[0], argv[1:])
+        if given is not None:
+            return argv[0], given
     if _parser is None:  # built on the first call, then reused
         _parser = build_parser()
-    if argv and argv[0] in _parser.commands:
-        given, rest = _parser.commands[argv[0]].parse_known_args(argv[1:])
-        if not rest:
-            return argv[0], vars(given)
     given = vars(_parser.parse_args(argv))
     return given.pop("command"), given
 
@@ -470,10 +516,14 @@ def main(argv=None) -> int:
             if name == "shots" and opts[name] > 2**63 - 1:
                 raise InputError(f"--shots must be <= {2**63 - 1}, got {opts[name]}")
         # nor an output path that cannot be a file
-        paths = [path for path in (args.out, args.csv_out) if path]
-        for path in paths:
+        outputs = {flag: path for flag, path in (("--out", args.out), ("--csv-out", args.csv_out))
+                   if path is not None}
+        for flag, path in outputs.items():
+            if not path:
+                raise InputError(f"{flag} needs a file path, got ''")
             if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
                 raise InputError(f"cannot write {path}: not a file in an existing directory")
+        paths = list(outputs.values())
         if len(paths) == 2 and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
             raise InputError(f"--out and --csv-out name the same file {paths[0]}")
         # nor one that would overwrite a file this run reads

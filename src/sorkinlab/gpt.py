@@ -83,6 +83,45 @@ def basis_entries(d: int, dtype=complex) -> tuple[np.ndarray, ...]:
     return out
 
 
+def _zero_coords(shape: tuple, complex_: bool) -> np.ndarray:
+    """Zero coordinate arrays of a shape (..., m), laid out as embed lays
+    out its result: for complex operands the real part of a complex array,
+    as np.real of a complex einsum gives it.  Later BLAS products round
+    differently at the other stride, so output bytes depend on this."""
+    return np.zeros(shape, complex).real if complex_ else np.zeros(shape)
+
+
+def _embed(mat: np.ndarray, d: int, dtype) -> np.ndarray:
+    """Coordinates of a d x d matrix, or of each matrix of a stack (..., d, d),
+    in hermitian_basis(d, dtype).
+
+    Coordinate k sums Re(B_k[i, j] mat[j, i]) over the nonzero entries of
+    B_k only, from +0.0 in np.nonzero order, each term formed as
+    b.real * x.real - b.imag * x.imag: the dense einsum over the whole
+    basis adds these terms in this order plus exact zeros, so the result
+    is byte-identical to it at O(d^2) instead of O(d^4) per matrix.
+    """
+    k, i, j, vr, vi = basis_entries(d, dtype)
+    mat = np.asarray(mat)
+    if mat.shape[-2:] != (d, d):
+        raise DimensionMismatch(f"matrix is {mat.shape[-2:]}, model needs {(d, d)}")
+    x = mat[..., j, i]
+    complex_ = dtype is complex or np.iscomplexobj(mat)
+    out = _zero_coords((*mat.shape[:-2], len(hermitian_basis(d, dtype))), complex_)
+    np.add.at(out.T, k, (vr * x.real - vi * np.imag(x)).T)
+    return out
+
+
+@cache
+def _identity_coords(d: int, dtype=complex) -> np.ndarray:
+    """_embed(np.eye(d), d, dtype), in its layout: the order unit of every
+    PSD model of that size and dtype.  Built once per (d, dtype) on first
+    use and shared, so it is read-only."""
+    unit = _embed(np.eye(d), d, dtype)
+    unit.flags.writeable = False
+    return unit
+
+
 @dataclass(eq=False)
 class ModelSpace:
     """A finite-dimensional model: coordinate space, order unit, cone.
@@ -136,34 +175,12 @@ class ModelSpace:
             raise ValueError(f"model {self.label!r} has no matrix embedding")
         return basis_entries(self.d, self.slit_dtype)
 
-    def _zero_coords(self, shape: tuple, complex_: bool) -> np.ndarray:
-        """Zero coordinate vectors of a shape (..., m), laid out as embed lays
-        out its result: for complex operands the real part of a complex array,
-        as np.real of a complex einsum gives it.  Later BLAS products round
-        differently at the other stride, so output bytes depend on this."""
-        shape = tuple(shape) + (self.dimension,)
-        return np.zeros(shape, complex).real if complex_ else np.zeros(shape)
-
     def embed(self, mat: np.ndarray) -> np.ndarray:
         """Coordinates of a Hermitian/symmetric matrix in the embedding basis,
-        or of each matrix of a stack (..., d, d).
-
-        Coordinate k sums Re(B_k[i, j] mat[j, i]) over the nonzero entries of
-        B_k only, from +0.0 in np.nonzero order, each term formed as
-        b.real * x.real - b.imag * x.imag: the dense einsum over the whole
-        basis adds these terms in this order plus exact zeros, so the result
-        is byte-identical to it at O(d^2) instead of O(d^4) per matrix.
-        """
-        k, i, j, vr, vi = self.basis_entries
-        mat = np.asarray(mat)
-        d = self.d
-        if mat.shape[-2:] != (d, d):
-            raise DimensionMismatch(f"matrix is {mat.shape[-2:]}, model needs {(d, d)}")
-        x = mat[..., j, i]
-        complex_ = self.slit_dtype is complex or np.iscomplexobj(mat)
-        out = self._zero_coords(mat.shape[:-2], complex_)
-        np.add.at(out.T, k, (vr * x.real - vi * np.imag(x)).T)
-        return out
+        or of each matrix of a stack (..., d, d) (see _embed)."""
+        if self.basis is None:
+            raise ValueError(f"model {self.label!r} has no matrix embedding")
+        return _embed(mat, self.d, self.slit_dtype)
 
     def unembed(self, coords: np.ndarray) -> np.ndarray:
         """Matrix represented by a coordinate vector."""
@@ -207,7 +224,7 @@ class PSDCone(ModelSpace):
         super().__post_init__()
         self.slit_dtype = {"quantum": complex, "real_quantum": float}[self.kind]
         self.dimension = len(self.basis)
-        self.order_unit = self.embed(np.eye(self.d))
+        self.order_unit = _identity_coords(self.d, self.slit_dtype)
 
     @property
     def basis(self) -> np.ndarray:
@@ -219,7 +236,7 @@ class PSDCone(ModelSpace):
     def draw(self, seeds, effect: bool) -> np.ndarray:
         """Matrix draws (see _random_matrices) in batches of CHUNK_ELEMENTS
         entries, so the linear algebra and the embedding run once per batch."""
-        out = self._zero_coords((len(seeds),), self.slit_dtype is complex)
+        out = _zero_coords((len(seeds), self.dimension), self.slit_dtype is complex)
         rows = max(1, CHUNK_ELEMENTS // self.d**2)
         for lo in range(0, len(seeds), rows):
             out[lo : lo + rows] = self.embed(_random_matrices(self, seeds[lo : lo + rows], effect))
@@ -227,7 +244,7 @@ class PSDCone(ModelSpace):
 
     def detector(self) -> np.ndarray:
         """The computational-basis projectors, embedded."""
-        return self.embed(np.array(basis_projectors(self.d)))
+        return self.embed(basis_projectors(self.d))
 
     def face_settings(self, f: Filter) -> list[tuple[np.ndarray, ...]]:
         """The subspace's basis projectors plus, per basis pair, superposition
@@ -311,10 +328,15 @@ CONES = {"quantum": PSDCone, "real_quantum": PSDCone, "classical": Orthant,
          "custom": PolyhedralCone}
 
 
-def basis_projectors(d: int, dtype=complex) -> list[np.ndarray]:
-    """The d rank-1 projectors onto the computational basis vectors."""
+@cache
+def basis_projectors(d: int, dtype=complex) -> np.ndarray:
+    """The d rank-1 projectors onto the computational basis vectors, as a
+    (d, d, d) stack.  Built once per (d, dtype) on first use and shared, so
+    it is read-only."""
     eye = np.eye(d, dtype=dtype)
-    return [np.outer(eye[:, i], eye[:, i].conj()) for i in range(d)]
+    out = np.array([np.outer(eye[:, i], eye[:, i].conj()) for i in range(d)])
+    out.flags.writeable = False
+    return out
 
 
 class _BuiltOnFirstRead:

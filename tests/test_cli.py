@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, fixture values, reproducibility."""
 
+import argparse
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -309,6 +311,9 @@ BAD_ARGUMENTS = [
     ["interference", "--model", b"[" * 100000],
     ["interference", "--table", b"[" * 100000],
     ["interference", "--state", b"[" * 100000],
+    # an output path given but empty
+    ["validate", "--out", ""],
+    ["experiment", "--shots", "100", "--csv-out", ""],
 ]
 BAD_IDS = ["state-dimension", "classical-state-dimension", "negative-shots",
            "table-negative-shots", "state-seed-not-integer",
@@ -353,7 +358,8 @@ BAD_IDS = ["state-dimension", "classical-state-dimension", "negative-shots",
            "interference-seed-without-sweep", "tomography-seed-with-exact-mode",
            "model-with-table", "unknown-slits", "unknown-state", "unknown-effect",
            "state-not-utf8", "effect-not-utf8", "model-nested-100000-deep",
-           "table-nested-100000-deep", "state-nested-100000-deep"]
+           "table-nested-100000-deep", "state-nested-100000-deep", "out-empty",
+           "csv-out-empty"]
 
 
 def materialize(argv, directory):
@@ -909,7 +915,9 @@ def test_help_exits_0_with_usage_on_stdout(capsys, argv):
 
 
 class TestParserReuse:
-    """main builds its parser once per process; reusing it changes no output."""
+    """main builds its parser once per process, for the argv it does not
+    read directly; reusing it changes no output, and neither does reading
+    an argv directly."""
 
     SEQUENCE = [
         ["interference", "--sweep", "5", "--seed", "3"],
@@ -931,6 +939,9 @@ class TestParserReuse:
         build = cli.build_parser
         monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
         monkeypatch.setattr(cli, "_parser", None)
+        direct = [run(capsys, *argv) for argv in self.SEQUENCE]
+        assert built == []  # every argv of the sequence is read directly
+        monkeypatch.setattr(cli, "_read_exact", lambda command, words: None)
         reused = [run(capsys, *argv) for argv in self.SEQUENCE]
         assert built == [1]
         fresh = []
@@ -938,7 +949,7 @@ class TestParserReuse:
             monkeypatch.setattr(cli, "_parser", None)
             fresh.append(run(capsys, *argv))
         assert len(built) == 1 + len(self.SEQUENCE)
-        assert reused == fresh
+        assert reused == fresh == direct
         assert [code for code, _ in reused] == [0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0]
 
     def test_out_then_default_prints(self, capsys, tmp_path):
@@ -1097,7 +1108,14 @@ PARSE_CASES = [[], ["-h"], ["--help"], ["junk"], ["--model", "quantum:3", "valid
                ["validate", "--mod", "quantum:4"], ["validate", "--b", "0,0,1"],
                ["validate", "--", "--samples", "3"], ["experiment", "--spin1", "--b", "-1,0,0"],
                ["experiment", "--spin1", "--b", "-1,0"], ["prop1", "--samples=3", "--samples", "4"],
-               ["tomography", "--mode", "guess"], ["interference", "--sweep", "2", "x", "y"]]
+               ["tomography", "--mode", "guess"], ["interference", "--sweep", "2", "x", "y"],
+               # each argv that the direct reader declines or must read as argparse does
+               ["experiment", "--csv_out", "x"], ["experiment", "--spin1=1"],
+               ["validate", "--seed", "-1"], ["validate", "--seed=-1"],
+               ["validate", "--seed", "1e3"], ["validate", "--seed=+5"],
+               ["tomography", "--mode=guess"], ["validate", "--model="],
+               ["validate", "--model=--"], ["validate", "--out", ""],
+               ["experiment", "--spin1", "--spin1"], ["validate", "--samples", "3", "--samples=4"]]
 
 
 @pytest.mark.parametrize("argv", PARSE_CASES + BAD_ARGUMENTS,
@@ -1112,3 +1130,22 @@ def test_parse_matches_the_full_parser(tmp_path, argv):
 def test_parse_of_generated_argv_matches_the_full_parser(argv_files, data):
     argv = data.draw(generated_argv(argv_files))
     assert parse_outcome(cli._parse, argv) == parse_outcome(full_parse, argv)
+
+
+def test_benchmark_catalogues_are_read_without_argparse(monkeypatch):
+    """Every argv of the benchmark's catalogues is made of exact options, so
+    none of them reaches argparse."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).parents[1] / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up
+    spec.loader.exec_module(workloads)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse read an argv")
+
+    for read in ("parse_args", "parse_known_args"):
+        monkeypatch.setattr(argparse.ArgumentParser, read, refuse)
+    read = [cli._parse(cli._join_axes(argv)) for name in workloads.WORKLOADS
+            for tasks in workloads.catalogue(name) for argv in tasks]
+    assert len(read) == 6312

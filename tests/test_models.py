@@ -11,6 +11,7 @@ import pytest
 
 import sorkinlab as sl
 from sorkinlab import gpt, models
+from sorkinlab.cli import resolve_slits
 from sorkinlab.models import (
     basis_projectors,
     SPIN1_X,
@@ -167,6 +168,59 @@ class TestConeClasses:
             model.slit_dtype, model.size_key, model.masks)
         assert twin.extreme_values(twin.order_unit).tobytes() == (
             model.extreme_values(model.order_unit).tobytes())
+
+
+class TestSharedConstants:
+    """A PSD model's order unit and the basis projectors are built once per
+    process per size and dtype, and shared read-only."""
+
+    @pytest.mark.parametrize("kind", ["quantum", "real_quantum"])
+    @pytest.mark.parametrize("d", [2, 3, 6, 10])
+    def test_order_unit_keeps_the_bytes_and_strides_of_embed(self, kind, d):
+        model = ModelSpace(kind, d)
+        ref = model.embed(np.eye(d))
+        assert (model.order_unit.tobytes(), model.order_unit.strides) == (
+            ref.tobytes(), ref.strides)
+
+    @pytest.mark.parametrize("kind", ["quantum", "real_quantum"])
+    def test_order_unit_is_shared_and_read_only(self, kind):
+        a, b = ModelSpace(kind, 4), ModelSpace(kind, 4)
+        assert a.order_unit is b.order_unit
+        with pytest.raises(ValueError, match="read-only"):
+            a.order_unit[0] = 1.0
+
+    def test_a_second_model_build_embeds_nothing(self, monkeypatch):
+        build_quantum_model(5)
+        calls = []
+        embed = gpt._embed
+        monkeypatch.setattr(gpt, "_embed", lambda *args: calls.append(args) or embed(*args))
+        build_quantum_model(5)
+        assert calls == []
+
+    def test_basis_projectors_are_a_shared_read_only_stack(self):
+        pis = basis_projectors(4, float)
+        assert pis is basis_projectors(4, float)
+        assert (pis.shape, pis.dtype, pis.flags.writeable) == ((4, 4, 4), np.float64, False)
+        np.testing.assert_array_equal(pis, [np.diag(e) for e in np.eye(4)])
+
+    def test_basis_slits_on_a_cache_hit_build_no_projector(self, monkeypatch):
+        first = resolve_slits("basis", build_quantum_model(4), {})
+        outer = []
+        real_outer = np.outer
+        monkeypatch.setattr(np, "outer", lambda *args: outer.append(1) or real_outer(*args))
+        model = build_quantum_model(4)
+        assert resolve_slits("basis", model, {}) is first
+        model.detector()
+        assert outer == []
+
+    @pytest.mark.parametrize("kind", ["quantum", "real_quantum"])
+    @pytest.mark.parametrize("d", [3, 6])
+    def test_detector_keeps_its_bytes(self, kind, d):
+        model = ModelSpace(kind, d)
+        eye = np.eye(d, dtype=complex)
+        ref = model.embed(np.array([np.outer(eye[:, i], eye[:, i].conj()) for i in range(d)]))
+        detector = model.detector()
+        assert (detector.tobytes(), detector.strides) == (ref.tobytes(), ref.strides)
 
 
 SRC = Path(gpt.__file__).parent
